@@ -13,26 +13,14 @@ Two small studies at a fixed overall coupling:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from quadosc import (
     GridSpec,
-    coupling_grade_shift,
     extrapolated_ground_energy,
     fd_ground_state,
 )
-from quadosc.cli import build_solution, parse_rational
-
-
-def fitted_slope(xs: list[float], ys: list[float]) -> float:
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(y) for y in ys]
-    n = len(lx)
-    mx, my = sum(lx) / n, sum(ly) / n
-    num = sum((x - mx) * (y - my) for x, y in zip(lx, ly))
-    den = sum((x - mx) ** 2 for x in lx)
-    return num / den
+from quadosc.cli import build_solution, loglog_slope, parse_rational
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,19 +45,18 @@ def main(argv: list[str] | None = None) -> int:
     sol = build_solution(args.method, args.b, args.order)
     g = args.g
     b = float(args.b)
-    shift = coupling_grade_shift(sol.flavor)
 
     print(f"# series vs grid: method={args.method} b={args.b} g={g:g}")
     print("mu,series_energy,grid_energy,residual")
     mus = [float(m) for m in args.mus.split(",") if m.strip()]
     residuals = []
     for mu in mus:
-        series = sol.energy_value(g, mu * g**shift)
+        series = sol.physical_energy(g, mu)
         grid = extrapolated_ground_energy(g, b, mu, levels=args.levels)
         residuals.append(abs(series - grid))
         print(f"{mu:g},{series!r},{grid!r},{residuals[-1]:.6e}")
     if len(mus) >= 2:
-        print(f"# fitted residual order: {fitted_slope(mus, residuals):.3f}")
+        print(f"# fitted residual order: {loglog_slope(mus, residuals):.3f}")
 
     exact = g * (1 + b) / 2
     print(f"# zero-coupling refinement ladder (exact energy {exact:g})")

@@ -8,7 +8,6 @@ and a sparse finite-difference eigensolver.
 """
 
 from .algebra import (
-    ExpSum,
     GradedPoly,
     coupling_grade_shift,
     grad_dot,
@@ -18,9 +17,7 @@ from .errors import (
     ConvergenceFailure,
     OddParity,
     QuadoscError,
-    ResidualTimeDependence,
     ResonantDenominator,
-    SingularIntegral,
     SingularInverse,
     TruncationOverflow,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "ComparisonReport",
     "ConvergenceFailure",
     "DEFAULT_WINDOW",
-    "ExpSum",
     "GradedPoly",
     "GridSpec",
     "NormalForm",
@@ -93,10 +89,8 @@ __all__ = [
     "PotentialSpec",
     "QuadoscError",
     "RSCorrections",
-    "ResidualTimeDependence",
     "ResonantDenominator",
     "SeriesSolution",
-    "SingularIntegral",
     "SingularInverse",
     "SpectralEstimate",
     "Trajectory",

@@ -1,14 +1,18 @@
 """Exact-arithmetic substrate for the symbolic pipelines.
 
-Two value types carry the whole calculation.  A ``GradedPoly`` is a
-polynomial in the plane coordinates (x, y) whose rational coefficients carry
-integer powers of the scale factor g and of a single perturbation parameter
-(mu, eps or lambda, depending on how the coupling term is booked).  An
-``ExpSum`` is what a ``GradedPoly`` becomes along the classical trajectory: a
-finite sum of terms r * cx^p * cy^q * exp((k + l*b) t) in the trajectory time
-t, with the same grading.
+One value type carries the whole calculation.  A ``GradedPoly`` is a
+polynomial in two variables whose rational coefficients carry integer powers
+of the scale factor g and of a single perturbation parameter (mu, eps or
+lambda, depending on how the coupling term is booked).  The variables are
+the plane coordinates (x, y), or, along the classical trajectory, the
+amplitudes X = cx e^t and Y = cy e^(bt): a monomial X^p Y^q is then the
+exponential cx^p cy^q e^((p + q*b) t) in the flow time t.
 
-Both types are immutable by convention; every operation returns a new value.
+In the amplitudes, d/dt is the flow operator x d/dx + b y d/dy, which scales
+each monomial by its eigenvalue i + j*b.  `integrate_to_T` is its inverse;
+both the trajectory quadrature and the operator inversion of `greens` use it.
+
+Values are immutable by convention; every operation returns a new value.
 Zero coefficients are never stored, so dict equality is mathematical
 equality.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import ResidualTimeDependence, SingularIntegral
+from .errors import SingularInverse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
     from .trajectory import Trajectory
@@ -293,238 +297,52 @@ def _poly_powers(p: GradedPoly, n: int, max_ep: int | None):
     return out
 
 
-class ExpSum:
-    """Sum of terms r * cx^p * cy^q * exp((k + l*b) t) along the trajectory.
+def flow_derivative(p: GradedPoly, b) -> GradedPoly:
+    """Apply the flow operator x d/dx + b y d/dy.
 
-    ``terms`` maps ``(ep, gp, p, q, k, l)`` to a nonzero Fraction with the
-    same (ep, gp) grading as `GradedPoly`.  ``b`` is the fixed frequency
-    ratio, so the time dependence of a term is exp((k + l*b) t) with k, l
-    non-negative integers.
+    Each monomial x^i y^j is an eigenvector with eigenvalue i + j*b.  Read in
+    the trajectory amplitudes X = cx e^t, Y = cy e^(bt), this is d/dt.
     """
-
-    __slots__ = ("terms", "b", "param")
-
-    def __init__(self, terms=None, b=Fraction(1), param: str | None = None):
-        self.b = Fraction(b)
-        if self.b <= 0:
-            raise ValueError("frequency ratio b must be positive")
-        clean: dict[tuple[int, int, int, int, int, int], Fraction] = {}
-        if terms:
-            for (ep, gp, p, q, k, l), coef in terms.items():
-                if min(p, q, k, l) < 0:
-                    raise ValueError("negative exponent in trajectory term")
-                coef = Fraction(coef)
-                if coef:
-                    clean[(ep, gp, p, q, k, l)] = coef
-        self.terms = clean
-        self.param = param
-
-    @classmethod
-    def zero(cls, b, param: str | None = None) -> "ExpSum":
-        return cls({}, b, param)
-
-    @classmethod
-    def unit(cls, b, param: str | None = None) -> "ExpSum":
-        return cls({(0, 0, 0, 0, 0, 0): Fraction(1)}, b, param)
-
-    def _check(self, other: "ExpSum"):
-        if self.b != other.b:
-            raise ValueError("mixing trajectories with different b")
-
-    def __add__(self, other: "ExpSum") -> "ExpSum":
-        self._check(other)
-        out = dict(self.terms)
-        for key, coef in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coef
-        return ExpSum(out, self.b, merge_params(self.param, other.param))
-
-    def __neg__(self) -> "ExpSum":
-        return ExpSum({k: -c for k, c in self.terms.items()}, self.b, self.param)
-
-    def __sub__(self, other: "ExpSum") -> "ExpSum":
-        return self + (-other)
-
-    def mul(self, other: "ExpSum", max_ep: int | None = None) -> "ExpSum":
-        self._check(other)
-        out: dict[tuple[int, int, int, int, int, int], Fraction] = {}
-        for (ea, ga, pa, qa, ka, la), ca in self.terms.items():
-            for (eb, gb, pb, qb, kb, lb), cb in other.terms.items():
-                ep = ea + eb
-                if max_ep is not None and ep > max_ep:
-                    continue
-                key = (ep, ga + gb, pa + pb, qa + qb, ka + kb, la + lb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return ExpSum(out, self.b, merge_params(self.param, other.param))
-
-    def __mul__(self, other) -> "ExpSum":
-        if isinstance(other, ExpSum):
-            return self.mul(other)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, coef) -> "ExpSum":
-        coef = Fraction(coef)
-        return ExpSum({k: c * coef for k, c in self.terms.items()}, self.b, self.param)
-
-    def shift(self, ep: int = 0, gp: int = 0) -> "ExpSum":
-        if ep == 0 and gp == 0:
-            return self
-        return ExpSum(
-            {(e + ep, g + gp, p, q, k, l): c
-             for (e, g, p, q, k, l), c in self.terms.items()},
-            self.b,
-            self.param,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExpSum):
-            return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.b == other.b
-            and _compatible(self.param, other.param)
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def ddt(self) -> "ExpSum":
-        """Time derivative: each term picks up its exponent k + l*b."""
-        out = {}
-        for (ep, gp, p, q, k, l), c in self.terms.items():
-            coef = c * (k + l * self.b)
-            if coef:
-                out[(ep, gp, p, q, k, l)] = coef
-        return ExpSum(out, self.b, self.param)
-
-    def constant_part(self) -> "ExpSum":
-        return ExpSum(
-            {k: c for k, c in self.terms.items() if k[4] == 0 and k[5] == 0},
-            self.b,
-            self.param,
-        )
-
-    def drop_constant(self) -> "ExpSum":
-        return ExpSum(
-            {k: c for k, c in self.terms.items() if k[4] != 0 or k[5] != 0},
-            self.b,
-            self.param,
-        )
-
-    def truncate_ep(self, max_ep: int) -> "ExpSum":
-        return ExpSum(
-            {k: c for k, c in self.terms.items() if k[0] <= max_ep}, self.b, self.param
-        )
-
-    def at_ep(self, ep: int) -> "ExpSum":
-        return ExpSum(
-            {k: c for k, c in self.terms.items() if k[0] == ep}, self.b, self.param
-        )
-
-    def is_homogeneous(self) -> bool:
-        """True when every term has matching constants and time exponents.
-
-        Substituting cx e^t and cy e^(bt) (and their corrections, which keep
-        the property) can only produce terms with k == p and l == q.
-        """
-        return all(k == p and l == q for (_, _, p, q, k, l) in self.terms)
-
-    def max_ep(self) -> int:
-        return max((k[0] for k in self.terms), default=0)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        sym = self.param or "p"
-        parts = []
-        for (ep, gp, p, q, k, l), c in self.sorted_terms():
-            factors = [str(c)]
-            if ep:
-                factors.append(f"{sym}^{ep}")
-            if gp:
-                factors.append(f"g^{gp}")
-            if p:
-                factors.append(f"cx^{p}")
-            if q:
-                factors.append(f"cy^{q}")
-            if k or l:
-                factors.append(f"exp(({k}+{l}b)t)")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ExpSum({self})"
+    b = Fraction(b)
+    return GradedPoly(
+        {(ep, gp, i, j): c * (i + j * b) for (ep, gp, i, j), c in p.terms.items()},
+        p.param,
+    )
 
 
-def integrate_to_T(e: ExpSum) -> ExpSum:
-    """Integrate term by term from t = -inf up to a symbolic endpoint time T.
+def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
+    """Invert the flow operator: divide each monomial x^i y^j by i + j*b.
 
-    Every exponent k + l*b is positive for k, l >= 0 not both zero, so the
-    primitive vanishing at -inf is the term divided by its exponent.  A
-    constant term signals a missing energy subtraction upstream and raises
-    SingularIntegral.
+    In the trajectory amplitudes this integrates from t = -inf up to the
+    endpoint time T, since every exponent i + j*b of a non-flat monomial is
+    positive.  A flat term has eigenvalue zero and no decaying primitive; it
+    signals a missing energy subtraction upstream and raises SingularInverse.
     """
+    b = Fraction(b)
     out = {}
-    for (ep, gp, p, q, k, l), c in e.terms.items():
-        if k == 0 and l == 0:
-            raise SingularIntegral("constant integrand has no decaying primitive")
-        out[(ep, gp, p, q, k, l)] = c / (k + l * e.b)
-    return ExpSum(out, e.b, e.param)
-
-
-def _exp_powers(e: ExpSum, n: int, max_ep: int | None):
-    out = [ExpSum.unit(e.b, e.param)]
-    for _ in range(n):
-        out.append(out[-1].mul(e, max_ep=max_ep))
-    return out
-
-
-def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory", order: int) -> ExpSum:
-    """Substitute the trajectory for (x, y), truncating above ``order`` in
-    the perturbation parameter."""
-    param = merge_params(p.param, traj.x.param)
-    max_i = max((k[2] for k in p.terms), default=0)
-    max_j = max((k[3] for k in p.terms), default=0)
-    xs = _exp_powers(traj.x, max_i, order)
-    ys = _exp_powers(traj.y, max_j, order)
-    out = ExpSum.zero(traj.b, param)
     for (ep, gp, i, j), c in p.terms.items():
-        if ep > order:
-            continue
-        prod = xs[i].mul(ys[j], max_ep=order - ep)
-        out = out + prod.shift(ep=ep, gp=gp).scale(c)
-    return out
+        if i == 0 and j == 0:
+            raise SingularInverse("flat term has flow eigenvalue zero")
+        out[(ep, gp, i, j)] = c / (i + j * b)
+    return GradedPoly(out, p.param)
 
 
-def evaluate_at_endpoint(e: ExpSum, traj: "Trajectory", order: int | None = None) -> GradedPoly:
-    """Set t = T and replace the trajectory constants by the endpoint series.
+def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory", order: int) -> GradedPoly:
+    """Substitute the trajectory for (x, y), truncating above ``order`` in
+    the perturbation parameter.  The result is a polynomial in the
+    trajectory amplitudes X and Y."""
+    return p.subs(traj.x, traj.y, max_ep=order)
 
-    cx carries one factor exp(-T) and cy one factor exp(-b T), so a term
-    cx^p cy^q exp((k + l*b)T) is T-free exactly when k == p and l == q; any
-    other term raises ResidualTimeDependence.  The result is a polynomial in
-    the endpoint coordinates, returned in the (x, y) variables.
+
+def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = None) -> GradedPoly:
+    """Set t = T and replace the amplitudes by the endpoint series.
+
+    At t = T the amplitudes X and Y are the solved series ``traj.cx`` and
+    ``traj.cy`` in the endpoint coordinates, so the result is a polynomial
+    in the endpoint coordinates, returned in the (x, y) variables.
     """
     if traj.cx is None or traj.cy is None:
         raise ValueError("trajectory endpoint constants not solved")
     if order is None:
         order = traj.order
-    param = merge_params(e.param, traj.cx.param)
-    max_p = max((k[2] for k in e.terms), default=0)
-    max_q = max((k[3] for k in e.terms), default=0)
-    xs = _poly_powers(traj.cx, max_p, order)
-    ys = _poly_powers(traj.cy, max_q, order)
-    out = GradedPoly.zero(param)
-    for (ep, gp, p, q, k, l), c in e.terms.items():
-        if k != p or l != q:
-            raise ResidualTimeDependence(
-                f"factor exp(({k - p} + {l - q}*b)T) does not cancel"
-            )
-        if ep > order:
-            continue
-        prod = xs[p].mul(ys[q], max_ep=order - ep)
-        out = out + prod.shift(ep=ep, gp=gp) * c
-    return out.truncate_ep(order)
+    return p.subs(traj.cx, traj.cy, max_ep=order).truncate_ep(order)

@@ -17,10 +17,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _G_SHIFT, GradedPoly
+from .algebra import GradedPoly
 from .errors import ConvergenceFailure
 from .greens import solve_green
-from .hierarchy import SeriesSolution, solve_hierarchy
+from .hierarchy import SeriesSolution, fold_levels, solve_hierarchy
 from .oracle import (
     GridSpec,
     compare_methods,
@@ -156,18 +156,9 @@ def solution_to_csv(sol: SeriesSolution, method: str) -> str:
     Energy coefficients are not series terms and stay in the JSON and text
     forms only.
     """
-    top = 1 if sol.kind == "exp" else 0
-    folded: dict[tuple[int, int, int, int], Fraction] = {}
-    for n, level in enumerate(sol.terms):
-        for (ep, gp, i, j), c in level.terms.items():
-            key = (ep, gp + top - n, i, j)
-            acc = folded.get(key, Fraction(0)) + c
-            if acc:
-                folded[key] = acc
-            else:
-                folded.pop(key, None)
+    folded = fold_levels(sol.terms, 1 if sol.kind == "exp" else 0, sol.flavor)
     lines = ["method,ep,gp,i,j,coefficient"]
-    for (ep, gp, i, j), c in sorted(folded.items()):
+    for (ep, gp, i, j), c in folded.sorted_terms():
         lines.append(f"{method},{ep},{gp},{i},{j},{c}")
     return "\n".join(lines) + "\n"
 
@@ -242,12 +233,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"unknown config key {key!r}")
             conv = _CONFIG_KEYS[key]
             attr = "fmt" if key == "format" else key
-            setattr(cfg, attr, None if value is None else conv(value))
+            try:
+                setattr(cfg, attr, None if value is None else conv(value))
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from exc
     for key in _CONFIG_KEYS:
         attr = "fmt" if key == "format" else key
         flag = getattr(args, attr, None)
         if flag is not None:
             setattr(cfg, attr, flag)
+    for key in ("method", "b", "order", "g", "mu", "format"):
+        if getattr(cfg, "fmt" if key == "format" else key) is None:
+            raise ValueError(f"{key} must not be null")
+    if not (math.isfinite(cfg.g) and math.isfinite(cfg.mu)):
+        raise ValueError("g and mu must be finite")
+    if cfg.g <= 0:
+        raise ValueError("the overall coupling g must be positive")
     if cfg.b <= 0:
         raise ValueError("the frequency ratio b must be positive")
     if cfg.order < 1:
@@ -262,10 +263,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    if cfg.method not in METHODS:
-        raise ValueError(
-            f"unknown method {cfg.method!r}; choose from {', '.join(METHODS)}"
-        )
     sol = build_solution(cfg.method, cfg.b, cfg.order, cfg.depth)
     _emit(render_solution(sol, cfg.method, cfg.fmt), cfg.out)
     return EXIT_OK
@@ -332,10 +329,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK if report.agree else EXIT_DISAGREE
 
 
-def _fit_order(mus: list[float], residuals: list[float]) -> float:
-    """Least-squares slope of log residual against log coupling."""
-    xs = [math.log(m) for m in mus]
-    ys = [math.log(r) for r in residuals]
+def loglog_slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of log y against log x."""
+    xs = [math.log(x) for x in xs]
+    ys = [math.log(y) for y in ys]
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
@@ -344,17 +341,29 @@ def _fit_order(mus: list[float], residuals: list[float]) -> float:
     return num / den
 
 
+def _grid_check(sol: SeriesSolution, cfg: RunConfig, grid, args) -> dict:
+    """Series energy against the extrapolated grid energy at (g, mu)."""
+    series = sol.physical_energy(cfg.g, cfg.mu)
+    reference = extrapolated_ground_energy(
+        cfg.g, float(cfg.b), cfg.mu, grid=grid, levels=args.levels
+    )
+    gap = abs(series - reference)
+    rel = gap / abs(reference)
+    return {
+        "series_energy": series,
+        "grid_energy": reference,
+        "abs_gap": gap,
+        "rel_gap": rel,
+        "pass": rel <= args.tol,
+    }
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order, cfg.depth)
     b = float(cfg.b)
-    shift = _G_SHIFT[sol.flavor]
     grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n else None
-
-    def series_energy(mu: float) -> float:
-        return sol.energy_value(cfg.g, mu * cfg.g**shift)
-
     doc: dict = {
         "method": method,
         "b": str(cfg.b),
@@ -362,23 +371,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "mu": cfg.mu,
         "tol": args.tol,
     }
-    ok = True
-    series = series_energy(cfg.mu)
-    reference = extrapolated_ground_energy(
-        cfg.g, b, cfg.mu, grid=grid, levels=args.levels
-    )
-    gap = abs(series - reference)
-    rel = gap / abs(reference)
-    doc.update(
-        {
-            "series_energy": series,
-            "grid_energy": reference,
-            "abs_gap": gap,
-            "rel_gap": rel,
-            "pass": rel <= args.tol,
-        }
-    )
-    ok = ok and rel <= args.tol
+    doc.update(_grid_check(sol, cfg, grid, args))
+    ok = doc["pass"]
 
     if args.mu_sweep:
         mus = [float(m) for m in args.mu_sweep.split(",") if m.strip()]
@@ -389,8 +383,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ref = extrapolated_ground_energy(
                 cfg.g, b, mu, grid=grid, levels=max(args.levels, 2)
             )
-            residuals.append(abs(series_energy(mu) - ref))
-        order_fit = _fit_order(mus, residuals)
+            residuals.append(abs(sol.physical_energy(cfg.g, mu) - ref))
+        order_fit = loglog_slope(mus, residuals)
         sweep_ok = order_fit >= args.min_order
         doc["sweep"] = {
             "mu": mus,
@@ -406,9 +400,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         lines = [
             f"verify method={method} b={cfg.b} g={cfg.g} mu={cfg.mu}",
-            f"series energy = {series!r}",
-            f"grid energy   = {reference!r}",
-            f"abs gap = {gap:.3e}  rel gap = {rel:.3e}  tol = {args.tol:.1e}",
+            f"series energy = {doc['series_energy']!r}",
+            f"grid energy   = {doc['grid_energy']!r}",
+            f"abs gap = {doc['abs_gap']:.3e}  rel gap = {doc['rel_gap']:.3e}"
+            f"  tol = {args.tol:.1e}",
         ]
         if "sweep" in doc:
             sw = doc["sweep"]
@@ -447,24 +442,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
     ok = report.agree
     if args.numeric:
-        series = ref.energy_value(cfg.g, cfg.mu * cfg.g ** _G_SHIFT[ref.flavor])
         grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n else None
-        reference = extrapolated_ground_energy(
-            cfg.g, float(cfg.b), cfg.mu, grid=grid, levels=args.levels
-        )
-        gap = abs(series - reference)
-        rel = gap / abs(reference)
         doc["numeric"] = {
             "g": cfg.g,
             "mu": cfg.mu,
-            "series_energy": series,
-            "grid_energy": reference,
-            "abs_gap": gap,
-            "rel_gap": rel,
             "tol": args.tol,
-            "pass": rel <= args.tol,
+            **_grid_check(ref, cfg, grid, args),
         }
-        ok = ok and rel <= args.tol
+        ok = ok and doc["numeric"]["pass"]
     if cfg.fmt == "json":
         _emit(doc_to_json(doc), cfg.out)
     else:

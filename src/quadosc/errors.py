@@ -5,20 +5,12 @@ class QuadoscError(Exception):
     """Base class for package-specific errors."""
 
 
-class SingularIntegral(QuadoscError):
-    """A trajectory integral picked up a constant (divergent) integrand."""
-
-
-class ResidualTimeDependence(QuadoscError):
-    """Endpoint substitution left an uncancelled exp(T) factor behind."""
-
-
 class ResonantDenominator(QuadoscError):
     """A driving term hit a homogeneous mode of the linearized motion."""
 
 
 class SingularInverse(QuadoscError):
-    """The flow-scaling inverse was applied to a flat (constant) term."""
+    """The flow-operator inverse was applied to a flat (constant) term."""
 
 
 class OddParity(QuadoscError):

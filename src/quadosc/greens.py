@@ -20,23 +20,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .algebra import GradedPoly, laplacian
-from .errors import OddParity, SingularInverse, TruncationOverflow
-from .hierarchy import SeriesSolution
-from .trajectory import PotentialSpec
+from .algebra import GradedPoly, integrate_to_T, laplacian
+from .errors import OddParity, TruncationOverflow
+from .hierarchy import SeriesSolution, book_energy, slice_level
+from .trajectory import PotentialSpec, gaussian_exponent
 
 
 def apply_flow_inverse(p: GradedPoly, b: Fraction) -> GradedPoly:
-    """Divide each even monomial by its flow eigenvalue 2g(l + m b)."""
-    b = Fraction(b)
-    out = {}
-    for (ep, gp, i, j), c in p.terms.items():
+    """Divide each even monomial by its flow eigenvalue 2g(l + m b).
+
+    This is `integrate_to_T` with the g it costs made explicit; a flat term
+    raises SingularInverse.
+    """
+    for (_, _, i, j) in p.terms:
         if i % 2 or j % 2:
             raise OddParity(f"x^{i} y^{j} is not an even monomial")
-        if i == 0 and j == 0:
-            raise SingularInverse("flat term has flow eigenvalue zero")
-        out[(ep, gp - 1, i, j)] = c / (i + j * b)
-    return GradedPoly(out, p.param)
+    return integrate_to_T(p, b).shift(gp=-1)
 
 
 def diffusion_step(p: GradedPoly, b: Fraction) -> GradedPoly:
@@ -118,10 +117,7 @@ def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPo
         p = apply_flow_inverse(chain(i, j, n), b)
         keep = 2 * (l - n)
         i, j = (keep, 0) if kind == "x_partial" else (0, keep)
-        return GradedPoly(
-            {(ep, gp, 0, 0): c for (ep, gp, ii, jj), c in p.terms.items() if (ii, jj) == (i, j)},
-            p.param,
-        )
+        return p.coefficient(i, j)
     if kind == "xy_full":
         l, m = idx
         if l < 1 or m < 1:
@@ -154,33 +150,21 @@ class OperatorSolution:
         for part in self.chi:
             total = total + part
         depth = -min((gp for (_, gp, _, _) in total.terms), default=0)
-        terms = []
-        for n in range(depth + 1):
-            terms.append(
-                GradedPoly(
-                    {(ep, 0, i, j): c for (ep, gp, i, j), c in total.terms.items() if gp == -n},
-                    "eps",
-                )
-            )
+        terms = tuple(slice_level(total, -n) for n in range(depth + 1))
         energies: dict[tuple[int, int], Fraction] = {
             (1, 0): (1 + Fraction(self.spec.b)) / 2
         }
         for shift in self.delta:
-            for (ep, gp, _, _), c in shift.terms.items():
-                energies[(gp, ep)] = energies.get((gp, ep), Fraction(0)) + c
-        half = Fraction(1, 2)
-        s0 = GradedPoly(
-            {(0, 0, 2, 0): half, (0, 0, 0, 2): half * Fraction(self.spec.b)}, "eps"
-        )
+            book_energy(energies, shift, 0)
         return SeriesSolution(
             kind="poly",
             flavor="eps",
             b=self.spec.b,
             order=self.order,
             depth=depth,
-            terms=tuple(terms),
+            terms=terms,
             energies=energies,
-            base=(s0, GradedPoly.zero("eps")),
+            base=(gaussian_exponent(self.spec.b, "eps"), GradedPoly.zero("eps")),
         )
 
 

@@ -8,9 +8,11 @@ stationary equation splits into one linear transport equation per level,
                                 - E_n  (+ coupling insertion at one level),
 
 and the left side is the time derivative of S_{n+1} along the classical
-flow.  So each level is solved by restricting the right side to the
-trajectory, removing the constant (which *is* the energy coefficient E_n),
-integrating in flow time and reading the result at the endpoint.
+flow.  So each level is solved in four polynomial steps: substitute the
+trajectory, a polynomial in the amplitudes X = cx e^t and Y = cy e^(bt);
+move the flat part into the energy coefficient E_n; integrate in flow time,
+which divides each amplitude monomial X^p Y^q by p + q*b; and substitute the
+endpoint series for the amplitudes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    ExpSum,
+    _G_SHIFT,
     GradedPoly,
     evaluate_at_endpoint,
     grad_dot,
@@ -67,21 +69,35 @@ class SeriesSolution:
             total += float(c) * g**gp * param_value**ep
         return total
 
+    def physical_energy(self, g: float, mu: float) -> float:
+        """Energy series at overall coupling g and quartic coupling mu."""
+        return self.energy_value(g, mu * g ** _G_SHIFT[self.flavor])
 
-def extract_energy(e: ExpSum) -> tuple[GradedPoly, ExpSum]:
-    """Split a restricted right side into its flat part and the rest.
 
-    Terms constant in flow time have no amplitude factors either (the flow
-    substitution is exponent-homogeneous), so the flat part is a pure graded
-    number: the energy coefficient produced by this level.
+def fold_levels(levels, top_gp: int, param: str | None) -> GradedPoly:
+    """Attach each level's implicit g power: level n sits at g^(top_gp - n)."""
+    acc = GradedPoly.zero(param)
+    for n, lev in enumerate(levels):
+        acc = acc + lev.shift(gp=top_gp - n)
+    return acc
+
+
+def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
+    """Pull out one g slice, dropping the grade it implicitly carries."""
+    return GradedPoly(
+        {(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp},
+        p.param,
+    )
+
+
+def book_energy(energies: dict[tuple[int, int], Fraction], flat: GradedPoly, top_gp: int) -> None:
+    """Add a flat graded number to the energy slots, level grade ``top_gp``.
+
+    A term c * param^ep * g^gp lands in slot (top_gp + gp, ep).
     """
-    const = e.constant_part()
-    coeffs = {}
-    for (ep, gp, p, q, k, l), c in const.terms.items():
-        if p or q:
-            raise ValueError("non-constant amplitude factor in flat term")
-        coeffs[(ep, gp, 0, 0)] = c
-    return GradedPoly(coeffs, e.param), e.drop_constant()
+    for (ep, gp, _, _), c in flat.terms.items():
+        key = (top_gp + gp, ep)
+        energies[key] = energies.get(key, Fraction(0)) + c
 
 
 def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[GradedPoly, GradedPoly]:
@@ -91,9 +107,8 @@ def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[Gra
     and S_next the endpoint value of the time integral of the remainder.
     """
     restricted = restrict_to_trajectory(rhs, traj, order)
-    energy, remainder = extract_energy(restricted)
-    s_next = evaluate_at_endpoint(integrate_to_T(remainder), traj, order)
-    return energy, s_next
+    remainder = integrate_to_T(restricted.drop_constant(), traj.b)
+    return restricted.constant_part(), evaluate_at_endpoint(remainder, traj, order)
 
 
 def solve_levels(
@@ -115,18 +130,12 @@ def solve_levels(
     terms = [s0]
     energies: dict[tuple[int, int], Fraction] = {}
     for n in range(depth + 2):
-        rhs = laplacian(terms[n]) * Fraction(1, 2) if n < len(terms) else GradedPoly.zero(flavor)
-        for i in range(1, n + 1):
-            j = n + 1 - i
-            if 1 <= j < len(terms) and i < len(terms):
-                rhs = rhs - grad_dot(terms[i], terms[j]) * Fraction(1, 2)
+        rhs = _transport_source(terms, n, flavor)
         if insertion is not None and n == insertion_level:
             rhs = rhs + insertion
         rhs = rhs.truncate_ep(order)
         energy, s_next = quadrature_level(rhs, traj, order)
-        for (ep, gp, _, _), c in energy.terms.items():
-            key = (1 - n + gp, ep)
-            energies[key] = energies.get(key, Fraction(0)) + c
+        book_energy(energies, energy, 1 - n)
         if n <= depth:
             terms.append(s_next)
     return SeriesSolution(
@@ -138,6 +147,17 @@ def solve_levels(
         terms=tuple(terms),
         energies={k: v for k, v in energies.items() if v},
     )
+
+
+def _transport_source(terms, n: int, param: str) -> GradedPoly:
+    """Level-n right side built from the known levels, before E_n and any
+    insertion."""
+    rhs = laplacian(terms[n]) * Fraction(1, 2) if n < len(terms) else GradedPoly.zero(param)
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        if 1 <= j < len(terms) and i < len(terms):
+            rhs = rhs - grad_dot(terms[i], terms[j]) * Fraction(1, 2)
+    return rhs
 
 
 def solve_hierarchy(spec: PotentialSpec, order: int = 2, depth: int = 1) -> SeriesSolution:
@@ -166,9 +186,7 @@ def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:
     """
     if sol.kind != "exp":
         raise ValueError("prefactor solutions have no single-exponent form")
-    exponent = GradedPoly.zero(sol.flavor)
-    for n, lev in enumerate(sol.terms):
-        exponent = exponent - lev.shift(gp=1 - n)
+    exponent = -fold_levels(sol.terms, 1, sol.flavor)
     energy = GradedPoly(
         {(ep, gp, 0, 0): c for (gp, ep), c in sol.energies.items()}, sol.flavor
     )
@@ -186,12 +204,7 @@ def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly
         raise ValueError("pde_residual applies to exponent solutions")
     if not 0 <= n < len(sol.terms) - 1:
         raise ValueError("level outside the solved range")
-    rhs = laplacian(sol.terms[n]) * Fraction(1, 2)
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        if j >= 1 and i < len(sol.terms) and j < len(sol.terms):
-            rhs = rhs - grad_dot(sol.terms[i], sol.terms[j]) * Fraction(1, 2)
-    rhs = rhs + _insertion_for(sol, spec, n)
+    rhs = _transport_source(sol.terms, n, sol.flavor) + _insertion_for(sol, spec, n)
     energy = GradedPoly(
         {(ep, gp - (1 - n), 0, 0): c for (gp, ep), c in sol.energies.items() if gp == 1 - n},
         sol.flavor,

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
-from .algebra import GradedPoly, _G_SHIFT
+from .algebra import GradedPoly
 from .errors import ConvergenceFailure
 from .hierarchy import SeriesSolution
 from .perturbation import (
@@ -27,6 +27,7 @@ from .perturbation import (
     normal_form_diff,
     _series_inverse,
 )
+from .trajectory import gaussian_exponent
 
 
 @dataclass(frozen=True)
@@ -178,8 +179,6 @@ def rs_corrections(b, order: int = 2) -> RSCorrections:
 def rs_series(b, order: int = 2) -> SeriesSolution:
     """Package the perturbative oracle like a method run for comparison."""
     rs = rs_corrections(b, order)
-    half = Fraction(1, 2)
-    s0 = GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * rs.b}, "eps")
     energies = dict(rs.energies)
     energies[(1, 0)] = energies.get((1, 0), Fraction(0)) + (1 + rs.b) / 2
     return SeriesSolution(
@@ -190,7 +189,7 @@ def rs_series(b, order: int = 2) -> SeriesSolution:
         depth=0,
         terms=(rs.chi,),
         energies=energies,
-        base=(s0, GradedPoly.zero("eps")),
+        base=(gaussian_exponent(rs.b, "eps"), GradedPoly.zero("eps")),
     )
 
 
@@ -376,8 +375,7 @@ def compare_methods(
     numeric = None
     if estimate is not None:
         ref = sols[0]
-        param_value = estimate.mu * estimate.g ** _G_SHIFT[ref.flavor]
-        series = ref.energy_value(estimate.g, param_value)
+        series = ref.physical_energy(estimate.g, estimate.mu)
         gap = abs(series - estimate.energy)
         numeric = {
             "series_energy": series,

@@ -25,14 +25,18 @@ from fractions import Fraction
 from .algebra import GradedPoly, _G_SHIFT, grad_dot, laplacian
 from .hierarchy import (
     SeriesSolution,
+    book_energy,
+    fold_levels,
     insertion_level_for,
     quadrature_level,
+    slice_level,
     solve_hierarchy,
     solve_levels,
 )
 from .trajectory import (
     PotentialSpec,
     action_integral,
+    gaussian_exponent,
     invert_endpoint_constants,
     solve_classical_trajectory,
 )
@@ -53,10 +57,7 @@ def default_depth(flavor: str, order: int) -> int:
 
 def _check_depth(flavor: str, order: int, depth: int):
     floor = default_depth(flavor, order)
-    if flavor == "mu":
-        if order < depth + 1:
-            raise ValueError("order must be at least depth + 1")
-    elif depth < floor:
+    if depth < floor:
         raise ValueError(
             f"flavor {flavor!r} at order {order} needs depth >= {floor}"
         )
@@ -113,8 +114,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     e0, s1 = quadrature_level(rhs0, traj, order_cap)
 
     energies: dict[tuple[int, int], Fraction] = {}
-    for (ep, gp, _, _), c in e0.terms.items():
-        energies[(1 + gp, ep)] = energies.get((1 + gp, ep), Fraction(0)) + c
+    book_energy(energies, e0, 1)
 
     p_op = (laplacian(s1) - grad_dot(s1, s1)) * Fraction(1, 2)
     if spec.flavor == "eps":
@@ -134,9 +134,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
         flat, chi_n = quadrature_level(rhs, traj, order_cap)
         e_n = -flat
         level_energies.append(e_n)
-        for (ep, gp, _, _), c in e_n.terms.items():
-            key = (1 - n + gp, ep)
-            energies[key] = energies.get(key, Fraction(0)) + c
+        book_energy(energies, e_n, 1 - n)
         if n <= depth:
             chis.append(chi_n)
 
@@ -158,19 +156,24 @@ def _truncate_g_depth(p: GradedPoly, g_depth: int) -> GradedPoly:
     )
 
 
-def _exp_series(gen: GradedPoly, order: int, g_depth: int) -> GradedPoly:
-    """exp(gen), valid when every term of gen lowers the g grade.
+def _exp_series(gen: GradedPoly, order: int, g_depth: int | None = None) -> GradedPoly:
+    """exp(gen), truncated above parameter ``order`` and, if given, below
+    g depth ``g_depth``.
 
-    Truncation to the (order, g_depth) window makes the series finite.
+    The series is finite when every term of gen carries the parameter or,
+    with a g-depth cut, lowers the g grade.
     """
-    if any(gp >= 0 for (_, gp, _, _) in gen.terms):
-        raise ValueError("exponential generator must carry negative g grades")
+    if any(ep == 0 and (g_depth is None or gp >= 0) for (ep, gp, _, _) in gen.terms):
+        raise ValueError("exponential generator must carry the parameter or lower the g grade")
     acc = GradedPoly.const(1, gen.param)
     term = acc
     k = 0
     while term:
         k += 1
-        term = _truncate_g_depth(term.mul(gen, order), g_depth) * Fraction(1, k)
+        term = term.mul(gen, order)
+        if g_depth is not None:
+            term = _truncate_g_depth(term, g_depth)
+        term = term * Fraction(1, k)
         acc = acc + term
     return acc
 
@@ -188,19 +191,10 @@ def exp_to_poly(sol: SeriesSolution) -> SeriesSolution:
     if sol.flavor == "mu":
         raise ValueError("mu-flavor exponents do not fold level by level")
     depth = sol.depth
-    gen = GradedPoly.zero(sol.flavor)
-    for n in range(2, len(sol.terms)):
-        gen = gen - sol.terms[n].shift(gp=-(n - 1))
+    gen = -fold_levels(sol.terms[2:], -1, sol.flavor)
     gen = _truncate_g_depth(gen.truncate_ep(sol.order), depth)
     folded = _exp_series(gen, sol.order, depth)
-    chis = []
-    for n in range(depth + 1):
-        chis.append(
-            GradedPoly(
-                {(ep, 0, i, j): c for (ep, gp, i, j), c in folded.terms.items() if gp == -n},
-                sol.flavor,
-            )
-        )
+    chis = [slice_level(folded, -n) for n in range(depth + 1)]
     return SeriesSolution(
         kind="poly",
         flavor=sol.flavor,
@@ -231,41 +225,11 @@ class NormalForm:
     energies: dict[tuple[int, int], Fraction]
 
 
-def _fold_levels(levels, top_gp: int, param: str | None) -> GradedPoly:
-    """Attach each level's implicit g power: level n sits at g^(top_gp - n)."""
-    acc = GradedPoly.zero(param)
-    for n, lev in enumerate(levels):
-        acc = acc + lev.shift(gp=top_gp - n)
-    return acc
-
-
-def _slice_level(p: GradedPoly, gp: int) -> GradedPoly:
-    """Pull out one g slice, dropping the grade it implicitly carries."""
-    return GradedPoly(
-        {(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp},
-        p.param,
-    )
-
-
 def _unit_head(p: GradedPoly) -> GradedPoly:
     q = p - GradedPoly.const(1, p.param)
     if any(ep == 0 for (ep, _, _, _) in q.terms):
         raise ValueError("series must start from 1 at parameter order zero")
     return q
-
-
-def _exp_of(gen: GradedPoly, order: int) -> GradedPoly:
-    """exp(gen) when every term of gen carries the coupling parameter."""
-    if any(ep == 0 for (ep, _, _, _) in gen.terms):
-        raise ValueError("exponential generator must carry the parameter")
-    acc = GradedPoly.const(1, gen.param)
-    term = acc
-    k = 0
-    while term:
-        k += 1
-        term = term.mul(gen, order) * Fraction(1, k)
-        acc = acc + term
-    return acc
 
 
 def _series_inverse(p: GradedPoly, order: int) -> GradedPoly:
@@ -293,6 +257,15 @@ def _series_log(p: GradedPoly, order: int) -> GradedPoly:
     return acc
 
 
+def _regrade_energies(energies, src: str, dst: str) -> dict[tuple[int, int], Fraction]:
+    """Move each nonzero energy slot (gp, ep) into the ``dst`` grading.
+
+    Only the g power moves, by a multiple of ep, so no two slots merge.
+    """
+    shift = _G_SHIFT[src] - _G_SHIFT[dst]
+    return {(gp + shift * ep, ep): c for (gp, ep), c in energies.items() if c}
+
+
 def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolution:
     """Re-express a solution in the grading of another coupling flavor.
 
@@ -316,42 +289,36 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
     if target == sol.flavor:
         return sol
 
-    shift = _G_SHIFT[sol.flavor] - _G_SHIFT[target]
-    energies: dict[tuple[int, int], Fraction] = {}
-    for (gp, ep), c in sol.energies.items():
-        key = (gp + shift * ep, ep)
-        energies[key] = energies.get(key, Fraction(0)) + c
-    energies = {k: v for k, v in energies.items() if v}
-
+    energies = _regrade_energies(sol.energies, sol.flavor, target)
     if sol.kind == "exp":
-        folded = _fold_levels(sol.terms, 1, sol.flavor).regrade(target)
+        folded = fold_levels(sol.terms, 1, sol.flavor).regrade(target)
         if any(gp > 1 for (_, gp, _, _) in folded.terms):
             raise ValueError("terms would land above the leading level")
         last = max((1 - gp for (_, gp, _, _) in folded.terms), default=1)
         last = max(last, 1)
         # exponent solutions store levels 0 .. depth+1
         depth = last - 1
-        terms = tuple(_slice_level(folded, 1 - n) for n in range(last + 1))
+        terms = tuple(slice_level(folded, 1 - n) for n in range(last + 1))
         base: tuple[GradedPoly, ...] = ()
     else:
         if target == "mu":
             raise ValueError("the mu flavor has no prefactor form")
-        exponent = _fold_levels(sol.base, 1, sol.flavor).regrade(target)
+        exponent = fold_levels(sol.base, 1, sol.flavor).regrade(target)
         if any(gp > 1 for (_, gp, _, _) in exponent.terms):
             raise ValueError("terms would land above the leading level")
         deep = GradedPoly(
             {k: c for k, c in exponent.terms.items() if k[1] < 0}, target
         )
-        pf = _fold_levels(sol.terms, 0, sol.flavor).regrade(target)
+        pf = fold_levels(sol.terms, 0, sol.flavor).regrade(target)
         if any(gp > 0 for (_, gp, _, _) in pf.terms):
             raise ValueError("prefactor terms would land above depth zero")
-        pf = pf.mul(_exp_of(-deep, sol.order), sol.order)
-        head = _slice_level(pf, 0)
-        s1 = _slice_level(exponent, 0) - _series_log(head, sol.order)
+        pf = pf.mul(_exp_series(-deep, sol.order), sol.order)
+        head = slice_level(pf, 0)
+        s1 = slice_level(exponent, 0) - _series_log(head, sol.order)
         pf = pf.mul(_series_inverse(head, sol.order), sol.order)
         depth = max((-gp for (_, gp, _, _) in pf.terms), default=0)
-        terms = tuple(_slice_level(pf, -n) for n in range(depth + 1))
-        base = (_slice_level(exponent, 1), s1)
+        terms = tuple(slice_level(pf, -n) for n in range(depth + 1))
+        base = (slice_level(exponent, 1), s1)
 
     return SeriesSolution(
         kind=sol.kind,
@@ -378,19 +345,13 @@ def canonical_window(
     target = "eps"
     ep_max, g_depth = window
     if sol.kind == "exp":
-        s_levels = list(sol.terms)
+        s_levels = sol.terms
         prefactor = GradedPoly.const(1, sol.flavor)
     else:
-        s_levels = list(sol.base)
-        prefactor = GradedPoly.zero(sol.flavor)
-        for n, chi_n in enumerate(sol.terms):
-            prefactor = prefactor + chi_n.shift(gp=-n)
+        s_levels = sol.base
+        prefactor = fold_levels(sol.terms, 0, sol.flavor)
 
-    half = Fraction(1, 2)
-    harmonic = GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * sol.b}, sol.flavor)
-    gen = (s_levels[0] - harmonic).shift(gp=1)
-    for n in range(1, len(s_levels)):
-        gen = gen + s_levels[n].shift(gp=1 - n)
+    gen = fold_levels(s_levels, 1, sol.flavor) - gaussian_exponent(sol.b, sol.flavor).shift(gp=1)
 
     gen = -gen.regrade(target).truncate_ep(ep_max)
     gen = _truncate_g_depth(gen, g_depth)
@@ -398,19 +359,14 @@ def canonical_window(
     chi = chi.mul(prefactor.regrade(target), ep_max)
     chi = _truncate_g_depth(chi, g_depth).truncate_ep(ep_max)
 
-    shift = _G_SHIFT[sol.flavor] - _G_SHIFT[target]
-    energies = {}
-    for (gp, ep), c in sol.energies.items():
-        key = (gp + shift * ep, ep)
-        if ep <= ep_max and key[0] >= -g_depth:
-            energies[key] = energies.get(key, Fraction(0)) + c
+    energies = _regrade_energies(sol.energies, sol.flavor, target)
     return NormalForm(
         flavor=target,
         b=sol.b,
         ep_max=ep_max,
         g_depth=g_depth,
         chi=chi,
-        energies={k: v for k, v in energies.items() if v},
+        energies={k: c for k, c in energies.items() if k[1] <= ep_max and k[0] >= -g_depth},
     )
 
 

@@ -10,9 +10,11 @@ when the coupling is carried classically (mu flavor).  For the eps and
 lambda flavors the coupling is booked as a quantum insertion instead and the
 classical flow stays harmonic.
 
-Every solution component is a finite exponential sum with k = p and l = q
-(term cx^p cy^q exp((k + l b)t)), which is what lets endpoint evaluation
-eliminate T exactly.
+Every solution component is a polynomial in the amplitudes X = cx e^t and
+Y = cy e^(bt) of the harmonic flow, so d/dt is the flow operator
+x d/dx + b y d/dy acting on it.  At t = T the amplitudes are functions of
+the endpoint alone, which is what lets endpoint evaluation eliminate T
+exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    ExpSum,
     GradedPoly,
     PARAM_FLAVORS,
     evaluate_at_endpoint,
+    flow_derivative,
     integrate_to_T,
     restrict_to_trajectory,
 )
@@ -75,6 +77,12 @@ class PotentialSpec:
         return v
 
 
+def gaussian_exponent(b, param: str | None) -> GradedPoly:
+    """Exponent (1/2)(x^2 + b y^2) of the bare harmonic ground state."""
+    half = Fraction(1, 2)
+    return GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * Fraction(b)}, param)
+
+
 def standard_spec(b, flavor: str = "mu") -> PotentialSpec:
     """The x^2 y^2 cross coupling studied throughout."""
     return PotentialSpec(b=Fraction(b), coupling=GradedPoly.mono(1, i=2, j=2), flavor=flavor)
@@ -84,16 +92,17 @@ def standard_spec(b, flavor: str = "mu") -> PotentialSpec:
 class Trajectory:
     """Escape trajectory, optionally with endpoint constants solved.
 
-    ``x`` and ``y`` are exponential sums in the flow time.  ``cx`` and
-    ``cy``, when present, express the zeroth-order amplitudes (times their
-    endpoint exponential) as polynomial series in the endpoint coordinates;
-    they are what `evaluate_at_endpoint` substitutes.
+    ``x`` and ``y`` are polynomials in the amplitudes X = cx e^t and
+    Y = cy e^(bt), stored in the x and y slots of a `GradedPoly`; the
+    harmonic flow is x = X, y = Y.  ``cx`` and ``cy``, when present, express
+    the amplitudes at t = T as polynomial series in the endpoint
+    coordinates; they are what `evaluate_at_endpoint` substitutes.
     """
 
     spec: PotentialSpec
     order: int
-    x: ExpSum
-    y: ExpSum
+    x: GradedPoly
+    y: GradedPoly
     cx: GradedPoly | None = None
     cy: GradedPoly | None = None
 
@@ -107,14 +116,14 @@ def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:
 
     Each correction solves a driven oscillator z'' - w^2 z = source with the
     source a sum of pure exponentials; the decaying particular solution
-    divides each term by (k + l b)^2 - w^2, which must not vanish.
+    divides each amplitude monomial X^p Y^q by (p + q b)^2 - w^2, which must
+    not vanish.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     b = spec.b
-    param = spec.flavor
-    x = ExpSum({(0, 0, 1, 0, 1, 0): Fraction(1)}, b, param)
-    y = ExpSum({(0, 0, 0, 1, 0, 1): Fraction(1)}, b, param)
+    x = GradedPoly.variable("x").with_param(spec.flavor)
+    y = GradedPoly.variable("y").with_param(spec.flavor)
     if spec.flavor != "mu":
         return Trajectory(spec, order, x, y)
 
@@ -122,23 +131,24 @@ def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:
     fy = spec.coupling_term().diff("y")
     for n in range(1, order + 1):
         partial = Trajectory(spec, n, x, y)
-        src_x = restrict_to_trajectory(fx, partial, n).at_ep(n)
-        src_y = restrict_to_trajectory(fy, partial, n).at_ep(n)
-        x = x + _particular(src_x, Fraction(1))
-        y = y + _particular(src_y, b)
+        x = x + _particular(restrict_to_trajectory(fx, partial, n), n, Fraction(1), b)
+        y = y + _particular(restrict_to_trajectory(fy, partial, n), n, b, b)
     return Trajectory(spec, order, x, y)
 
 
-def _particular(source: ExpSum, freq: Fraction) -> ExpSum:
+def _particular(source: GradedPoly, ep: int, freq: Fraction, b: Fraction) -> GradedPoly:
+    """Decaying response to the order-``ep`` slice of ``source``."""
     out = {}
-    for (ep, gp, p, q, k, l), c in source.terms.items():
-        denom = (k + l * source.b) ** 2 - freq**2
+    for (e, gp, p, q), c in source.terms.items():
+        if e != ep:
+            continue
+        denom = (p + q * b) ** 2 - freq**2
         if denom == 0:
             raise ResonantDenominator(
-                f"exponent {k}+{l}b resonates with frequency {freq}"
+                f"exponent {p}+{q}b resonates with frequency {freq}"
             )
-        out[(ep, gp, p, q, k, l)] = c / denom
-    return ExpSum(out, source.b, source.param)
+        out[(e, gp, p, q)] = c / denom
+    return GradedPoly(out, source.param)
 
 
 def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
@@ -149,10 +159,10 @@ def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
     correction terms; the fixed point X = x_T - Gx(X, Y) converges in one
     pass per coupling order because G starts at first order.
     """
-    gx = _correction_poly(traj.x)
-    gy = _correction_poly(traj.y)
     var_x = GradedPoly.variable("x").with_param(traj.x.param)
     var_y = GradedPoly.variable("y").with_param(traj.x.param)
+    gx = traj.x - var_x
+    gy = traj.y - var_y
     cx, cy = var_x, var_y
     for _ in range(traj.order):
         cx, cy = (
@@ -160,17 +170,6 @@ def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
             var_y - gy.subs(cx, cy, max_ep=traj.order),
         )
     return dataclasses.replace(traj, cx=cx, cy=cy)
-
-
-def _correction_poly(z: ExpSum) -> GradedPoly:
-    out = {}
-    for (ep, gp, p, q, k, l), c in z.terms.items():
-        if ep == 0:
-            continue
-        if k != p or l != q:
-            raise ResonantDenominator("trajectory term lost its homogeneity")
-        out[(ep, gp, p, q)] = c
-    return GradedPoly(out, z.param)
 
 
 def action_integral(traj: Trajectory) -> GradedPoly:
@@ -181,13 +180,17 @@ def action_integral(traj: Trajectory) -> GradedPoly:
     the endpoint value is a polynomial in the endpoint coordinates.
     """
     order = traj.order
-    kinetic = traj.x.ddt().mul(traj.x.ddt(), order) + traj.y.ddt().mul(traj.y.ddt(), order)
-    v = restrict_to_trajectory(traj.spec.potential(), traj, order)
-    integrand = kinetic.scale(Fraction(1, 2)) + v
-    return evaluate_at_endpoint(integrate_to_T(integrand), traj, order)
+    integrand = _kinetic(traj, order) + restrict_to_trajectory(traj.spec.potential(), traj, order)
+    return evaluate_at_endpoint(integrate_to_T(integrand, traj.b), traj, order)
 
 
-def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) -> ExpSum:
+def _kinetic(traj: Trajectory, max_ep: int) -> GradedPoly:
+    vx = flow_derivative(traj.x, traj.b)
+    vy = flow_derivative(traj.y, traj.b)
+    return (vx.mul(vx, max_ep) + vy.mul(vy, max_ep)) * Fraction(1, 2)
+
+
+def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) -> GradedPoly:
     """Kinetic minus potential energy along the flow.
 
     Exactly zero through the solved order; the first truncated order shows
@@ -195,17 +198,17 @@ def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) ->
     """
     if max_ep is None:
         max_ep = traj.order
-    kinetic = traj.x.ddt().mul(traj.x.ddt(), max_ep) + traj.y.ddt().mul(traj.y.ddt(), max_ep)
-    v = restrict_to_trajectory(traj.spec.potential(), traj, max_ep)
-    return kinetic.scale(Fraction(1, 2)) - v
+    return _kinetic(traj, max_ep) - restrict_to_trajectory(traj.spec.potential(), traj, max_ep)
 
 
-def flow_equation_residual(traj: Trajectory, max_ep: int | None = None) -> tuple[ExpSum, ExpSum]:
+def flow_equation_residual(traj: Trajectory, max_ep: int | None = None) -> tuple[GradedPoly, GradedPoly]:
     """Second-derivative residuals of both flow equations, truncated."""
     if max_ep is None:
         max_ep = traj.order
     fx = traj.spec.potential().diff("x")
     fy = traj.spec.potential().diff("y")
-    res_x = traj.x.ddt().ddt() - restrict_to_trajectory(fx, traj, max_ep)
-    res_y = traj.y.ddt().ddt() - restrict_to_trajectory(fy, traj, max_ep)
+    ax = flow_derivative(flow_derivative(traj.x, traj.b), traj.b)
+    ay = flow_derivative(flow_derivative(traj.y, traj.b), traj.b)
+    res_x = ax - restrict_to_trajectory(fx, traj, max_ep)
+    res_y = ay - restrict_to_trajectory(fy, traj, max_ep)
     return res_x.truncate_ep(max_ep), res_y.truncate_ep(max_ep)

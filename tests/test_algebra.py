@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadosc import ExpSum, GradedPoly, grad_dot, laplacian
+from quadosc import GradedPoly, SingularInverse, grad_dot, laplacian
+from quadosc.algebra import flow_derivative, integrate_to_T
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -176,45 +177,52 @@ def test_power_matches_repeated_multiplication():
 
 # ------------------------------------------------------------ flow-time sums
 
+ratios = st.fractions(min_value=Fraction(1, 7), max_value=Fraction(7), max_denominator=9)
 
-def exp_sum(b=Fraction(2)) -> ExpSum:
-    return ExpSum(
-        {
-            (0, 0, 1, 0, 1, 0): Fraction(1),
-            (1, 0, 1, 2, 1, 2): Fraction(1, 12),
-        },
-        b,
-        "mu",
-    )
+
+def exp_sum() -> GradedPoly:
+    """X + X Y^2 / 12 in the amplitudes X = cx e^t, Y = cy e^(bt)."""
+    return GradedPoly({(0, 0, 1, 0): Fraction(1), (1, 0, 1, 2): Fraction(1, 12)}, "mu")
 
 
 def test_exp_sum_time_derivative():
-    z = exp_sum()
-    dz = z.ddt()
-    # d/dt of amp * e^((k + l b) t) multiplies by k + l b
-    assert dz.terms[(0, 0, 1, 0, 1, 0)] == 1
-    assert dz.terms[(1, 0, 1, 2, 1, 2)] == Fraction(1, 12) * (1 + 2 * Fraction(2))
+    dz = flow_derivative(exp_sum(), Fraction(2))
+    # d/dt of X^p Y^q = amp * e^((p + q b) t) multiplies by p + q b
+    assert dz.terms[(0, 0, 1, 0)] == 1
+    assert dz.terms[(1, 0, 1, 2)] == Fraction(1, 12) * (1 + 2 * Fraction(2))
 
 
-def test_exp_sum_product_rule():
-    z = exp_sum()
-    w = z.mul(z)
-    assert w.ddt() == z.ddt().mul(z) + z.mul(z.ddt())
-
-
-def test_exp_sum_mismatched_frequency_rejected():
-    with pytest.raises(ValueError):
-        exp_sum(Fraction(2)) + exp_sum(Fraction(3))
+@settings(deadline=None)
+@given(polys, polys, ratios)
+def test_exp_sum_product_rule(p, q, b):
+    """d/dt, the flow operator, is a derivation for every rational b."""
+    dp, dq = flow_derivative(p, b), flow_derivative(q, b)
+    assert flow_derivative(p.mul(q), b) == dp.mul(q) + p.mul(dq)
 
 
 def test_exp_sum_constant_split():
-    z = exp_sum() + ExpSum({(0, -1, 0, 0, 0, 0): Fraction(5)}, Fraction(2), "mu")
+    z = exp_sum() + GradedPoly({(0, -1, 0, 0): Fraction(5)}, "mu")
     const = z.constant_part()
-    assert set(const.terms) == {(0, -1, 0, 0, 0, 0)}
+    assert set(const.terms) == {(0, -1, 0, 0)}
     assert z.drop_constant() + const == z
+    # a flat term has no decaying primitive
+    with pytest.raises(SingularInverse):
+        integrate_to_T(z, Fraction(2))
+    assert integrate_to_T(z.drop_constant(), Fraction(2)).terms == {
+        (0, 0, 1, 0): Fraction(1),
+        (1, 0, 1, 2): Fraction(1, 60),
+    }
 
 
 def test_exp_sum_order_slice():
     z = exp_sum()
-    assert set(z.at_ep(1).terms) == {(1, 0, 1, 2, 1, 2)}
-    assert z.truncate_ep(0) == z.at_ep(0)
+    assert set((z - z.truncate_ep(0)).terms) == {(1, 0, 1, 2)}
+    assert z.truncate_ep(0) == GradedPoly.variable("x").with_param("mu")
+
+
+@settings(deadline=None)
+@given(polys, ratios)
+def test_integrate_to_T_inverts_the_flow_derivative(p, b):
+    p = p.drop_constant()
+    assert integrate_to_T(flow_derivative(p, b), b) == p
+    assert flow_derivative(integrate_to_T(p, b), b) == p

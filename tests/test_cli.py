@@ -86,6 +86,41 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"b": None},
+        {"order": None},
+        {"g": None},
+        {"mu": None},
+        {"method": None},
+        {"format": None},
+        {"g": "nan"},
+        {"mu": "inf"},
+        {"g": 0},
+        {"order": [2]},
+        {"order": float("inf")},
+    ],
+    ids=str,
+)
+def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags", [["--g", "0"], ["--g", "nan"], ["--g", "-5"], ["--g", "inf"], ["--mu", "nan"]]
+)
+def test_bad_coupling_flag_is_usage_error(capsys, flags):
+    assert main(["verify", "--method", "hierarchy", *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "math domain" not in err
+
+
 def test_config_merges_under_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"b": "3", "method": "exp-eps", "format": "json"}))

@@ -27,6 +27,7 @@ from quadosc import (
     solve_polynomial,
     standard_spec,
 )
+from quadosc.cli import METHODS, build_solution
 
 from helpers import (
     B_VALUES,
@@ -236,6 +237,17 @@ def test_compare_agreement_and_names():
     assert report.window == (2, 5)
     assert report.diffs == {}
     assert report.numeric is None
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_all_methods_agree_past_second_order(order):
+    b = Fraction(5, 3)
+    window = (order, 3 * order + 2)
+    report = compare_methods(
+        [build_solution(m, b, order) for m in METHODS], names=METHODS, window=window
+    )
+    assert report.diffs == {}
+    assert report.agree
 
 
 def test_compare_reports_disagreements():
