@@ -9,7 +9,6 @@ and a sparse finite-difference eigensolver.
 
 from .algebra import (
     GradedPoly,
-    coupling_grade_shift,
     grad_dot,
     laplacian,
 )
@@ -19,7 +18,6 @@ from .errors import (
     QuadoscError,
     ResonantDenominator,
     SingularInverse,
-    TruncationOverflow,
 )
 from .greens import (
     OperatorSolution,
@@ -94,7 +92,6 @@ __all__ = [
     "SingularInverse",
     "SpectralEstimate",
     "Trajectory",
-    "TruncationOverflow",
     "action_integral",
     "apply_flow_inverse",
     "assemble_wavefunction",
@@ -103,7 +100,6 @@ __all__ = [
     "collapse_constant_pure_x",
     "collapse_constant_pure_y",
     "compare_methods",
-    "coupling_grade_shift",
     "default_depth",
     "diffusion_step",
     "energy_conservation_residual",

@@ -2,8 +2,10 @@
 
 One value type carries the whole calculation.  A ``GradedPoly`` is a
 polynomial in two variables whose rational coefficients carry integer powers
-of the scale factor g and of a single perturbation parameter (mu, eps or
-lambda, depending on how the coupling term is booked).  The variables are
+of the scale factor g and of a single perturbation parameter.  Which
+parameter that is (mu, eps or lambda, depending on how the coupling term is
+booked) is a property of the run, not of the polynomial: `PotentialSpec`
+and `SeriesSolution` carry it, and `regrade` is told it.  The variables are
 the plane coordinates (x, y), or, along the classical trajectory, the
 amplitudes X = cx e^t and Y = cy e^(bt): a monomial X^p Y^q is then the
 exponential cx^p cy^q e^((p + q*b) t) in the flow time t.
@@ -31,27 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, annotations only
 # potential-folded one: eps = g^2 mu, lambda = g mu.
 _G_SHIFT = {"mu": 0, "eps": 2, "lambda": 1}
 
-PARAM_FLAVORS = tuple(_G_SHIFT)
-
-
-def coupling_grade_shift(flavor: str) -> int:
-    """Powers of g carried by one unit of this flavor's coupling."""
-    if flavor not in _G_SHIFT:
-        raise KeyError(f"unknown flavor {flavor!r}")
-    return _G_SHIFT[flavor]
-
-
-def merge_params(a: str | None, b: str | None) -> str | None:
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    raise ValueError(f"cannot mix perturbation parameters {a!r} and {b!r}")
-
-
-def _compatible(a: str | None, b: str | None) -> bool:
-    return a is None or b is None or a == b
-
 
 class GradedPoly:
     """Polynomial in (x, y) over Q, graded by g and one perturbation parameter.
@@ -62,11 +43,9 @@ class GradedPoly:
     order used for printing and serialization.
     """
 
-    __slots__ = ("terms", "param")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=None, param: str | None = None):
-        if param is not None and param not in _G_SHIFT:
-            raise ValueError(f"unknown parameter flavor {param!r}")
+    def __init__(self, terms=None):
         clean: dict[tuple[int, int, int, int], Fraction] = {}
         if terms:
             for (ep, gp, i, j), coef in terms.items():
@@ -76,21 +55,20 @@ class GradedPoly:
                 if coef:
                     clean[(ep, gp, i, j)] = coef
         self.terms = clean
-        self.param = param
 
     # ---------------------------------------------------------------- build
 
     @classmethod
-    def zero(cls, param: str | None = None) -> "GradedPoly":
-        return cls({}, param)
+    def zero(cls) -> "GradedPoly":
+        return cls()
 
     @classmethod
-    def const(cls, value, param: str | None = None) -> "GradedPoly":
-        return cls({(0, 0, 0, 0): Fraction(value)}, param)
+    def const(cls, value) -> "GradedPoly":
+        return cls({(0, 0, 0, 0): Fraction(value)})
 
     @classmethod
-    def mono(cls, coef, i=0, j=0, gp=0, ep=0, param=None) -> "GradedPoly":
-        return cls({(ep, gp, i, j): Fraction(coef)}, param)
+    def mono(cls, coef, i=0, j=0, gp=0, ep=0) -> "GradedPoly":
+        return cls({(ep, gp, i, j): Fraction(coef)})
 
     @classmethod
     def variable(cls, name: str) -> "GradedPoly":
@@ -112,12 +90,12 @@ class GradedPoly:
         out = dict(self.terms)
         for key, coef in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + coef
-        return GradedPoly(out, merge_params(self.param, other.param))
+        return GradedPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly({k: -c for k, c in self.terms.items()}, self.param)
+        return GradedPoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "GradedPoly":
         return self + (-self._coerce(other))
@@ -135,13 +113,13 @@ class GradedPoly:
                     continue
                 key = (ep, ga + gb, ia + ib, ja + jb)
                 out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GradedPoly(out, merge_params(self.param, other.param))
+        return GradedPoly(out)
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, GradedPoly):
             return self.mul(other)
         coef = Fraction(other)
-        return GradedPoly({k: c * coef for k, c in self.terms.items()}, self.param)
+        return GradedPoly({k: c * coef for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -151,7 +129,7 @@ class GradedPoly:
     def __pow__(self, n: int) -> "GradedPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = GradedPoly.const(1, self.param)
+        out = GradedPoly.const(1)
         for _ in range(n):
             out = out.mul(self)
         return out
@@ -159,7 +137,7 @@ class GradedPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.terms == other.terms and _compatible(self.param, other.param)
+        return self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -173,7 +151,7 @@ class GradedPoly:
                 out[(ep, gp, i - 1, j)] = c * i
             elif var == "y" and j > 0:
                 out[(ep, gp, i, j - 1)] = c * j
-        return GradedPoly(out, self.param)
+        return GradedPoly(out)
 
     # ----------------------------------------------------------- structure
 
@@ -182,43 +160,27 @@ class GradedPoly:
         if ep == 0 and gp == 0:
             return self
         return GradedPoly(
-            {(e + ep, g + gp, i, j): c for (e, g, i, j), c in self.terms.items()},
-            self.param,
+            {(e + ep, g + gp, i, j): c for (e, g, i, j), c in self.terms.items()}
         )
 
-    def with_param(self, param: str | None) -> "GradedPoly":
-        return GradedPoly(self.terms, param)
-
-    def regrade(self, dst: str) -> "GradedPoly":
-        """Re-express the parameter grading in flavor ``dst``.
+    def regrade(self, src: str, dst: str) -> "GradedPoly":
+        """Re-express a parameter grading of flavor ``src`` in flavor ``dst``.
 
         Uses eps = g^2 mu and lambda = g mu, so only the g power moves.
         """
-        src = self.param
-        if src is None or src == dst:
-            return GradedPoly(self.terms, dst)
         shift = _G_SHIFT[src] - _G_SHIFT[dst]
         return GradedPoly(
-            {(ep, gp + shift * ep, i, j): c for (ep, gp, i, j), c in self.terms.items()},
-            dst,
+            {(ep, gp + shift * ep, i, j): c for (ep, gp, i, j), c in self.terms.items()}
         )
 
     def truncate_ep(self, max_ep: int) -> "GradedPoly":
-        return GradedPoly(
-            {k: c for k, c in self.terms.items() if k[0] <= max_ep}, self.param
-        )
+        return GradedPoly({k: c for k, c in self.terms.items() if k[0] <= max_ep})
 
     def constant_part(self) -> "GradedPoly":
-        return GradedPoly(
-            {k: c for k, c in self.terms.items() if k[2] == 0 and k[3] == 0},
-            self.param,
-        )
+        return GradedPoly({k: c for k, c in self.terms.items() if k[2] == 0 and k[3] == 0})
 
     def drop_constant(self) -> "GradedPoly":
-        return GradedPoly(
-            {k: c for k, c in self.terms.items() if k[2] != 0 or k[3] != 0},
-            self.param,
-        )
+        return GradedPoly({k: c for k, c in self.terms.items() if k[2] != 0 or k[3] != 0})
 
     def coefficient(self, i: int, j: int, gp: int | None = None, ep: int | None = None):
         """Collect terms at monomial (i, j), optionally pinned to one grade."""
@@ -226,7 +188,7 @@ class GradedPoly:
         for (e, g, ii, jj), c in self.terms.items():
             if ii == i and jj == j and (gp is None or g == gp) and (ep is None or e == ep):
                 out[(e, g, 0, 0)] = c
-        return GradedPoly(out, self.param)
+        return GradedPoly(out)
 
     def max_ep(self) -> int:
         return max((k[0] for k in self.terms), default=0)
@@ -240,7 +202,7 @@ class GradedPoly:
         max_j = max((k[3] for k in self.terms), default=0)
         xs = _poly_powers(px, max_i, max_ep)
         ys = _poly_powers(py, max_j, max_ep)
-        out = GradedPoly.zero(merge_params(self.param, merge_params(px.param, py.param)))
+        out = GradedPoly.zero()
         for (ep, gp, i, j), c in self.terms.items():
             if max_ep is not None and ep > max_ep:
                 continue
@@ -258,10 +220,10 @@ class GradedPoly:
     def sorted_terms(self):
         return sorted(self.terms.items())
 
-    def __str__(self) -> str:
+    def show(self, sym: str = "p") -> str:
+        """Canonical text form, with ``sym`` naming the parameter."""
         if not self.terms:
             return "0"
-        sym = self.param or "p"
         parts = []
         for (ep, gp, i, j), c in self.sorted_terms():
             factors = [str(c)]
@@ -275,6 +237,9 @@ class GradedPoly:
                 factors.append(f"y^{j}")
             parts.append("*".join(factors))
         return " + ".join(parts)
+
+    def __str__(self) -> str:
+        return self.show()
 
     def __repr__(self) -> str:
         return f"GradedPoly({self})"
@@ -291,7 +256,7 @@ def grad_dot(p: GradedPoly, q: GradedPoly) -> GradedPoly:
 
 
 def _poly_powers(p: GradedPoly, n: int, max_ep: int | None):
-    out = [GradedPoly.const(1, p.param)]
+    out = [GradedPoly.const(1)]
     for _ in range(n):
         out.append(out[-1].mul(p, max_ep=max_ep))
     return out
@@ -305,8 +270,7 @@ def flow_derivative(p: GradedPoly, b) -> GradedPoly:
     """
     b = Fraction(b)
     return GradedPoly(
-        {(ep, gp, i, j): c * (i + j * b) for (ep, gp, i, j), c in p.terms.items()},
-        p.param,
+        {(ep, gp, i, j): c * (i + j * b) for (ep, gp, i, j), c in p.terms.items()}
     )
 
 
@@ -324,7 +288,7 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
         if i == 0 and j == 0:
             raise SingularInverse("flat term has flow eigenvalue zero")
         out[(ep, gp, i, j)] = c / (i + j * b)
-    return GradedPoly(out, p.param)
+    return GradedPoly(out)
 
 
 def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory", order: int) -> GradedPoly:
@@ -345,4 +309,4 @@ def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = 
         raise ValueError("trajectory endpoint constants not solved")
     if order is None:
         order = traj.order
-    return p.subs(traj.cx, traj.cy, max_ep=order).truncate_ep(order)
+    return p.subs(traj.cx, traj.cy, max_ep=order)

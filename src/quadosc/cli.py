@@ -105,12 +105,12 @@ def _poly_doc(p: GradedPoly) -> list[dict]:
     ]
 
 
-def _poly_from_doc(rows: list[dict], param: str | None) -> GradedPoly:
+def _poly_from_doc(rows: list[dict]) -> GradedPoly:
     terms = {}
     for row in rows:
         key = (int(row["ep"]), int(row["gp"]), int(row["i"]), int(row["j"]))
         terms[key] = Fraction(row["c"])
-    return GradedPoly(terms, param)
+    return GradedPoly(terms)
 
 
 def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
@@ -131,18 +131,17 @@ def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
 
 
 def solution_from_doc(doc: dict) -> SeriesSolution:
-    flavor = doc["flavor"]
     return SeriesSolution(
         kind=doc["kind"],
-        flavor=flavor,
+        flavor=doc["flavor"],
         b=Fraction(doc["b"]),
         order=int(doc["order"]),
         depth=int(doc["depth"]),
-        terms=tuple(_poly_from_doc(rows, flavor) for rows in doc["levels"]),
+        terms=tuple(_poly_from_doc(rows) for rows in doc["levels"]),
         energies={
             (int(e["gp"]), int(e["ep"])): Fraction(e["c"]) for e in doc["energies"]
         },
-        base=tuple(_poly_from_doc(rows, flavor) for rows in doc["base"]),
+        base=tuple(_poly_from_doc(rows) for rows in doc["base"]),
     )
 
 
@@ -156,7 +155,7 @@ def solution_to_csv(sol: SeriesSolution, method: str) -> str:
     Energy coefficients are not series terms and stay in the JSON and text
     forms only.
     """
-    folded = fold_levels(sol.terms, 1 if sol.kind == "exp" else 0, sol.flavor)
+    folded = fold_levels(sol.terms, 1 if sol.kind == "exp" else 0)
     lines = ["method,ep,gp,i,j,coefficient"]
     for (ep, gp, i, j), c in folded.sorted_terms():
         lines.append(f"{method},{ep},{gp},{i},{j},{c}")
@@ -173,11 +172,11 @@ def solution_to_text(sol: SeriesSolution, method: str) -> str:
         lines.append(f"  g^{gp} {sol.flavor}^{ep}: {c}")
     for n, level in enumerate(sol.terms):
         lines.append(f"level {n}:")
-        lines.append(f"  {level}")
+        lines.append(f"  {level.show(sol.flavor)}")
     if sol.base:
         lines.append("base exponent levels:")
-        for n, level in enumerate(sol.base):
-            lines.append(f"  {level}")
+        for level in sol.base:
+            lines.append(f"  {level.show(sol.flavor)}")
     return "\n".join(lines) + "\n"
 
 
@@ -253,6 +252,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("the frequency ratio b must be positive")
     if cfg.order < 1:
         raise ValueError("order must be at least 1")
+    if cfg.grid_n is not None and cfg.grid_n < 3:
+        raise ValueError("grid_n must be at least 3")
     if cfg.fmt not in FORMATS:
         raise ValueError(f"unknown format {cfg.fmt!r}; choose from {', '.join(FORMATS)}")
     return cfg
@@ -363,7 +364,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order, cfg.depth)
     b = float(cfg.b)
-    grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n else None
+    grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n is not None else None
     doc: dict = {
         "method": method,
         "b": str(cfg.b),
@@ -442,7 +443,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
     ok = report.agree
     if args.numeric:
-        grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n else None
+        grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n is not None else None
         doc["numeric"] = {
             "g": cfg.g,
             "mu": cfg.mu,

@@ -17,9 +17,5 @@ class OddParity(QuadoscError):
     """The operator calculus is defined on even monomials only."""
 
 
-class TruncationOverflow(QuadoscError):
-    """The polynomial ansatz is too small for the requested order."""
-
-
 class ConvergenceFailure(QuadoscError):
     """The iterative eigensolver missed its residual tolerance."""

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import prod
 
 from .algebra import GradedPoly, integrate_to_T, laplacian
-from .errors import OddParity, TruncationOverflow
+from .errors import OddParity
 from .hierarchy import SeriesSolution, book_energy, slice_level
 from .trajectory import PotentialSpec, gaussian_exponent
 
@@ -49,7 +49,7 @@ def resolvent_sum(p: GradedPoly, b: Fraction) -> GradedPoly:
     Flat terms terminate their chain (they stay in the sum but are not
     stepped again), and each step lowers degree, so the sum is finite.
     """
-    acc = GradedPoly.zero(p.param)
+    acc = GradedPoly.zero()
     cur = p
     while cur:
         acc = acc + cur
@@ -136,7 +136,6 @@ class OperatorSolution:
 
     spec: PotentialSpec
     order: int
-    max_degree: int
     chi: tuple[GradedPoly, ...]
     delta: tuple[GradedPoly, ...]
 
@@ -146,7 +145,7 @@ class OperatorSolution:
 
     def to_series(self) -> SeriesSolution:
         """Rebook by g depth so the solution can be window-compared."""
-        total = GradedPoly.zero("eps")
+        total = GradedPoly.zero()
         for part in self.chi:
             total = total + part
         depth = -min((gp for (_, gp, _, _) in total.terms), default=0)
@@ -164,13 +163,11 @@ class OperatorSolution:
             depth=depth,
             terms=terms,
             energies=energies,
-            base=(gaussian_exponent(self.spec.b, "eps"), GradedPoly.zero("eps")),
+            base=(gaussian_exponent(self.spec.b), GradedPoly.zero()),
         )
 
 
-def solve_green(
-    spec: PotentialSpec, order: int = 2, max_degree: int | None = None
-) -> tuple[OperatorSolution, SeriesSolution]:
+def solve_green(spec: PotentialSpec, order: int = 2) -> tuple[OperatorSolution, SeriesSolution]:
     """Iterate the inversion to the requested coupling order.
 
     At order k the source is the coupling times the previous prefactor plus
@@ -184,30 +181,17 @@ def solve_green(
         raise ValueError("operator inversion uses the eps flavor")
     if order < 1:
         raise ValueError("order must be at least 1")
-    if max_degree is None:
-        max_degree = 2 * order
     b = spec.b
     coupling = spec.coupling_term()
-    chi = [GradedPoly.const(1, "eps")]
-    delta: list[GradedPoly] = [GradedPoly.zero("eps")]
+    chi = [GradedPoly.const(1)]
+    delta: list[GradedPoly] = [GradedPoly.zero()]
     for k in range(1, order + 1):
         source = -coupling.mul(chi[k - 1])
         for j in range(1, k):
             source = source + delta[j].mul(chi[k - j])
-        worst = max((key[2] + key[3] for key in source.terms), default=0)
-        if worst > 2 * max_degree:
-            raise TruncationOverflow(
-                f"source degree {worst} exceeds cap {2 * max_degree}"
-            )
         resolved = resolvent_sum(source, b)
         shift = -resolved.constant_part()
         delta.append(shift)
         chi.append(apply_flow_inverse(resolved.drop_constant(), b))
-    ansatz = OperatorSolution(
-        spec=spec,
-        order=order,
-        max_degree=max_degree,
-        chi=tuple(chi),
-        delta=tuple(delta),
-    )
+    ansatz = OperatorSolution(spec=spec, order=order, chi=tuple(chi), delta=tuple(delta))
     return ansatz, ansatz.to_series()

@@ -74,9 +74,9 @@ class SeriesSolution:
         return self.energy_value(g, mu * g ** _G_SHIFT[self.flavor])
 
 
-def fold_levels(levels, top_gp: int, param: str | None) -> GradedPoly:
+def fold_levels(levels, top_gp: int) -> GradedPoly:
     """Attach each level's implicit g power: level n sits at g^(top_gp - n)."""
-    acc = GradedPoly.zero(param)
+    acc = GradedPoly.zero()
     for n, lev in enumerate(levels):
         acc = acc + lev.shift(gp=top_gp - n)
     return acc
@@ -84,10 +84,7 @@ def fold_levels(levels, top_gp: int, param: str | None) -> GradedPoly:
 
 def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
     """Pull out one g slice, dropping the grade it implicitly carries."""
-    return GradedPoly(
-        {(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp},
-        p.param,
-    )
+    return GradedPoly({(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp})
 
 
 def book_energy(energies: dict[tuple[int, int], Fraction], flat: GradedPoly, top_gp: int) -> None:
@@ -119,7 +116,6 @@ def solve_levels(
     flavor: str,
     insertion: GradedPoly | None = None,
     insertion_level: int | None = None,
-    kind: str = "exp",
 ) -> SeriesSolution:
     """Run the level hierarchy down to ``depth``.
 
@@ -130,7 +126,7 @@ def solve_levels(
     terms = [s0]
     energies: dict[tuple[int, int], Fraction] = {}
     for n in range(depth + 2):
-        rhs = _transport_source(terms, n, flavor)
+        rhs = _transport_source(terms, n)
         if insertion is not None and n == insertion_level:
             rhs = rhs + insertion
         rhs = rhs.truncate_ep(order)
@@ -139,7 +135,7 @@ def solve_levels(
         if n <= depth:
             terms.append(s_next)
     return SeriesSolution(
-        kind=kind,
+        kind="exp",
         flavor=flavor,
         b=traj.b,
         order=order,
@@ -149,10 +145,10 @@ def solve_levels(
     )
 
 
-def _transport_source(terms, n: int, param: str) -> GradedPoly:
+def _transport_source(terms, n: int) -> GradedPoly:
     """Level-n right side built from the known levels, before E_n and any
     insertion."""
-    rhs = laplacian(terms[n]) * Fraction(1, 2) if n < len(terms) else GradedPoly.zero(param)
+    rhs = laplacian(terms[n]) * Fraction(1, 2) if n < len(terms) else GradedPoly.zero()
     for i in range(1, n + 1):
         j = n + 1 - i
         if 1 <= j < len(terms) and i < len(terms):
@@ -186,10 +182,8 @@ def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:
     """
     if sol.kind != "exp":
         raise ValueError("prefactor solutions have no single-exponent form")
-    exponent = -fold_levels(sol.terms, 1, sol.flavor)
-    energy = GradedPoly(
-        {(ep, gp, 0, 0): c for (gp, ep), c in sol.energies.items()}, sol.flavor
-    )
+    exponent = -fold_levels(sol.terms, 1)
+    energy = GradedPoly({(ep, gp, 0, 0): c for (gp, ep), c in sol.energies.items()})
     return exponent, energy
 
 
@@ -204,10 +198,9 @@ def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly
         raise ValueError("pde_residual applies to exponent solutions")
     if not 0 <= n < len(sol.terms) - 1:
         raise ValueError("level outside the solved range")
-    rhs = _transport_source(sol.terms, n, sol.flavor) + _insertion_for(sol, spec, n)
+    rhs = _transport_source(sol.terms, n) + _insertion_for(sol, spec, n)
     energy = GradedPoly(
-        {(ep, gp - (1 - n), 0, 0): c for (gp, ep), c in sol.energies.items() if gp == 1 - n},
-        sol.flavor,
+        {(ep, gp - (1 - n), 0, 0): c for (gp, ep), c in sol.energies.items() if gp == 1 - n}
     )
     lhs = grad_dot(sol.terms[0], sol.terms[n + 1])
     return (lhs - rhs + energy).truncate_ep(sol.order)
@@ -217,7 +210,7 @@ def _insertion_for(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPo
     level = insertion_level_for(sol.flavor)
     if level is not None and n == level:
         return spec.coupling_term()
-    return GradedPoly.zero(sol.flavor)
+    return GradedPoly.zero()
 
 
 def insertion_level_for(flavor: str) -> int | None:

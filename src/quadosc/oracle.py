@@ -96,7 +96,7 @@ def _hermite_table(max_m: int, axis: str, b: Fraction) -> dict[int, GradedPoly]:
     """
     i, j = (2, 0) if axis == "x" else (0, 2)
     scale = Fraction(1) if axis == "x" else Fraction(b)
-    u4 = GradedPoly({(0, 1, i, j): 4 * scale}, None)
+    u4 = GradedPoly({(0, 1, i, j): 4 * scale})
     tab = {0: GradedPoly.const(1)}
     if max_m >= 2:
         tab[2] = u4 - GradedPoly.const(2)
@@ -111,7 +111,7 @@ def _chi_from_tables(tables, b: Fraction, order: int) -> GradedPoly:
     max_n = max((n for t in tables for (_, n) in t), default=0)
     hx = _hermite_table(max_m, "x", b)
     hy = _hermite_table(max_n, "y", b)
-    chi = GradedPoly.zero("eps")
+    chi = GradedPoly.zero()
     for k, table in enumerate(tables):
         for (m, n), c in table.items():
             chi = chi + (hx[m].mul(hy[n]) * c).shift(ep=k, gp=-3 * k)
@@ -189,7 +189,7 @@ def rs_series(b, order: int = 2) -> SeriesSolution:
         depth=0,
         terms=(rs.chi,),
         energies=energies,
-        base=(gaussian_exponent(rs.b, "eps"), GradedPoly.zero("eps")),
+        base=(gaussian_exponent(rs.b), GradedPoly.zero()),
     )
 
 

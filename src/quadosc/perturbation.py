@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .algebra import GradedPoly, _G_SHIFT, grad_dot, laplacian
 from .hierarchy import (
@@ -121,7 +122,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
         p_op = p_op + spec.coupling_term()
     p_op = p_op.truncate_ep(order_cap)
 
-    chis = [GradedPoly.const(1, spec.flavor)]
+    chis = [GradedPoly.const(1)]
     level_energies: list[GradedPoly] = []
     for n in range(1, depth + 2):
         prev = chis[n - 1]
@@ -151,31 +152,43 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
 
 
 def _truncate_g_depth(p: GradedPoly, g_depth: int) -> GradedPoly:
-    return GradedPoly(
-        {k: c for k, c in p.terms.items() if k[1] >= -g_depth}, p.param
-    )
+    return GradedPoly({k: c for k, c in p.terms.items() if k[1] >= -g_depth})
+
+
+def _power_series(q: GradedPoly, coef, order: int, g_depth: int | None = None) -> GradedPoly:
+    """Sum of coef(k) q^k over k >= 0, truncated above parameter ``order``
+    and, if given, below g depth ``g_depth``.
+
+    The series is finite when every term of q carries the parameter or,
+    with a g-depth cut, lowers the g grade.
+    """
+    if any(ep == 0 and (g_depth is None or gp >= 0) for (ep, gp, _, _) in q.terms):
+        raise ValueError("series argument must carry the parameter or lower the g grade")
+    acc = GradedPoly.zero()
+    pw = GradedPoly.const(1)
+    k = 0
+    while pw:
+        acc = acc + pw * coef(k)
+        k += 1
+        pw = pw.mul(q, order)
+        if g_depth is not None:
+            pw = _truncate_g_depth(pw, g_depth)
+    return acc
 
 
 def _exp_series(gen: GradedPoly, order: int, g_depth: int | None = None) -> GradedPoly:
-    """exp(gen), truncated above parameter ``order`` and, if given, below
-    g depth ``g_depth``.
+    """exp(gen), cut as in `_power_series`."""
+    return _power_series(gen, lambda k: Fraction(1, factorial(k)), order, g_depth)
 
-    The series is finite when every term of gen carries the parameter or,
-    with a g-depth cut, lowers the g grade.
-    """
-    if any(ep == 0 and (g_depth is None or gp >= 0) for (ep, gp, _, _) in gen.terms):
-        raise ValueError("exponential generator must carry the parameter or lower the g grade")
-    acc = GradedPoly.const(1, gen.param)
-    term = acc
-    k = 0
-    while term:
-        k += 1
-        term = term.mul(gen, order)
-        if g_depth is not None:
-            term = _truncate_g_depth(term, g_depth)
-        term = term * Fraction(1, k)
-        acc = acc + term
-    return acc
+
+def _series_inverse(p: GradedPoly, order: int) -> GradedPoly:
+    """1/p for p = 1 + (parameter order >= 1 remainder)."""
+    return _power_series(p - 1, lambda k: (-1) ** k, order)
+
+
+def _series_log(p: GradedPoly, order: int) -> GradedPoly:
+    """log p for p = 1 + (parameter order >= 1 remainder)."""
+    return _power_series(p - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, order)
 
 
 def exp_to_poly(sol: SeriesSolution) -> SeriesSolution:
@@ -191,7 +204,7 @@ def exp_to_poly(sol: SeriesSolution) -> SeriesSolution:
     if sol.flavor == "mu":
         raise ValueError("mu-flavor exponents do not fold level by level")
     depth = sol.depth
-    gen = -fold_levels(sol.terms[2:], -1, sol.flavor)
+    gen = -fold_levels(sol.terms[2:], -1)
     gen = _truncate_g_depth(gen.truncate_ep(sol.order), depth)
     folded = _exp_series(gen, sol.order, depth)
     chis = [slice_level(folded, -n) for n in range(depth + 1)]
@@ -223,38 +236,6 @@ class NormalForm:
     g_depth: int
     chi: GradedPoly
     energies: dict[tuple[int, int], Fraction]
-
-
-def _unit_head(p: GradedPoly) -> GradedPoly:
-    q = p - GradedPoly.const(1, p.param)
-    if any(ep == 0 for (ep, _, _, _) in q.terms):
-        raise ValueError("series must start from 1 at parameter order zero")
-    return q
-
-
-def _series_inverse(p: GradedPoly, order: int) -> GradedPoly:
-    """1/p for p = 1 + (parameter order >= 1 remainder)."""
-    q = _unit_head(p)
-    one = GradedPoly.const(1, p.param)
-    acc = one
-    pw = one
-    while pw:
-        pw = -pw.mul(q, order)
-        acc = acc + pw
-    return acc
-
-
-def _series_log(p: GradedPoly, order: int) -> GradedPoly:
-    """log p for p = 1 + (parameter order >= 1 remainder)."""
-    q = _unit_head(p)
-    acc = GradedPoly.zero(p.param)
-    pw = GradedPoly.const(1, p.param)
-    k = 0
-    while pw:
-        k += 1
-        pw = pw.mul(q, order)
-        acc = acc + pw * Fraction((-1) ** (k + 1), k)
-    return acc
 
 
 def _regrade_energies(energies, src: str, dst: str) -> dict[tuple[int, int], Fraction]:
@@ -291,7 +272,7 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
 
     energies = _regrade_energies(sol.energies, sol.flavor, target)
     if sol.kind == "exp":
-        folded = fold_levels(sol.terms, 1, sol.flavor).regrade(target)
+        folded = fold_levels(sol.terms, 1).regrade(sol.flavor, target)
         if any(gp > 1 for (_, gp, _, _) in folded.terms):
             raise ValueError("terms would land above the leading level")
         last = max((1 - gp for (_, gp, _, _) in folded.terms), default=1)
@@ -303,13 +284,11 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
     else:
         if target == "mu":
             raise ValueError("the mu flavor has no prefactor form")
-        exponent = fold_levels(sol.base, 1, sol.flavor).regrade(target)
+        exponent = fold_levels(sol.base, 1).regrade(sol.flavor, target)
         if any(gp > 1 for (_, gp, _, _) in exponent.terms):
             raise ValueError("terms would land above the leading level")
-        deep = GradedPoly(
-            {k: c for k, c in exponent.terms.items() if k[1] < 0}, target
-        )
-        pf = fold_levels(sol.terms, 0, sol.flavor).regrade(target)
+        deep = GradedPoly({k: c for k, c in exponent.terms.items() if k[1] < 0})
+        pf = fold_levels(sol.terms, 0).regrade(sol.flavor, target)
         if any(gp > 0 for (_, gp, _, _) in pf.terms):
             raise ValueError("prefactor terms would land above depth zero")
         pf = pf.mul(_exp_series(-deep, sol.order), sol.order)
@@ -346,17 +325,17 @@ def canonical_window(
     ep_max, g_depth = window
     if sol.kind == "exp":
         s_levels = sol.terms
-        prefactor = GradedPoly.const(1, sol.flavor)
+        prefactor = GradedPoly.const(1)
     else:
         s_levels = sol.base
-        prefactor = fold_levels(sol.terms, 0, sol.flavor)
+        prefactor = fold_levels(sol.terms, 0)
 
-    gen = fold_levels(s_levels, 1, sol.flavor) - gaussian_exponent(sol.b, sol.flavor).shift(gp=1)
+    gen = fold_levels(s_levels, 1) - gaussian_exponent(sol.b).shift(gp=1)
 
-    gen = -gen.regrade(target).truncate_ep(ep_max)
+    gen = -gen.regrade(sol.flavor, target).truncate_ep(ep_max)
     gen = _truncate_g_depth(gen, g_depth)
     chi = _exp_series(gen, ep_max, g_depth)
-    chi = chi.mul(prefactor.regrade(target), ep_max)
+    chi = chi.mul(prefactor.regrade(sol.flavor, target), ep_max)
     chi = _truncate_g_depth(chi, g_depth).truncate_ep(ep_max)
 
     energies = _regrade_energies(sol.energies, sol.flavor, target)

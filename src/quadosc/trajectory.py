@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    _G_SHIFT,
     GradedPoly,
-    PARAM_FLAVORS,
     evaluate_at_endpoint,
     flow_derivative,
     integrate_to_T,
@@ -51,23 +51,20 @@ class PotentialSpec:
         object.__setattr__(self, "b", Fraction(self.b))
         if self.b <= 0:
             raise ValueError("frequency ratio b must be positive")
-        if self.flavor not in PARAM_FLAVORS:
+        if self.flavor not in _G_SHIFT:
             raise ValueError(f"unknown coupling flavor {self.flavor!r}")
-        if self.coupling.param is not None:
+        if any(ep for (ep, _, _, _) in self.coupling.terms):
             raise ValueError("coupling polynomial must be parameter-free")
         if self.coupling.constant_part():
             raise ValueError("coupling polynomial must vanish at the origin")
 
     def coupling_term(self) -> GradedPoly:
         """The coupling with one power of the flavor parameter attached."""
-        return self.coupling.shift(ep=1).with_param(self.flavor)
+        return self.coupling.shift(ep=1)
 
     def harmonic_part(self) -> GradedPoly:
         half = Fraction(1, 2)
-        return GradedPoly(
-            {(0, 0, 2, 0): half, (0, 0, 0, 2): half * self.b**2},
-            self.flavor,
-        )
+        return GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * self.b**2})
 
     def potential(self) -> GradedPoly:
         """Full scaled well, coupling included only for the mu flavor."""
@@ -77,10 +74,10 @@ class PotentialSpec:
         return v
 
 
-def gaussian_exponent(b, param: str | None) -> GradedPoly:
+def gaussian_exponent(b) -> GradedPoly:
     """Exponent (1/2)(x^2 + b y^2) of the bare harmonic ground state."""
     half = Fraction(1, 2)
-    return GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * Fraction(b)}, param)
+    return GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * Fraction(b)})
 
 
 def standard_spec(b, flavor: str = "mu") -> PotentialSpec:
@@ -122,8 +119,8 @@ def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:
     if order < 0:
         raise ValueError("order must be non-negative")
     b = spec.b
-    x = GradedPoly.variable("x").with_param(spec.flavor)
-    y = GradedPoly.variable("y").with_param(spec.flavor)
+    x = GradedPoly.variable("x")
+    y = GradedPoly.variable("y")
     if spec.flavor != "mu":
         return Trajectory(spec, order, x, y)
 
@@ -148,7 +145,7 @@ def _particular(source: GradedPoly, ep: int, freq: Fraction, b: Fraction) -> Gra
                 f"exponent {p}+{q}b resonates with frequency {freq}"
             )
         out[(e, gp, p, q)] = c / denom
-    return GradedPoly(out, source.param)
+    return GradedPoly(out)
 
 
 def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
@@ -159,8 +156,8 @@ def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
     correction terms; the fixed point X = x_T - Gx(X, Y) converges in one
     pass per coupling order because G starts at first order.
     """
-    var_x = GradedPoly.variable("x").with_param(traj.x.param)
-    var_y = GradedPoly.variable("y").with_param(traj.x.param)
+    var_x = GradedPoly.variable("x")
+    var_y = GradedPoly.variable("y")
     gx = traj.x - var_x
     gy = traj.y - var_y
     cx, cy = var_x, var_y

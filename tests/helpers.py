@@ -16,11 +16,11 @@ def F(x) -> Fraction:
     return Fraction(x)
 
 
-def poly(param, entries) -> GradedPoly:
+def poly(entries) -> GradedPoly:
     """Build a polynomial from (coef, i, j, gp, ep) tuples."""
-    out = GradedPoly.zero(param)
+    out = GradedPoly.zero()
     for coef, i, j, gp, ep in entries:
-        out = out + GradedPoly.mono(Fraction(coef), i=i, j=j, gp=gp, ep=ep, param=param)
+        out = out + GradedPoly.mono(Fraction(coef), i=i, j=j, gp=gp, ep=ep)
     return out
 
 
@@ -29,37 +29,36 @@ def poly(param, entries) -> GradedPoly:
 # appear at different levels depending on where the coupling is booked.
 
 
-def gaussian_exponent(b, param) -> GradedPoly:
+def gaussian_exponent(b) -> GradedPoly:
     b = F(b)
-    return poly(param, [(Fraction(1, 2), 2, 0, 0, 0), (b / 2, 0, 2, 0, 0)])
+    return poly([(Fraction(1, 2), 2, 0, 0, 0), (b / 2, 0, 2, 0, 0)])
 
 
-def coupling_piece(b, param, ep) -> GradedPoly:
+def coupling_piece(b, ep) -> GradedPoly:
     """x^2 y^2 / (2(1+b)) at the given parameter order."""
     b = F(b)
-    return poly(param, [(1 / (2 * (1 + b)), 2, 2, 0, ep)])
+    return poly([(1 / (2 * (1 + b)), 2, 2, 0, ep)])
 
 
-def quartic_exponent_piece(b, param, ep) -> GradedPoly:
+def quartic_exponent_piece(b, ep) -> GradedPoly:
     """-x^2 y^2 (x^2/(b+2) + y^2/(2b+1)) / (4(1+b)^2)."""
     b = F(b)
     c = -1 / (4 * (1 + b) ** 2)
-    return poly(param, [(c / (b + 2), 4, 2, 0, ep), (c / (2 * b + 1), 2, 4, 0, ep)])
+    return poly([(c / (b + 2), 4, 2, 0, ep), (c / (2 * b + 1), 2, 4, 0, ep)])
 
 
-def linear_correction_piece(b, param, ep) -> GradedPoly:
+def linear_correction_piece(b, ep) -> GradedPoly:
     """(x^2 + y^2/b) / (4(1+b))."""
     b = F(b)
     a = 1 / (4 * (1 + b))
-    return poly(param, [(a, 2, 0, 0, ep), (a / b, 0, 2, 0, ep)])
+    return poly([(a, 2, 0, 0, ep), (a / b, 0, 2, 0, ep)])
 
 
-def quartic_correction_piece(b, param, ep) -> GradedPoly:
+def quartic_correction_piece(b, ep) -> GradedPoly:
     """-(x^4/(4(2+b)) + x^2y^2/b + 9x^2y^2/((2+b)(1+2b)) + y^4/(4b(1+2b))) / (4(1+b)^2)."""
     b = F(b)
     d = -1 / (4 * (1 + b) ** 2)
     return poly(
-        param,
         [
             (d / (4 * (2 + b)), 4, 0, 0, ep),
             (d * (1 / b + F(9) / ((2 + b) * (1 + 2 * b))), 2, 2, 0, ep),
@@ -68,7 +67,7 @@ def quartic_correction_piece(b, param, ep) -> GradedPoly:
     )
 
 
-def deep_correction_piece(b, param, ep) -> GradedPoly:
+def deep_correction_piece(b, ep) -> GradedPoly:
     """The pure-quadratic second-order piece (three grouped terms)."""
     b = F(b)
     t1 = -1 / (16 * (b + 1) ** 2)
@@ -80,7 +79,7 @@ def deep_correction_piece(b, param, ep) -> GradedPoly:
         + t2 / b
         + t3 * (F(9) / (b * (1 + 2 * b) * (2 + b)) + Fraction(3, 2) / (b**2 * (1 + 2 * b)))
     )
-    return poly(param, [(x2, 2, 0, 0, ep), (y2, 0, 2, 0, ep)])
+    return poly([(x2, 2, 0, 0, ep), (y2, 0, 2, 0, ep)])
 
 
 # ------------------------------------------------------------- whole levels
@@ -89,40 +88,40 @@ def deep_correction_piece(b, param, ep) -> GradedPoly:
 def classical_exponent(b) -> GradedPoly:
     """Leading exponent of the classically coupled run, through order 2."""
     return (
-        gaussian_exponent(b, "mu")
-        + coupling_piece(b, "mu", 1)
-        + quartic_exponent_piece(b, "mu", 2)
+        gaussian_exponent(b)
+        + coupling_piece(b, 1)
+        + quartic_exponent_piece(b, 2)
     )
 
 
 def mu_levels(b) -> tuple:
     """The three stored exponent levels of an order-2, depth-1 run."""
-    s1 = linear_correction_piece(b, "mu", 1) + quartic_correction_piece(b, "mu", 2)
-    return (classical_exponent(b), s1, deep_correction_piece(b, "mu", 2))
+    s1 = linear_correction_piece(b, 1) + quartic_correction_piece(b, 2)
+    return (classical_exponent(b), s1, deep_correction_piece(b, 2))
 
 
 def eps_exponent_levels(b) -> tuple:
     """The seven exponent levels of the two-shift deferred-coupling run."""
-    zero = GradedPoly.zero("eps")
+    zero = GradedPoly.zero()
     return (
-        gaussian_exponent(b, "eps"),
+        gaussian_exponent(b),
         zero,
-        coupling_piece(b, "eps", 1),
-        linear_correction_piece(b, "eps", 1),
-        quartic_exponent_piece(b, "eps", 2),
-        quartic_correction_piece(b, "eps", 2),
-        deep_correction_piece(b, "eps", 2),
+        coupling_piece(b, 1),
+        linear_correction_piece(b, 1),
+        quartic_exponent_piece(b, 2),
+        quartic_correction_piece(b, 2),
+        deep_correction_piece(b, 2),
     )
 
 
 def lambda_exponent_levels(b) -> tuple:
     """The five exponent levels of the one-shift deferred-coupling run."""
     return (
-        gaussian_exponent(b, "lambda"),
-        coupling_piece(b, "lambda", 1),
-        linear_correction_piece(b, "lambda", 1) + quartic_exponent_piece(b, "lambda", 2),
-        quartic_correction_piece(b, "lambda", 2),
-        deep_correction_piece(b, "lambda", 2),
+        gaussian_exponent(b),
+        coupling_piece(b, 1),
+        linear_correction_piece(b, 1) + quartic_exponent_piece(b, 2),
+        quartic_correction_piece(b, 2),
+        deep_correction_piece(b, 2),
     )
 
 
@@ -134,14 +133,13 @@ def eps_prefactor_levels(b) -> tuple:
     write-ups of this expansion; all pipelines here agree on these).
     """
     b = F(b)
-    one = GradedPoly.const(1, "eps")
-    chi1 = -coupling_piece(b, "eps", 1)
-    chi2 = -linear_correction_piece(b, "eps", 1) + poly(
-        "eps", [(1 / (8 * (1 + b) ** 2), 4, 4, 0, 2)]
+    one = GradedPoly.const(1)
+    chi1 = -coupling_piece(b, 1)
+    chi2 = -linear_correction_piece(b, 1) + poly(
+        [(1 / (8 * (1 + b) ** 2), 4, 4, 0, 2)]
     )
     c3 = 1 / (8 * (1 + b) ** 2)
     chi3 = poly(
-        "eps",
         [
             (c3 * (4 + b) / (2 + b), 4, 2, 0, 2),
             (c3 * (4 * b + 1) / (b * (2 * b + 1)), 2, 4, 0, 2),
@@ -149,14 +147,13 @@ def eps_prefactor_levels(b) -> tuple:
     )
     c4 = 1 / (16 * (1 + b) ** 2)
     chi4 = poly(
-        "eps",
         [
             (c4 * (4 + b) / (2 * (2 + b)), 4, 0, 0, 2),
             (c4 * (F(36) / ((1 + 2 * b) * (2 + b)) + 5 / b), 2, 2, 0, 2),
             (c4 * (4 * b + 1) / (2 * b**2 * (2 * b + 1)), 0, 4, 0, 2),
         ],
     )
-    chi5 = -deep_correction_piece(b, "eps", 2)
+    chi5 = -deep_correction_piece(b, 2)
     return (one, chi1, chi2, chi3, chi4, chi5)
 
 

@@ -98,19 +98,17 @@ def test_criterion_3_operator_inversion_closed_forms():
         op, _ = solve_green(standard_spec(b, "eps"), order=2)
         first = GradedPoly(
             {(1, gp, i, j): c for (i, j), (gp, c) in operator_first_order(b).items()},
-            "eps",
         )
         second = GradedPoly(
             {(2, gp, i, j): c for (i, j), (gp, c) in operator_second_order(b).items()},
-            "eps",
         )
         assert op.chi[1] == first, f"first-order prefactor at b={b}"
         assert op.chi[2] == second, f"second-order prefactor at b={b}"
         assert op.delta[1] == GradedPoly(
-            {(1, -2, 0, 0): shift_first_order(b)}, "eps"
+            {(1, -2, 0, 0): shift_first_order(b)}
         ), f"first shift at b={b}"
         assert op.delta[2] == GradedPoly(
-            {(2, -5, 0, 0): shift_second_order(b)}, "eps"
+            {(2, -5, 0, 0): shift_second_order(b)}
         ), f"second shift at b={b}"
     print(
         "CRITERION 3: PASS — operator inversion reproduces both prefactor"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from quadosc import GradedPoly, SingularInverse, grad_dot, laplacian
 from quadosc.algebra import flow_derivative, integrate_to_T
+from quadosc.perturbation import _exp_series, _series_inverse, _series_log
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -15,9 +16,7 @@ coeffs = st.fractions(
 keys = st.tuples(
     st.integers(0, 2), st.integers(-3, 1), st.integers(0, 4), st.integers(0, 4)
 )
-polys = st.dictionaries(keys, coeffs, max_size=5).map(
-    lambda d: GradedPoly(d, "mu")
-)
+polys = st.dictionaries(keys, coeffs, max_size=5).map(GradedPoly)
 
 
 @given(polys, polys)
@@ -32,7 +31,7 @@ def test_addition_associates(p, q, r):
 
 @given(polys)
 def test_zero_and_negation(p):
-    zero = GradedPoly.zero("mu")
+    zero = GradedPoly.zero()
     assert p + zero == p
     assert p - p == zero
     assert -(-p) == p
@@ -55,7 +54,7 @@ def test_distributive_law(p, q, r):
 
 @given(polys)
 def test_one_is_identity(p):
-    assert p.mul(GradedPoly.const(1, "mu")) == p
+    assert p.mul(GradedPoly.const(1)) == p
 
 
 @given(polys, polys)
@@ -103,35 +102,21 @@ def test_shift_roundtrip(p):
 
 @given(polys)
 def test_regrade_roundtrip(p):
-    assert p.regrade("eps").regrade("mu") == p
-    assert p.regrade("lambda").regrade("mu") == p
+    assert p.regrade("mu", "eps").regrade("eps", "mu") == p
+    assert p.regrade("mu", "lambda").regrade("lambda", "mu") == p
+    assert p.regrade("eps", "eps") == p
 
 
 @given(polys)
 def test_regrade_moves_g_power_by_parameter_order(p):
-    moved = p.regrade("eps")
+    moved = p.regrade("mu", "eps")
     for (ep, gp, i, j), c in p.terms.items():
         assert moved.terms[(ep, gp - 2 * ep, i, j)] == c
 
 
 def test_regrade_rejects_unknown_flavor():
     with pytest.raises(KeyError):
-        GradedPoly.mono(1, i=2).with_param("mu").regrade("nu")
-
-
-def test_parameter_mixing_rejected():
-    p = GradedPoly.mono(1, i=2, param="mu")
-    q = GradedPoly.mono(1, j=2, param="eps")
-    with pytest.raises(ValueError):
-        p + q
-    with pytest.raises(ValueError):
-        p.mul(q)
-
-
-def test_untagged_operand_adopts_parameter():
-    p = GradedPoly.mono(1, i=2, param="mu")
-    q = GradedPoly.mono(1, j=2)
-    assert (p + q).param == "mu"
+        GradedPoly.mono(1, i=2).regrade("mu", "nu")
 
 
 @given(polys, st.integers(0, 3), st.integers(0, 3))
@@ -140,6 +125,31 @@ def test_coefficient_extraction(p, i, j):
     for (ep, gp, ci, cj), v in c.terms.items():
         assert (ci, cj) == (0, 0)
         assert p.terms[(ep, gp, i, j)] == v
+
+
+# ------------------------------------------------- truncated power series
+
+# remainders q whose every term carries the parameter, so 1 + q is a unit
+unit_tails = st.dictionaries(
+    st.tuples(st.integers(1, 2), st.integers(-2, 1), st.integers(0, 3), st.integers(0, 3)),
+    coeffs,
+    max_size=3,
+).map(GradedPoly)
+
+
+@settings(deadline=None)
+@given(unit_tails, st.integers(1, 3))
+def test_series_inverse_and_log_invert(q, order):
+    p = q + 1
+    assert p.mul(_series_inverse(p, order), order) == GradedPoly.const(1)
+    assert _exp_series(_series_log(p, order), order) == p.truncate_ep(order)
+
+
+def test_series_argument_must_carry_the_parameter():
+    with pytest.raises(ValueError):
+        _series_inverse(GradedPoly.const(2), 2)
+    with pytest.raises(ValueError):
+        _exp_series(GradedPoly.mono(1, i=2), 2)
 
 
 @given(polys, polys)
@@ -163,16 +173,17 @@ def test_substitution_matches_composition():
 
 
 def test_string_form_is_order_independent():
-    a = GradedPoly({(0, 0, 2, 0): Fraction(1), (1, -1, 0, 2): Fraction(-2, 3)}, "mu")
-    b = GradedPoly({(1, -1, 0, 2): Fraction(-2, 3), (0, 0, 2, 0): Fraction(1)}, "mu")
-    assert str(a) == str(b)
+    a = GradedPoly({(0, 0, 2, 0): Fraction(1), (1, -1, 0, 2): Fraction(-2, 3)})
+    b = GradedPoly({(1, -1, 0, 2): Fraction(-2, 3), (0, 0, 2, 0): Fraction(1)})
+    assert str(a) == str(b) == "1*x^2 + -2/3*p^1*g^-1*y^2"
+    assert a.show("mu") == "1*x^2 + -2/3*mu^1*g^-1*y^2"
     assert a.sorted_terms() == sorted(a.terms.items())
 
 
 def test_power_matches_repeated_multiplication():
-    p = GradedPoly.mono(1, i=1) + GradedPoly.mono(2, j=1, ep=1, param="mu")
+    p = GradedPoly.mono(1, i=1) + GradedPoly.mono(2, j=1, ep=1)
     assert p**3 == p.mul(p).mul(p)
-    assert p**0 == GradedPoly.const(1, "mu")
+    assert p**0 == GradedPoly.const(1)
 
 
 # ------------------------------------------------------------ flow-time sums
@@ -182,7 +193,7 @@ ratios = st.fractions(min_value=Fraction(1, 7), max_value=Fraction(7), max_denom
 
 def exp_sum() -> GradedPoly:
     """X + X Y^2 / 12 in the amplitudes X = cx e^t, Y = cy e^(bt)."""
-    return GradedPoly({(0, 0, 1, 0): Fraction(1), (1, 0, 1, 2): Fraction(1, 12)}, "mu")
+    return GradedPoly({(0, 0, 1, 0): Fraction(1), (1, 0, 1, 2): Fraction(1, 12)})
 
 
 def test_exp_sum_time_derivative():
@@ -201,7 +212,7 @@ def test_exp_sum_product_rule(p, q, b):
 
 
 def test_exp_sum_constant_split():
-    z = exp_sum() + GradedPoly({(0, -1, 0, 0): Fraction(5)}, "mu")
+    z = exp_sum() + GradedPoly({(0, -1, 0, 0): Fraction(5)})
     const = z.constant_part()
     assert set(const.terms) == {(0, -1, 0, 0)}
     assert z.drop_constant() + const == z
@@ -217,7 +228,7 @@ def test_exp_sum_constant_split():
 def test_exp_sum_order_slice():
     z = exp_sum()
     assert set((z - z.truncate_ep(0)).terms) == {(1, 0, 1, 2)}
-    assert z.truncate_ep(0) == GradedPoly.variable("x").with_param("mu")
+    assert z.truncate_ep(0) == GradedPoly.variable("x")
 
 
 @settings(deadline=None)

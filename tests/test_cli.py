@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,9 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
         {"g": 0},
         {"order": [2]},
         {"order": float("inf")},
+        {"grid_n": 0},
+        {"grid_n": 2},
+        {"grid_n": -5},
     ],
     ids=str,
 )
@@ -112,7 +117,18 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--g", "0"], ["--g", "nan"], ["--g", "-5"], ["--g", "inf"], ["--mu", "nan"]]
+    "flags",
+    [
+        ["--g", "0"],
+        ["--g", "nan"],
+        ["--g", "-5"],
+        ["--g", "inf"],
+        ["--mu", "nan"],
+        ["--grid-n", "0"],
+        ["--grid-n", "1"],
+        ["--grid-n", "2"],
+        ["--grid-n", "-5"],
+    ],
 )
 def test_bad_coupling_flag_is_usage_error(capsys, flags):
     assert main(["verify", "--method", "hierarchy", *flags]) == EXIT_USAGE
@@ -183,13 +199,41 @@ def test_csv_schema(capsys):
         Fraction(cells[5])
 
 
-def test_text_format(capsys):
-    code = main(["run", "--method", "poly-lambda", "--b", "2", "--format", "text"])
+@pytest.mark.parametrize(
+    "method, symbol",
+    [
+        pytest.param(method, symbol, id=method)
+        for method, symbol in [
+            ("hierarchy", "mu"),
+            ("exp-eps", "eps"),
+            ("poly-lambda", "lambda"),
+            ("green", "eps"),
+        ]
+    ],
+)
+def test_text_format(capsys, method, symbol):
+    code = main(["run", "--method", method, "--b", "2", "--format", "text"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
-    assert "method poly-lambda" in out
+    assert f"method {method}" in out
     assert "energy series:" in out
     assert "level 0:" in out
+    assert f"{symbol}^" in out
+    assert "p^" not in out
+
+
+def test_text_and_csv_output_match_pinned_digests(capsys):
+    """Text and CSV runs hash to the digests written before the parameter
+    flavor moved off the polynomial type; the file is never regenerated."""
+    pinned = json.loads((Path(__file__).parent / "data" / "text_csv_digests.json").read_text())
+    assert len(pinned) == 56
+    changed = []
+    for key, digest in sorted(pinned.items()):
+        assert main(key.split()) == EXIT_OK
+        out = capsys.readouterr().out
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(key)
+    assert changed == []
 
 
 def test_unknown_format_is_usage_error(tmp_path, capsys):

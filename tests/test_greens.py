@@ -13,7 +13,6 @@ from quadosc import (
     GradedPoly,
     OddParity,
     SingularInverse,
-    TruncationOverflow,
     apply_flow_inverse,
     collapse_constant,
     collapse_constant_pure_x,
@@ -66,10 +65,10 @@ def test_inverse_scaling_divides_by_flow_eigenvalue(b):
 
 
 def test_inverse_scaling_preserves_grading_tags(b):
-    p = GradedPoly.mono(Fraction(3), i=2, j=4, gp=-1, ep=2, param="eps")
+    p = GradedPoly.mono(Fraction(3), i=2, j=4, gp=-1, ep=2)
     out = apply_flow_inverse(p, b)
     assert out == GradedPoly.mono(
-        Fraction(3) / (2 + 4 * b), i=2, j=4, gp=-2, ep=2, param="eps"
+        Fraction(3) / (2 + 4 * b), i=2, j=4, gp=-2, ep=2
     )
 
 
@@ -119,7 +118,7 @@ def test_resolvent_sum_of_coupling_monomial(b):
 def test_resolvent_sum_terminates_on_constants():
     c = mono(7, gp=-3)
     assert resolvent_sum(c, Fraction(2)) == c
-    assert resolvent_sum(GradedPoly.zero(None), Fraction(2)) == GradedPoly.zero(None)
+    assert resolvent_sum(GradedPoly.zero(), Fraction(2)) == GradedPoly.zero()
 
 
 # ----- chain coefficients ----------------------------------------------------
@@ -195,8 +194,8 @@ def test_chain_coefficient_guards():
 
 def test_order_zero_and_one_slices(b):
     op, _ = green_run(b)
-    assert op.chi[0] == GradedPoly.const(Fraction(1), "eps")
-    assert op.delta[0] == GradedPoly.zero("eps")
+    assert op.chi[0] == GradedPoly.const(Fraction(1))
+    assert op.delta[0] == GradedPoly.zero()
     for k in (1, 2):
         assert all(ep == k for (ep, _, _, _) in op.chi[k].terms)
         assert all(ep == k for (ep, _, _, _) in op.delta[k].terms)
@@ -208,12 +207,11 @@ def test_first_order_prefactor_and_shift(b):
         {
             (1, gp, i, j): c
             for (i, j), (gp, c) in operator_first_order(b).items()
-        },
-        "eps",
+        }
     )
     assert op.chi[1] == expected
     assert len(op.chi[1].terms) == 3
-    assert op.delta[1] == GradedPoly({(1, -2, 0, 0): shift_first_order(b)}, "eps")
+    assert op.delta[1] == GradedPoly({(1, -2, 0, 0): shift_first_order(b)})
 
 
 def test_second_order_prefactor_and_shift(b):
@@ -222,32 +220,26 @@ def test_second_order_prefactor_and_shift(b):
         {
             (2, gp, i, j): c
             for (i, j), (gp, c) in operator_second_order(b).items()
-        },
-        "eps",
+        }
     )
     assert op.chi[2] == expected
     assert len(op.chi[2].terms) == 8
-    assert op.delta[2] == GradedPoly({(2, -5, 0, 0): shift_second_order(b)}, "eps")
+    assert op.delta[2] == GradedPoly({(2, -5, 0, 0): shift_second_order(b)})
 
 
 def test_coefficient_accessor(b):
     op, _ = green_run(b)
     assert op.coefficient(1, 2, 2) == GradedPoly(
-        {(1, -1, 0, 0): -1 / (2 * (1 + b))}, "eps"
+        {(1, -1, 0, 0): -1 / (2 * (1 + b))}
     )
     gp, c = operator_second_order(b)[(4, 4)]
-    assert op.coefficient(2, 4, 4) == GradedPoly({(2, gp, 0, 0): c}, "eps")
-    assert op.coefficient(1, 1, 1) == GradedPoly.zero("eps")
+    assert op.coefficient(2, 4, 4) == GradedPoly({(2, gp, 0, 0): c})
+    assert op.coefficient(1, 1, 1) == GradedPoly.zero()
 
 
 def test_series_rebooking_matches_prefactor_recursion(b):
     _, series = green_run(b)
     assert series == solve_polynomial(standard_spec(b, "eps"), order=2)
-
-
-def test_truncation_cap():
-    with pytest.raises(TruncationOverflow):
-        solve_green(standard_spec(Fraction(1), "eps"), order=1, max_degree=1)
 
 
 def test_run_guards():

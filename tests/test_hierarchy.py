@@ -66,7 +66,7 @@ def test_rejects_order_below_depth():
 def test_transport_equations_hold_in_coordinates(b, solution):
     # Residuals rebuilt in (x, y) variables, not merely along the flow.
     spec = standard_spec(b)
-    zero = GradedPoly.zero("mu")
+    zero = GradedPoly.zero()
     for n in range(len(solution.terms) - 1):
         assert pde_residual(solution, spec, n) == zero
 
@@ -101,7 +101,7 @@ def test_energy_equals_origin_value_of_source(b, solution):
 
 def test_assembled_exponent_folds_levels(b, solution):
     exponent, energy = assemble_wavefunction(solution)
-    rebuilt = GradedPoly.zero("mu")
+    rebuilt = GradedPoly.zero()
     for n, level in enumerate(solution.terms):
         rebuilt = rebuilt - level.shift(gp=1 - n)
     assert exponent == rebuilt

@@ -130,7 +130,7 @@ def test_second_order_amplitudes(b):
 
 def test_normalized_prefactor_starts_at_one(b):
     chi = rs_run(b).chi
-    assert chi.constant_part() == GradedPoly.const(Fraction(1), "eps")
+    assert chi.constant_part() == GradedPoly.const(Fraction(1))
 
 
 def test_perturbative_guards():

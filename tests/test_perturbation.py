@@ -121,7 +121,7 @@ def test_prefactor_levels(b):
     assert sol.kind == "poly"
     assert sol.depth == 5
     assert sol.terms == eps_prefactor_levels(b)
-    assert sol.base == (gaussian_exponent(b, "eps"), GradedPoly.zero("eps"))
+    assert sol.base == (gaussian_exponent(b), GradedPoly.zero())
 
 
 def test_prefactor_energy_slots(b):
@@ -132,7 +132,7 @@ def test_linear_prefactor_base_and_energies(b):
     sol = poly_run(b, "lambda")
     assert sol.kind == "poly"
     assert sol.energies == lambda_energy_slots(b)
-    assert sol.base == (gaussian_exponent(b, "lambda"), coupling_piece(b, "lambda", 1))
+    assert sol.base == (gaussian_exponent(b), coupling_piece(b, 1))
 
 
 # ----- exponent/prefactor consistency ---------------------------------------
@@ -144,12 +144,12 @@ def test_prefactor_is_truncated_exponential_of_deep_levels(b):
     s = exp_run(b, "eps").terms
     chi = poly_run(b, "eps").terms
     half = Fraction(1, 2)
-    assert chi[0] == GradedPoly.const(Fraction(1), "eps")
-    assert chi[1] == GradedPoly.zero("eps") - s[2]
+    assert chi[0] == GradedPoly.const(Fraction(1))
+    assert chi[1] == GradedPoly.zero() - s[2]
     assert chi[2] == s[2].mul(s[2], 2) * half - s[3]
     assert chi[3] == s[2].mul(s[3], 2) - s[4]
     assert chi[4] == s[3].mul(s[3], 2) * half - s[5]
-    assert chi[5] == GradedPoly.zero("eps") - s[6]
+    assert chi[5] == GradedPoly.zero() - s[6]
 
 
 def test_exponent_folds_into_prefactor_run(b):
@@ -244,7 +244,7 @@ def test_normal_form_diff_reports_slots():
     messages = normal_form_diff(form, tweaked)
     assert any("energy slot" in m for m in messages)
 
-    bad_chi = form.chi + GradedPoly.mono(Fraction(1), i=2, j=2, gp=-1, ep=1, param="eps")
+    bad_chi = form.chi + GradedPoly.mono(Fraction(1), i=2, j=2, gp=-1, ep=1)
     tweaked = dataclasses.replace(form, chi=bad_chi)
     messages = normal_form_diff(form, tweaked)
     assert messages and any("x^2 y^2" in m or "term" in m for m in messages)

@@ -35,7 +35,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PotentialSpec(b=Fraction(1), coupling=good, flavor="nu")
     with pytest.raises(ValueError):
-        PotentialSpec(b=Fraction(1), coupling=good.with_param("mu"))
+        PotentialSpec(b=Fraction(1), coupling=good.shift(ep=1))
     with pytest.raises(ValueError):
         PotentialSpec(b=Fraction(1), coupling=good + GradedPoly.const(1))
 
@@ -98,8 +98,8 @@ def test_endpoint_inversion_closed_form(b):
 def test_endpoint_inversion_roundtrip(b):
     """Substituting the solved amplitudes back gives the endpoint coordinate."""
     traj = invert_endpoint_constants(solve_classical_trajectory(standard_spec(b), 2))
-    assert evaluate_at_endpoint(traj.x, traj) == GradedPoly.variable("x").with_param("mu")
-    assert evaluate_at_endpoint(traj.y, traj) == GradedPoly.variable("y").with_param("mu")
+    assert evaluate_at_endpoint(traj.x, traj) == GradedPoly.variable("x")
+    assert evaluate_at_endpoint(traj.y, traj) == GradedPoly.variable("y")
 
 
 @pytest.mark.parametrize("b", B_VALUES)
