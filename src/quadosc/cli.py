@@ -105,6 +105,11 @@ def _poly_doc(p: GradedPoly) -> list[dict]:
     ]
 
 
+def _energy_slots(energies: GradedPoly) -> list[tuple[int, int, Fraction]]:
+    """Energy terms as (g power, parameter power, coefficient), in that order."""
+    return sorted((gp, ep, c) for (ep, gp, _, _), c in energies.terms.items())
+
+
 def _poly_from_doc(rows: list[dict]) -> GradedPoly:
     terms = {}
     for row in rows:
@@ -124,8 +129,7 @@ def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
         "levels": [_poly_doc(t) for t in sol.terms],
         "base": [_poly_doc(t) for t in sol.base],
         "energies": [
-            {"gp": gp, "ep": ep, "c": str(c)}
-            for (gp, ep), c in sorted(sol.energies.items())
+            {"gp": gp, "ep": ep, "c": str(c)} for gp, ep, c in _energy_slots(sol.energies)
         ],
     }
 
@@ -138,9 +142,9 @@ def solution_from_doc(doc: dict) -> SeriesSolution:
         order=int(doc["order"]),
         depth=int(doc["depth"]),
         terms=tuple(_poly_from_doc(rows) for rows in doc["levels"]),
-        energies={
-            (int(e["gp"]), int(e["ep"])): Fraction(e["c"]) for e in doc["energies"]
-        },
+        energies=GradedPoly(
+            {(int(e["ep"]), int(e["gp"]), 0, 0): Fraction(e["c"]) for e in doc["energies"]}
+        ),
         base=tuple(_poly_from_doc(rows) for rows in doc["base"]),
     )
 
@@ -168,7 +172,7 @@ def solution_to_text(sol: SeriesSolution, method: str) -> str:
         f"  b {sol.b}  order {sol.order}  depth {sol.depth}"
     ]
     lines.append("energy series:")
-    for (gp, ep), c in sorted(sol.energies.items()):
+    for gp, ep, c in _energy_slots(sol.energies):
         lines.append(f"  g^{gp} {sol.flavor}^{ep}: {c}")
     for n, level in enumerate(sol.terms):
         lines.append(f"level {n}:")
@@ -252,10 +256,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("the frequency ratio b must be positive")
     if cfg.order < 1:
         raise ValueError("order must be at least 1")
+    if cfg.depth is not None and cfg.depth < 0:
+        raise ValueError("depth must be non-negative")
     if cfg.grid_n is not None and cfg.grid_n < 3:
         raise ValueError("grid_n must be at least 3")
     if cfg.fmt not in FORMATS:
         raise ValueError(f"unknown format {cfg.fmt!r}; choose from {', '.join(FORMATS)}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     return cfg
 
 
@@ -290,6 +299,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise ValueError("window must be two integers 'ep,gdepth'")
         window = (int(parts[0]), int(parts[1]))
+        if min(window) < 0:
+            raise ValueError("window parts must be non-negative")
     sols = []
     labels = []
     if args.golden:
@@ -359,8 +370,18 @@ def _grid_check(sol: SeriesSolution, cfg: RunConfig, grid, args) -> dict:
     }
 
 
+def _sweep_couplings(text: str) -> list[float]:
+    mus = [float(m) for m in text.split(",") if m.strip()]
+    if not all(math.isfinite(m) and m > 0 for m in mus):
+        raise ValueError("sweep couplings must be finite and positive")
+    if len(set(mus)) < 2:
+        raise ValueError("a sweep needs at least two distinct couplings")
+    return mus
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    mus = _sweep_couplings(args.mu_sweep) if args.mu_sweep else None
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order, cfg.depth)
     b = float(cfg.b)
@@ -375,10 +396,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc.update(_grid_check(sol, cfg, grid, args))
     ok = doc["pass"]
 
-    if args.mu_sweep:
-        mus = [float(m) for m in args.mu_sweep.split(",") if m.strip()]
-        if len(mus) < 2:
-            raise ValueError("a sweep needs at least two couplings")
+    if mus:
         residuals = []
         for mu in mus:
             ref = extrapolated_ground_energy(
@@ -437,8 +455,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         "agree": report.agree,
         "diffs": {name: list(d) for name, d in sorted(report.diffs.items())},
         "energy_series": [
-            {"gp": gp, "ep": ep, "c": str(c)}
-            for (gp, ep), c in sorted(ref.energies.items())
+            {"gp": gp, "ep": ep, "c": str(c)} for gp, ep, c in _energy_slots(ref.energies)
         ],
     }
     ok = report.agree
@@ -460,7 +477,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             lines.append(f"{name}: DIFFERS")
             lines.extend(f"  {s}" for s in d)
         lines.append("energy series (reference):")
-        for (gp, ep), c in sorted(ref.energies.items()):
+        for gp, ep, c in _energy_slots(ref.energies):
             lines.append(f"  g^{gp} {ref.flavor}^{ep}: {c}")
         if "numeric" in doc:
             num = doc["numeric"]

@@ -22,8 +22,8 @@ from math import prod
 
 from .algebra import GradedPoly, integrate_to_T, laplacian
 from .errors import OddParity
-from .hierarchy import SeriesSolution, book_energy, slice_level
-from .trajectory import PotentialSpec, gaussian_exponent
+from .hierarchy import SeriesSolution, slice_level
+from .trajectory import PotentialSpec, gaussian_exponent, zero_point_energy
 
 
 def apply_flow_inverse(p: GradedPoly, b: Fraction) -> GradedPoly:
@@ -150,11 +150,9 @@ class OperatorSolution:
             total = total + part
         depth = -min((gp for (_, gp, _, _) in total.terms), default=0)
         terms = tuple(slice_level(total, -n) for n in range(depth + 1))
-        energies: dict[tuple[int, int], Fraction] = {
-            (1, 0): (1 + Fraction(self.spec.b)) / 2
-        }
+        energies = zero_point_energy(self.spec.b)
         for shift in self.delta:
-            book_energy(energies, shift, 0)
+            energies = energies + shift
         return SeriesSolution(
             kind="poly",
             flavor="eps",

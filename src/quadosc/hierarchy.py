@@ -46,9 +46,10 @@ class SeriesSolution:
     and "poly" when they are prefactor levels (chi_0, chi_1, ...).  Level n
     carries an implicit overall factor g^(1-n) for "exp" and g^(-n) for
     "poly"; any further g dependence is explicit in the term grading.
-    ``energies`` maps (total g power, parameter power) to the exact
-    coefficient of the energy series.  Prefactor solutions keep the exponent
-    levels they ride on (S_0, S_1) in ``base``.
+    ``energies`` is the energy series as a flat polynomial: the term
+    c * param^ep * g^gp is stored under the key (ep, gp, 0, 0), with gp the
+    total g power.  Prefactor solutions keep the exponent levels they ride
+    on (S_0, S_1) in ``base``.
     """
 
     kind: str
@@ -57,21 +58,15 @@ class SeriesSolution:
     order: int
     depth: int
     terms: tuple[GradedPoly, ...]
-    energies: dict[tuple[int, int], Fraction]
+    energies: GradedPoly
     base: tuple[GradedPoly, ...] = ()
 
     def term(self, n: int) -> GradedPoly:
         return self.terms[n]
 
-    def energy_value(self, g: float, param_value: float) -> float:
-        total = 0.0
-        for (gp, ep), c in self.energies.items():
-            total += float(c) * g**gp * param_value**ep
-        return total
-
     def physical_energy(self, g: float, mu: float) -> float:
         """Energy series at overall coupling g and quartic coupling mu."""
-        return self.energy_value(g, mu * g ** _G_SHIFT[self.flavor])
+        return self.energies.evaluate(g, mu * g ** _G_SHIFT[self.flavor])
 
 
 def fold_levels(levels, top_gp: int) -> GradedPoly:
@@ -87,16 +82,6 @@ def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
     return GradedPoly({(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp})
 
 
-def book_energy(energies: dict[tuple[int, int], Fraction], flat: GradedPoly, top_gp: int) -> None:
-    """Add a flat graded number to the energy slots, level grade ``top_gp``.
-
-    A term c * param^ep * g^gp lands in slot (top_gp + gp, ep).
-    """
-    for (ep, gp, _, _), c in flat.terms.items():
-        key = (top_gp + gp, ep)
-        energies[key] = energies.get(key, Fraction(0)) + c
-
-
 def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[GradedPoly, GradedPoly]:
     """Solve grad(S_0) . grad(S_next) = rhs - E along the flow.
 
@@ -108,51 +93,44 @@ def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[Gra
     return restricted.constant_part(), evaluate_at_endpoint(remainder, traj, order)
 
 
-def solve_levels(
-    s0: GradedPoly,
-    traj: Trajectory,
-    depth: int,
-    order: int,
-    flavor: str,
-    insertion: GradedPoly | None = None,
-    insertion_level: int | None = None,
-) -> SeriesSolution:
+def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution:
     """Run the level hierarchy down to ``depth``.
 
     Levels S_1 .. S_{depth+1} are produced; the energy of one extra level is
-    extracted (it needs no new unknown).  ``insertion`` is added to the right
-    side of the single level ``insertion_level``.
+    extracted (it needs no new unknown).  The truncation order and the
+    coupling flavor are those of ``traj``.
     """
     terms = [s0]
-    energies: dict[tuple[int, int], Fraction] = {}
+    energies = GradedPoly.zero()
     for n in range(depth + 2):
-        rhs = _transport_source(terms, n)
-        if insertion is not None and n == insertion_level:
-            rhs = rhs + insertion
-        rhs = rhs.truncate_ep(order)
-        energy, s_next = quadrature_level(rhs, traj, order)
-        book_energy(energies, energy, 1 - n)
+        rhs = _transport_source(traj.spec, terms, n).truncate_ep(traj.order)
+        energy, s_next = quadrature_level(rhs, traj, traj.order)
+        energies = energies + energy.shift(gp=1 - n)
         if n <= depth:
             terms.append(s_next)
     return SeriesSolution(
         kind="exp",
-        flavor=flavor,
+        flavor=traj.spec.flavor,
         b=traj.b,
-        order=order,
+        order=traj.order,
         depth=depth,
         terms=tuple(terms),
-        energies={k: v for k, v in energies.items() if v},
+        energies=energies,
     )
 
 
-def _transport_source(terms, n: int) -> GradedPoly:
-    """Level-n right side built from the known levels, before E_n and any
-    insertion."""
+def _transport_source(spec: PotentialSpec, terms, n: int) -> GradedPoly:
+    """Level-n right side built from the known levels, before E_n.
+
+    The coupling insertion of a deferred flavor is added at its level.
+    """
     rhs = laplacian(terms[n]) * Fraction(1, 2) if n < len(terms) else GradedPoly.zero()
     for i in range(1, n + 1):
         j = n + 1 - i
         if 1 <= j < len(terms) and i < len(terms):
             rhs = rhs - grad_dot(terms[i], terms[j]) * Fraction(1, 2)
+    if n == insertion_level_for(spec.flavor):
+        rhs = rhs + spec.coupling_term()
     return rhs
 
 
@@ -169,7 +147,7 @@ def solve_hierarchy(spec: PotentialSpec, order: int = 2, depth: int = 1) -> Seri
         raise ValueError("order must be at least depth + 1")
     traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
     s0 = action_integral(traj)
-    return solve_levels(s0, traj, depth, order, spec.flavor)
+    return solve_levels(s0, traj, depth)
 
 
 def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:
@@ -182,9 +160,7 @@ def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:
     """
     if sol.kind != "exp":
         raise ValueError("prefactor solutions have no single-exponent form")
-    exponent = -fold_levels(sol.terms, 1)
-    energy = GradedPoly({(ep, gp, 0, 0): c for (gp, ep), c in sol.energies.items()})
-    return exponent, energy
+    return -fold_levels(sol.terms, 1), sol.energies
 
 
 def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly:
@@ -198,19 +174,9 @@ def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly
         raise ValueError("pde_residual applies to exponent solutions")
     if not 0 <= n < len(sol.terms) - 1:
         raise ValueError("level outside the solved range")
-    rhs = _transport_source(sol.terms, n) + _insertion_for(sol, spec, n)
-    energy = GradedPoly(
-        {(ep, gp - (1 - n), 0, 0): c for (gp, ep), c in sol.energies.items() if gp == 1 - n}
-    )
+    rhs = _transport_source(spec, sol.terms, n)
     lhs = grad_dot(sol.terms[0], sol.terms[n + 1])
-    return (lhs - rhs + energy).truncate_ep(sol.order)
-
-
-def _insertion_for(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly:
-    level = insertion_level_for(sol.flavor)
-    if level is not None and n == level:
-        return spec.coupling_term()
-    return GradedPoly.zero()
+    return (lhs - rhs + slice_level(sol.energies, 1 - n)).truncate_ep(sol.order)
 
 
 def insertion_level_for(flavor: str) -> int | None:

@@ -27,7 +27,7 @@ from .perturbation import (
     normal_form_diff,
     _series_inverse,
 )
-from .trajectory import gaussian_exponent
+from .trajectory import gaussian_exponent, zero_point_energy
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,16 @@ class RSCorrections:
     ``tables[k]`` maps even (m, n) to the exact raw-basis coefficient at
     coupling order k; the whole table carries an implicit grade g^(-3k)
     (two inverse frequencies per coupling action, one per energy
-    denominator).  ``energies`` uses the same slot convention as
-    `SeriesSolution`.  ``chi`` is the origin-normalized prefactor of the
-    state divided by the bare gaussian, all grading explicit.
+    denominator).  ``energies`` is the flat energy series of the shifts, in
+    the eps grading, as in `SeriesSolution`.  ``chi`` is the
+    origin-normalized prefactor of the state divided by the bare gaussian,
+    all grading explicit.
     """
 
     b: Fraction
     order: int
     tables: tuple[dict[tuple[int, int], Fraction], ...]
-    energies: dict[tuple[int, int], Fraction]
+    energies: GradedPoly
     chi: GradedPoly
 
     def coefficient(self, k: int, m: int, n: int) -> Fraction:
@@ -171,7 +172,7 @@ def rs_corrections(b, order: int = 2) -> RSCorrections:
             if v and (m, n) != (0, 0):
                 nxt[(m, n)] = -v / (m + n * b)
         tables.append(nxt)
-    energies = {(1 - 3 * k, k): e for k, e in enumerate(shifts, start=1) if e}
+    energies = GradedPoly({(k, 1 - 3 * k, 0, 0): e for k, e in enumerate(shifts, start=1)})
     chi = _chi_from_tables(tables, b, order)
     return RSCorrections(b=b, order=order, tables=tuple(tables), energies=energies, chi=chi)
 
@@ -179,8 +180,6 @@ def rs_corrections(b, order: int = 2) -> RSCorrections:
 def rs_series(b, order: int = 2) -> SeriesSolution:
     """Package the perturbative oracle like a method run for comparison."""
     rs = rs_corrections(b, order)
-    energies = dict(rs.energies)
-    energies[(1, 0)] = energies.get((1, 0), Fraction(0)) + (1 + rs.b) / 2
     return SeriesSolution(
         kind="poly",
         flavor="eps",
@@ -188,7 +187,7 @@ def rs_series(b, order: int = 2) -> SeriesSolution:
         order=order,
         depth=0,
         terms=(rs.chi,),
-        energies=energies,
+        energies=rs.energies + zero_point_energy(rs.b),
         base=(gaussian_exponent(rs.b), GradedPoly.zero()),
     )
 

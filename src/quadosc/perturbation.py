@@ -26,9 +26,8 @@ from math import factorial
 from .algebra import GradedPoly, _G_SHIFT, grad_dot, laplacian
 from .hierarchy import (
     SeriesSolution,
-    book_energy,
+    _transport_source,
     fold_levels,
-    insertion_level_for,
     quadrature_level,
     slice_level,
     solve_hierarchy,
@@ -77,15 +76,7 @@ def solve_exponential(spec: PotentialSpec, order: int = 2, depth: int | None = N
         return solve_hierarchy(spec, order, depth)
     _check_depth(spec.flavor, order, depth)
     traj, s0 = _harmonic_run(spec, order)
-    return solve_levels(
-        s0,
-        traj,
-        depth,
-        order,
-        spec.flavor,
-        insertion=spec.coupling_term(),
-        insertion_level=insertion_level_for(spec.flavor),
-    )
+    return solve_levels(s0, traj, depth)
 
 
 def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = None) -> SeriesSolution:
@@ -109,13 +100,8 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     order_cap = order
     traj, s0 = _harmonic_run(spec, order_cap)
 
-    rhs0 = laplacian(s0) * Fraction(1, 2)
-    if spec.flavor == "lambda":
-        rhs0 = rhs0 + spec.coupling_term()
-    e0, s1 = quadrature_level(rhs0, traj, order_cap)
-
-    energies: dict[tuple[int, int], Fraction] = {}
-    book_energy(energies, e0, 1)
+    e0, s1 = quadrature_level(_transport_source(spec, [s0], 0), traj, order_cap)
+    energies = e0.shift(gp=1)
 
     p_op = (laplacian(s1) - grad_dot(s1, s1)) * Fraction(1, 2)
     if spec.flavor == "eps":
@@ -135,7 +121,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
         flat, chi_n = quadrature_level(rhs, traj, order_cap)
         e_n = -flat
         level_energies.append(e_n)
-        book_energy(energies, e_n, 1 - n)
+        energies = energies + e_n.shift(gp=1 - n)
         if n <= depth:
             chis.append(chi_n)
 
@@ -146,7 +132,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
         order=order_cap,
         depth=depth,
         terms=tuple(chis),
-        energies={k: v for k, v in energies.items() if v},
+        energies=energies,
         base=(s0, s1),
     )
 
@@ -215,7 +201,7 @@ def exp_to_poly(sol: SeriesSolution) -> SeriesSolution:
         order=sol.order,
         depth=depth,
         terms=tuple(chis),
-        energies=dict(sol.energies),
+        energies=sol.energies,
         base=(sol.terms[0], sol.terms[1]),
     )
 
@@ -235,16 +221,7 @@ class NormalForm:
     ep_max: int
     g_depth: int
     chi: GradedPoly
-    energies: dict[tuple[int, int], Fraction]
-
-
-def _regrade_energies(energies, src: str, dst: str) -> dict[tuple[int, int], Fraction]:
-    """Move each nonzero energy slot (gp, ep) into the ``dst`` grading.
-
-    Only the g power moves, by a multiple of ep, so no two slots merge.
-    """
-    shift = _G_SHIFT[src] - _G_SHIFT[dst]
-    return {(gp + shift * ep, ep): c for (gp, ep), c in energies.items() if c}
+    energies: GradedPoly
 
 
 def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolution:
@@ -270,7 +247,7 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
     if target == sol.flavor:
         return sol
 
-    energies = _regrade_energies(sol.energies, sol.flavor, target)
+    energies = sol.energies.regrade(sol.flavor, target)
     if sol.kind == "exp":
         folded = fold_levels(sol.terms, 1).regrade(sol.flavor, target)
         if any(gp > 1 for (_, gp, _, _) in folded.terms):
@@ -338,14 +315,14 @@ def canonical_window(
     chi = chi.mul(prefactor.regrade(sol.flavor, target), ep_max)
     chi = _truncate_g_depth(chi, g_depth).truncate_ep(ep_max)
 
-    energies = _regrade_energies(sol.energies, sol.flavor, target)
+    energies = sol.energies.regrade(sol.flavor, target).truncate_ep(ep_max)
     return NormalForm(
         flavor=target,
         b=sol.b,
         ep_max=ep_max,
         g_depth=g_depth,
         chi=chi,
-        energies={k: c for k, c in energies.items() if k[1] <= ep_max and k[0] >= -g_depth},
+        energies=_truncate_g_depth(energies, g_depth),
     )
 
 
@@ -355,12 +332,13 @@ def normal_form_diff(left: NormalForm, right: NormalForm) -> list[str]:
     if left.b != right.b or left.flavor != right.flavor:
         diffs.append("incompatible comparison frames")
         return diffs
-    slots = sorted(set(left.energies) | set(right.energies))
-    for slot in slots:
-        lv = left.energies.get(slot, Fraction(0))
-        rv = right.energies.get(slot, Fraction(0))
+    # energy slots are listed in (g power, parameter power) order
+    slots = set(left.energies.terms) | set(right.energies.terms)
+    for slot in sorted(slots, key=lambda k: (k[1], k[0])):
+        lv = left.energies.terms.get(slot, Fraction(0))
+        rv = right.energies.terms.get(slot, Fraction(0))
         if lv != rv:
-            diffs.append(f"energy slot g^{slot[0]} order {slot[1]}: {lv} != {rv}")
+            diffs.append(f"energy slot g^{slot[1]} order {slot[0]}: {lv} != {rv}")
     keys = sorted(set(left.chi.terms) | set(right.chi.terms))
     for key in keys:
         lv = left.chi.terms.get(key, Fraction(0))

@@ -80,6 +80,11 @@ def gaussian_exponent(b) -> GradedPoly:
     return GradedPoly({(0, 0, 2, 0): half, (0, 0, 0, 2): half * Fraction(b)})
 
 
+def zero_point_energy(b) -> GradedPoly:
+    """Energy g(1 + b)/2 of the bare harmonic ground state, as an energy series."""
+    return GradedPoly.mono((1 + Fraction(b)) / 2, gp=1)
+
+
 def standard_spec(b, flavor: str = "mu") -> PotentialSpec:
     """The x^2 y^2 cross coupling studied throughout."""
     return PotentialSpec(b=Fraction(b), coupling=GradedPoly.mono(1, i=2, j=2), flavor=flavor)

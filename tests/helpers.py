@@ -7,7 +7,7 @@ than per-b literals.
 
 from fractions import Fraction
 
-from quadosc import GradedPoly, SeriesSolution
+from quadosc import GradedPoly
 
 B_VALUES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
@@ -160,31 +160,36 @@ def eps_prefactor_levels(b) -> tuple:
 # ------------------------------------------------------------ energy slots
 
 
-def mu_energy_slots(b) -> dict:
+def energy_poly(slots: dict) -> GradedPoly:
+    """Flat energy series from {(total g power, parameter power): coef}."""
+    return GradedPoly({(ep, gp, 0, 0): c for (gp, ep), c in slots.items()})
+
+
+def mu_energy_slots(b) -> GradedPoly:
     b = F(b)
-    return {
+    return energy_poly({
         (1, 0): (1 + b) / 2,
         (0, 1): 1 / (4 * b),
         (-1, 2): -(b**2 + 4 * b + 1) / (16 * b**3 * (1 + b)),
-    }
+    })
 
 
-def eps_energy_slots(b) -> dict:
+def eps_energy_slots(b) -> GradedPoly:
     b = F(b)
-    return {
+    return energy_poly({
         (1, 0): (1 + b) / 2,
         (-2, 1): 1 / (4 * b),
         (-5, 2): -(b**2 + 4 * b + 1) / (16 * b**3 * (1 + b)),
-    }
+    })
 
 
-def lambda_energy_slots(b) -> dict:
+def lambda_energy_slots(b) -> GradedPoly:
     b = F(b)
-    return {
+    return energy_poly({
         (1, 0): (1 + b) / 2,
         (-1, 1): 1 / (4 * b),
         (-3, 2): -(b**2 + 4 * b + 1) / (16 * b**3 * (1 + b)),
-    }
+    })
 
 
 # ------------------------------------------- operator-method coefficients
@@ -274,10 +279,3 @@ def basis_second_order_amplitudes(b) -> dict:
 def origin_constant_first_order(b) -> Fraction:
     b = F(b)
     return (b**2 + b + 1) / (8 * b**2 * (1 + b))
-
-
-# ------------------------------------------------------------- conveniences
-
-
-def energy_dict(sol: SeriesSolution) -> dict:
-    return dict(sol.energies)

@@ -105,6 +105,7 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
         {"grid_n": 0},
         {"grid_n": 2},
         {"grid_n": -5},
+        {"depth": -1},
     ],
     ids=str,
 )
@@ -128,6 +129,15 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
         ["--grid-n", "1"],
         ["--grid-n", "2"],
         ["--grid-n", "-5"],
+        ["--mu-sweep=0.01,0.01"],
+        ["--mu-sweep=0.02,nan"],
+        ["--mu-sweep=0.02,inf"],
+        ["--mu-sweep=0,0.01"],
+        ["--tol", "nan"],
+        ["--tol", "0"],
+        ["--tol", "-1"],
+        ["--tol", "inf"],
+        ["--depth", "-1"],
     ],
 )
 def test_bad_coupling_flag_is_usage_error(capsys, flags):
@@ -222,11 +232,20 @@ def test_text_format(capsys, method, symbol):
     assert "p^" not in out
 
 
-def test_text_and_csv_output_match_pinned_digests(capsys):
-    """Text and CSV runs hash to the digests written before the parameter
-    flavor moved off the polynomial type; the file is never regenerated."""
-    pinned = json.loads((Path(__file__).parent / "data" / "text_csv_digests.json").read_text())
-    assert len(pinned) == 56
+@pytest.mark.parametrize(
+    "name, count",
+    [
+        pytest.param("text_csv_digests.json", 56, id="run-text-csv"),
+        pytest.param("report_digests.json", 8, id="report"),
+    ],
+)
+def test_text_and_csv_output_match_pinned_digests(capsys, name, count):
+    """Outputs hash to digests written before a refactor that had to keep
+    them: run text and CSV before the parameter flavor moved off the
+    polynomial type, report JSON and text before the energy series became a
+    polynomial.  The files are never regenerated."""
+    pinned = json.loads((Path(__file__).parent / "data" / name).read_text())
+    assert len(pinned) == count
     changed = []
     for key, digest in sorted(pinned.items()):
         assert main(key.split()) == EXIT_OK
@@ -297,17 +316,48 @@ def test_compare_against_corrupted_golden(tmp_path, capsys):
     assert "energy slot" in out
 
 
+def test_golden_energy_diffs_list_in_g_power_order(tmp_path, capsys):
+    doc = solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy")
+    for slot in doc["energies"]:
+        if (slot["gp"], slot["ep"]) in ((0, 1), (-1, 2)):
+            slot["c"] = "7"
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(doc))
+    argv = ["compare", "--methods", "hierarchy", "--golden", str(golden)]
+    assert main([*argv, "--b", "1", "--format", "text"]) == EXIT_DISAGREE
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "compare b=1 order=2 window=(2,5) reference=golden:hierarchy",
+        "hierarchy: DIFFERS",
+        "  energy slot g^-5 order 2: 7 != -3/16",
+        "  energy slot g^-2 order 1: 7 != 1/4",
+        "DISAGREE",
+    ]
+
+
 def test_compare_needs_two_runs(capsys):
     assert main(["compare", "--methods", "hierarchy"]) == EXIT_USAGE
 
 
-def test_compare_window_flag(capsys):
+def test_compare_window_flag(tmp_path, capsys):
     code, doc = run_json(
         capsys, ["compare", "--methods", "hierarchy,green,rs", "--window", "2,5"]
     )
     assert code == EXIT_OK
     assert doc["window"] == {"ep": 2, "g_depth": 5}
     assert main(["compare", "--window", "2"]) == EXIT_USAGE
+    # a window with a negative part keeps nothing, so it must not read as agreement
+    doc = solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy")
+    for slot in doc["energies"]:
+        slot["c"] = "7"
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["compare", "--methods", "hierarchy", "--golden", str(golden)]
+    for window in ("--window=2,-1", "--window=-1,5"):
+        assert main([*argv, window]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ----- verify ---------------------------------------------------------------------
@@ -372,7 +422,7 @@ def test_verify_sweep_fits_cubic_truncation(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
 
     def exact_plus_cubic(g, b, mu, grid=None, levels=1, tol=1e-10):
-        return sol.energy_value(g, mu) + 2e-3 * mu**3
+        return sol.physical_energy(g, mu) + 2e-3 * mu**3
 
     monkeypatch.setattr(
         "quadosc.cli.extrapolated_ground_energy", exact_plus_cubic
@@ -390,7 +440,7 @@ def test_verify_sweep_rejects_low_order(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
 
     def exact_plus_linear(g, b, mu, grid=None, levels=1, tol=1e-10):
-        return sol.energy_value(g, mu) + 1e-6 * mu
+        return sol.physical_energy(g, mu) + 1e-6 * mu
 
     monkeypatch.setattr(
         "quadosc.cli.extrapolated_ground_energy", exact_plus_linear
@@ -416,7 +466,7 @@ def test_verify_text_format(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
     monkeypatch.setattr(
         "quadosc.cli.extrapolated_ground_energy",
-        lambda g, b, mu, grid=None, levels=1, tol=1e-10: sol.energy_value(g, mu),
+        lambda g, b, mu, grid=None, levels=1, tol=1e-10: sol.physical_energy(g, mu),
     )
     code = main(["verify", "--method", "hierarchy", "--format", "text"])
     out = capsys.readouterr().out
@@ -446,7 +496,7 @@ def test_report_with_numeric_block(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
     monkeypatch.setattr(
         "quadosc.cli.extrapolated_ground_energy",
-        lambda g, b, mu, grid=None, levels=1, tol=1e-10: sol.energy_value(g, mu),
+        lambda g, b, mu, grid=None, levels=1, tol=1e-10: sol.physical_energy(g, mu),
     )
     code, doc = run_json(
         capsys,

@@ -94,7 +94,7 @@ def test_energy_equals_origin_value_of_source(b, solution):
             (ep, gp): c for (ep, gp, i, j), c in rhs.constant_part().terms.items()
         }
         expected = {
-            (ep, 0): c for (gp, ep), c in solution.energies.items() if gp == 1 - n
+            (ep, 0): c for (ep, gp, _, _), c in solution.energies.terms.items() if gp == 1 - n
         }
         assert origin == expected
 
@@ -105,9 +105,7 @@ def test_assembled_exponent_folds_levels(b, solution):
     for n, level in enumerate(solution.terms):
         rebuilt = rebuilt - level.shift(gp=1 - n)
     assert exponent == rebuilt
-    assert energy.terms == {
-        (ep, gp, 0, 0): c for (gp, ep), c in solution.energies.items()
-    }
+    assert energy == solution.energies == mu_energy_slots(b)
 
 
 def test_assembly_rejects_prefactor_solutions(solution):
@@ -116,25 +114,26 @@ def test_assembly_rejects_prefactor_solutions(solution):
         assemble_wavefunction(fake)
 
 
-def test_energy_value_exact_sample():
+def test_physical_energy_exact_sample():
     sol = solve_hierarchy(standard_spec(Fraction(1)), order=2, depth=1)
     g, mu = Fraction(10), Fraction(1, 10)
-    exact = sum(c * g**gp * mu**ep for (gp, ep), c in sol.energies.items())
+    exact = sum(c * g**gp * mu**ep for (ep, gp, _, _), c in sol.energies.terms.items())
     assert exact == Fraction(160397, 16000)
-    assert sol.energy_value(10.0, 0.1) == pytest.approx(float(exact), rel=1e-14)
+    assert sol.physical_energy(10.0, 0.1) == pytest.approx(float(exact), rel=1e-14)
 
 
-def _check_swap_symmetry(b: Fraction) -> None:
-    direct = solve_hierarchy(standard_spec(b), order=2, depth=1).energies
-    swapped = solve_hierarchy(standard_spec(1 / b), order=2, depth=1).energies
+def _check_swap_symmetry(b: Fraction, order: int) -> None:
+    direct = solve_hierarchy(standard_spec(b), order, order - 1).energies.terms
+    swapped = solve_hierarchy(standard_spec(1 / b), order, order - 1).energies.terms
     assert direct.keys() == swapped.keys()
-    for (gp, ep), c in direct.items():
-        assert c == swapped[(gp, ep)] * b ** (gp - 2 * ep)
+    for (ep, gp, i, j), c in direct.items():
+        assert c == swapped[(ep, gp, i, j)] * b ** (gp - 2 * ep)
 
 
 def test_energy_swap_symmetry(b):
     # E(g, b, mu) == E(g*b, 1/b, mu/b**2) slot by slot.
-    _check_swap_symmetry(b)
+    for order in (2, 4):
+        _check_swap_symmetry(b, order)
 
 
 @settings(deadline=None, max_examples=8)
@@ -144,4 +143,5 @@ def test_energy_swap_symmetry(b):
     ).filter(lambda q: q > 0)
 )
 def test_energy_swap_symmetry_random_ratio(ratio):
-    _check_swap_symmetry(ratio)
+    for order in (2, 4):
+        _check_swap_symmetry(ratio, order)

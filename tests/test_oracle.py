@@ -33,6 +33,7 @@ from helpers import (
     B_VALUES,
     basis_first_order_table,
     basis_second_order_amplitudes,
+    energy_poly,
     eps_energy_slots,
     origin_constant_first_order,
     shift_first_order,
@@ -92,10 +93,10 @@ def test_square_matrix_element_guards():
 
 
 def test_perturbative_energy_shifts(b):
-    assert rs_run(b).energies == {
+    assert rs_run(b).energies == energy_poly({
         (-2, 1): shift_first_order(b),
         (-5, 2): shift_second_order(b),
-    }
+    })
 
 
 def test_first_order_basis_table(b):
@@ -161,10 +162,10 @@ def test_perturbative_prefactor_matches_methods(b):
     st.fractions(min_value=Fraction(1, 6), max_value=Fraction(6), max_denominator=6)
 )
 def test_perturbative_shifts_random_ratio(ratio):
-    assert rs_corrections(ratio).energies == {
+    assert rs_corrections(ratio).energies == energy_poly({
         (-2, 1): shift_first_order(ratio),
         (-5, 2): shift_second_order(ratio),
-    }
+    })
 
 
 # ----- finite-difference oracle ------------------------------------------------
@@ -239,9 +240,7 @@ def test_compare_agreement_and_names():
     assert report.numeric is None
 
 
-@pytest.mark.parametrize("order", [3, 4])
-def test_all_methods_agree_past_second_order(order):
-    b = Fraction(5, 3)
+def _check_all_methods_agree(b: Fraction, order: int) -> None:
     window = (order, 3 * order + 2)
     report = compare_methods(
         [build_solution(m, b, order) for m in METHODS], names=METHODS, window=window
@@ -250,13 +249,23 @@ def test_all_methods_agree_past_second_order(order):
     assert report.agree
 
 
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_all_methods_agree_past_second_order(order):
+    _check_all_methods_agree(Fraction(5, 3), order)
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_all_methods_agree_past_second_order_random_ratio(p, q):
+    _check_all_methods_agree(Fraction(p, q), 3)
+
+
 def test_compare_reports_disagreements():
     import dataclasses
 
     b = Fraction(1)
     good = solve_hierarchy(standard_spec(b), 2, 1)
-    bad_energies = dict(good.energies)
-    bad_energies[(-1, 2)] += Fraction(1, 3)
+    bad_energies = good.energies + GradedPoly.mono(Fraction(1, 3), gp=-1, ep=2)
     bad = dataclasses.replace(good, energies=bad_energies)
     report = compare_methods([good, bad])
     assert not report.agree
@@ -284,6 +293,6 @@ def test_compare_numeric_block():
         "rel_gap",
     }
     assert report.numeric["series_energy"] == pytest.approx(
-        sol.energy_value(10.0, 0.05)
+        sol.physical_energy(10.0, 0.05)
     )
     assert report.numeric["rel_gap"] < 1e-3

@@ -226,7 +226,7 @@ def test_canonical_window_bounds(b):
     for (ep, gp, _, _) in form.chi.terms:
         assert 0 <= ep <= 2
         assert -5 <= gp <= 0
-    for (gp, ep) in form.energies:
+    for (ep, gp, _, _) in form.energies.terms:
         assert ep <= 2
         assert gp >= -5
 
@@ -238,8 +238,7 @@ def test_canonical_window_survives_regrading(b):
 
 def test_normal_form_diff_reports_slots():
     form = canonical_window(mu_run(Fraction(1)))
-    bad_energy = dict(form.energies)
-    bad_energy[(-5, 2)] = Fraction(99, 7)
+    bad_energy = GradedPoly({**form.energies.terms, (2, -5, 0, 0): Fraction(99, 7)})
     tweaked = dataclasses.replace(form, energies=bad_energy)
     messages = normal_form_diff(form, tweaked)
     assert any("energy slot" in m for m in messages)

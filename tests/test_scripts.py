@@ -1,0 +1,37 @@
+"""Smoke tests for the two sweep scripts, run in-process through ``main``."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_agreement_sweep_runs(capsys):
+    script = load_script("agreement_sweep")
+    assert script.main(["--ratios", "1/2,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "reference: hierarchy   order: 2"
+    assert lines[1].split() == ["b", "agree", "seconds"]
+    assert [line.split()[:2] for line in lines[2:4]] == [["1/2", "True"], ["2", "True"]]
+    assert lines[-1] == "ALL AGREE"
+
+
+def test_grid_convergence_runs(capsys):
+    script = load_script("grid_convergence")
+    assert script.main(["--mus", "0.02", "--levels", "1", "--grids", "21,43"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# series vs grid: method=hierarchy b=1 g=10"
+    assert lines[1] == "mu,series_energy,grid_energy,residual"
+    assert lines[2].startswith("0.02,")
+    assert lines[3] == "# zero-coupling refinement ladder (exact energy 10)"
+    assert lines[4] == "points_per_axis,energy,error,shrink_factor"
+    assert [line.split(",")[0] for line in lines[5:]] == ["21", "43"]
