@@ -16,7 +16,10 @@ both the trajectory quadrature and the operator inversion of `greens` use it.
 
 Values are immutable by convention; every operation returns a new value.
 Zero coefficients are never stored, so dict equality is mathematical
-equality.
+equality.  The public constructor checks and re-wraps every coefficient;
+the operations below build dicts that are already clean (nonzero Fraction
+values under keys with non-negative exponents) and hand them to
+`GradedPoly._clean`, which stores the dict as is.
 """
 
 from __future__ import annotations
@@ -56,6 +59,13 @@ class GradedPoly:
                     clean[(ep, gp, i, j)] = coef
         self.terms = clean
 
+    @classmethod
+    def _clean(cls, terms: dict) -> "GradedPoly":
+        """Wrap a dict that is already clean, without copying or checking it."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
     # ---------------------------------------------------------------- build
 
     @classmethod
@@ -88,14 +98,13 @@ class GradedPoly:
     def __add__(self, other) -> "GradedPoly":
         other = self._coerce(other)
         out = dict(self.terms)
-        for key, coef in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coef
-        return GradedPoly(out)
+        _accumulate(out, other.terms.items())
+        return GradedPoly._clean(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly({k: -c for k, c in self.terms.items()})
+        return GradedPoly._clean({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "GradedPoly":
         return self + (-self._coerce(other))
@@ -106,20 +115,24 @@ class GradedPoly:
     def mul(self, other: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
         """Product, optionally truncated above ``max_ep`` in the parameter."""
         out: dict[tuple[int, int, int, int], Fraction] = {}
+        get = out.get
         for (ea, ga, ia, ja), ca in self.terms.items():
             for (eb, gb, ib, jb), cb in other.terms.items():
                 ep = ea + eb
                 if max_ep is not None and ep > max_ep:
                     continue
                 key = (ep, ga + gb, ia + ib, ja + jb)
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return GradedPoly(out)
+                prev = get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
+        return GradedPoly._clean({k: c for k, c in out.items() if c})
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, GradedPoly):
             return self.mul(other)
         coef = Fraction(other)
-        return GradedPoly({k: c * coef for k, c in self.terms.items()})
+        if not coef:
+            return GradedPoly()
+        return GradedPoly._clean({k: c * coef for k, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -151,7 +164,7 @@ class GradedPoly:
                 out[(ep, gp, i - 1, j)] = c * i
             elif var == "y" and j > 0:
                 out[(ep, gp, i, j - 1)] = c * j
-        return GradedPoly(out)
+        return GradedPoly._clean(out)
 
     # ----------------------------------------------------------- structure
 
@@ -159,7 +172,7 @@ class GradedPoly:
         """Multiply by param^ep * g^gp (pure grading shift)."""
         if ep == 0 and gp == 0:
             return self
-        return GradedPoly(
+        return GradedPoly._clean(
             {(e + ep, g + gp, i, j): c for (e, g, i, j), c in self.terms.items()}
         )
 
@@ -169,18 +182,22 @@ class GradedPoly:
         Uses eps = g^2 mu and lambda = g mu, so only the g power moves.
         """
         shift = _G_SHIFT[src] - _G_SHIFT[dst]
-        return GradedPoly(
+        return GradedPoly._clean(
             {(ep, gp + shift * ep, i, j): c for (ep, gp, i, j), c in self.terms.items()}
         )
 
     def truncate_ep(self, max_ep: int) -> "GradedPoly":
-        return GradedPoly({k: c for k, c in self.terms.items() if k[0] <= max_ep})
+        return GradedPoly._clean({k: c for k, c in self.terms.items() if k[0] <= max_ep})
 
     def constant_part(self) -> "GradedPoly":
-        return GradedPoly({k: c for k, c in self.terms.items() if k[2] == 0 and k[3] == 0})
+        return GradedPoly._clean(
+            {k: c for k, c in self.terms.items() if k[2] == 0 and k[3] == 0}
+        )
 
     def drop_constant(self) -> "GradedPoly":
-        return GradedPoly({k: c for k, c in self.terms.items() if k[2] != 0 or k[3] != 0})
+        return GradedPoly._clean(
+            {k: c for k, c in self.terms.items() if k[2] != 0 or k[3] != 0}
+        )
 
     def coefficient(self, i: int, j: int, gp: int | None = None, ep: int | None = None):
         """Collect terms at monomial (i, j), optionally pinned to one grade."""
@@ -196,20 +213,35 @@ class GradedPoly:
     def degree(self) -> int:
         return max((k[2] + k[3] for k in self.terms), default=0)
 
-    def subs(self, px: "GradedPoly", py: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
-        """Substitute polynomials for x and y, keeping the grading factors."""
-        max_i = max((k[2] for k in self.terms), default=0)
-        max_j = max((k[3] for k in self.terms), default=0)
-        xs = _poly_powers(px, max_i, max_ep)
-        ys = _poly_powers(py, max_j, max_ep)
-        out = GradedPoly.zero()
+    def subs(
+        self,
+        px: "GradedPoly",
+        py: "GradedPoly",
+        max_ep: int | None = None,
+        powers: tuple[list, list] | None = None,
+    ) -> "GradedPoly":
+        """Substitute polynomials for x and y, keeping the grading factors.
+
+        ``powers`` optionally supplies the power lists of ``px`` and ``py``
+        truncated above ``max_ep`` (see `extend_powers`), so callers that
+        substitute the same pair many times build each power once.
+        """
+        xs, ys = powers if powers is not None else ([], [])
+        extend_powers(xs, px, max((k[2] for k in self.terms), default=0), max_ep)
+        extend_powers(ys, py, max((k[3] for k in self.terms), default=0), max_ep)
+        prods: dict[tuple, dict] = {}  # x^i y^j truncated above cut, by (i, j, cut)
+        out: dict[tuple[int, int, int, int], Fraction] = {}
         for (ep, gp, i, j), c in self.terms.items():
-            if max_ep is not None and ep > max_ep:
-                continue
             cut = None if max_ep is None else max_ep - ep
-            prod = xs[i].mul(ys[j], max_ep=cut)
-            out = out + prod.shift(ep=ep, gp=gp) * c
-        return out
+            if cut is not None and cut < 0:
+                continue
+            prod = prods.get((i, j, cut))
+            if prod is None:
+                prod = prods[(i, j, cut)] = xs[i].mul(ys[j], max_ep=cut).terms
+            _accumulate(
+                out, (((e + ep, g + gp, a, b), v * c) for (e, g, a, b), v in prod.items())
+            )
+        return GradedPoly._clean(out)
 
     def evaluate(self, g: float, param_value: float, x: float = 0.0, y: float = 0.0) -> float:
         total = 0.0
@@ -250,16 +282,38 @@ def laplacian(p: GradedPoly) -> GradedPoly:
     return p.diff("x").diff("x") + p.diff("y").diff("y")
 
 
-def grad_dot(p: GradedPoly, q: GradedPoly) -> GradedPoly:
-    """Dot product of the two gradients."""
-    return p.diff("x").mul(q.diff("x")) + p.diff("y").mul(q.diff("y"))
+def grad_dot(p: GradedPoly, q: GradedPoly, max_ep: int | None = None) -> GradedPoly:
+    """Dot product of the two gradients, optionally truncated above ``max_ep``."""
+    return p.diff("x").mul(q.diff("x"), max_ep) + p.diff("y").mul(q.diff("y"), max_ep)
 
 
-def _poly_powers(p: GradedPoly, n: int, max_ep: int | None):
-    out = [GradedPoly.const(1)]
-    for _ in range(n):
-        out.append(out[-1].mul(p, max_ep=max_ep))
-    return out
+def _accumulate(out: dict, items) -> None:
+    """Add (key, nonzero Fraction) pairs with distinct keys into ``out``.
+
+    A key whose sum cancels is removed at once, so a later term that brings
+    it back appends it, just as summing one polynomial at a time would; the
+    key order, and with it every float sum over the terms, stays the same.
+    """
+    get = out.get
+    for key, coef in items:
+        prev = get(key)
+        if prev is None:
+            out[key] = coef
+        else:
+            coef = prev + coef
+            if coef:
+                out[key] = coef
+            else:
+                del out[key]
+
+
+def extend_powers(powers: list, p: GradedPoly, n: int, max_ep: int | None) -> list:
+    """Grow ``powers`` in place to p^0 .. p^n, each truncated above ``max_ep``."""
+    if not powers:
+        powers.append(GradedPoly.const(1))
+    while len(powers) <= n:
+        powers.append(powers[-1].mul(p, max_ep=max_ep))
+    return powers
 
 
 def flow_derivative(p: GradedPoly, b) -> GradedPoly:
@@ -269,9 +323,12 @@ def flow_derivative(p: GradedPoly, b) -> GradedPoly:
     the trajectory amplitudes X = cx e^t, Y = cy e^(bt), this is d/dt.
     """
     b = Fraction(b)
-    return GradedPoly(
-        {(ep, gp, i, j): c * (i + j * b) for (ep, gp, i, j), c in p.terms.items()}
-    )
+    out = {}
+    for (ep, gp, i, j), c in p.terms.items():
+        rate = i + j * b
+        if rate:
+            out[(ep, gp, i, j)] = c * rate
+    return GradedPoly._clean(out)
 
 
 def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
@@ -288,14 +345,14 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
         if i == 0 and j == 0:
             raise SingularInverse("flat term has flow eigenvalue zero")
         out[(ep, gp, i, j)] = c / (i + j * b)
-    return GradedPoly(out)
+    return GradedPoly._clean(out)
 
 
 def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory", order: int) -> GradedPoly:
     """Substitute the trajectory for (x, y), truncating above ``order`` in
     the perturbation parameter.  The result is a polynomial in the
     trajectory amplitudes X and Y."""
-    return p.subs(traj.x, traj.y, max_ep=order)
+    return p.subs(traj.x, traj.y, max_ep=order, powers=traj.powers("flow", order))
 
 
 def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = None) -> GradedPoly:
@@ -309,4 +366,4 @@ def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = 
         raise ValueError("trajectory endpoint constants not solved")
     if order is None:
         order = traj.order
-    return p.subs(traj.cx, traj.cy, max_ep=order)
+    return p.subs(traj.cx, traj.cy, max_ep=order, powers=traj.powers("endpoint", order))

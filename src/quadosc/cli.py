@@ -265,6 +265,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    min_order = getattr(args, "min_order", None)
+    if min_order is not None and not math.isfinite(min_order):
+        raise ValueError("min-order must be finite")
     return cfg
 
 

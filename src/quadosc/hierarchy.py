@@ -79,7 +79,9 @@ def fold_levels(levels, top_gp: int) -> GradedPoly:
 
 def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
     """Pull out one g slice, dropping the grade it implicitly carries."""
-    return GradedPoly({(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp})
+    return GradedPoly._clean(
+        {(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp}
+    )
 
 
 def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[GradedPoly, GradedPoly]:
@@ -103,7 +105,7 @@ def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution
     terms = [s0]
     energies = GradedPoly.zero()
     for n in range(depth + 2):
-        rhs = _transport_source(traj.spec, terms, n).truncate_ep(traj.order)
+        rhs = _transport_source(traj.spec, terms, n, traj.order)
         energy, s_next = quadrature_level(rhs, traj, traj.order)
         energies = energies + energy.shift(gp=1 - n)
         if n <= depth:
@@ -119,8 +121,9 @@ def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution
     )
 
 
-def _transport_source(spec: PotentialSpec, terms, n: int) -> GradedPoly:
-    """Level-n right side built from the known levels, before E_n.
+def _transport_source(spec: PotentialSpec, terms, n: int, max_ep: int) -> GradedPoly:
+    """Level-n right side built from the known levels, before E_n, truncated
+    above parameter order ``max_ep``.
 
     The coupling insertion of a deferred flavor is added at its level.
     """
@@ -128,10 +131,10 @@ def _transport_source(spec: PotentialSpec, terms, n: int) -> GradedPoly:
     for i in range(1, n + 1):
         j = n + 1 - i
         if 1 <= j < len(terms) and i < len(terms):
-            rhs = rhs - grad_dot(terms[i], terms[j]) * Fraction(1, 2)
+            rhs = rhs - grad_dot(terms[i], terms[j], max_ep) * Fraction(1, 2)
     if n == insertion_level_for(spec.flavor):
         rhs = rhs + spec.coupling_term()
-    return rhs
+    return rhs.truncate_ep(max_ep)
 
 
 def solve_hierarchy(spec: PotentialSpec, order: int = 2, depth: int = 1) -> SeriesSolution:
@@ -174,7 +177,7 @@ def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly
         raise ValueError("pde_residual applies to exponent solutions")
     if not 0 <= n < len(sol.terms) - 1:
         raise ValueError("level outside the solved range")
-    rhs = _transport_source(spec, sol.terms, n)
+    rhs = _transport_source(spec, sol.terms, n, sol.order)
     lhs = grad_dot(sol.terms[0], sol.terms[n + 1])
     return (lhs - rhs + slice_level(sol.energies, 1 - n)).truncate_ep(sol.order)
 

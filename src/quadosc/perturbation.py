@@ -100,7 +100,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     order_cap = order
     traj, s0 = _harmonic_run(spec, order_cap)
 
-    e0, s1 = quadrature_level(_transport_source(spec, [s0], 0), traj, order_cap)
+    e0, s1 = quadrature_level(_transport_source(spec, [s0], 0, order_cap), traj, order_cap)
     energies = e0.shift(gp=1)
 
     p_op = (laplacian(s1) - grad_dot(s1, s1)) * Fraction(1, 2)
@@ -113,7 +113,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     for n in range(1, depth + 2):
         prev = chis[n - 1]
         rhs = laplacian(prev) * Fraction(1, 2)
-        rhs = rhs - grad_dot(s1, prev)
+        rhs = rhs - grad_dot(s1, prev, order_cap)
         rhs = rhs - p_op.mul(prev, order_cap)
         for j in range(1, n):
             rhs = rhs + level_energies[j - 1].mul(chis[n - j], order_cap)
@@ -138,7 +138,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
 
 
 def _truncate_g_depth(p: GradedPoly, g_depth: int) -> GradedPoly:
-    return GradedPoly({k: c for k, c in p.terms.items() if k[1] >= -g_depth})
+    return GradedPoly._clean({k: c for k, c in p.terms.items() if k[1] >= -g_depth})
 
 
 def _power_series(q: GradedPoly, coef, order: int, g_depth: int | None = None) -> GradedPoly:
@@ -264,7 +264,7 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
         exponent = fold_levels(sol.base, 1).regrade(sol.flavor, target)
         if any(gp > 1 for (_, gp, _, _) in exponent.terms):
             raise ValueError("terms would land above the leading level")
-        deep = GradedPoly({k: c for k, c in exponent.terms.items() if k[1] < 0})
+        deep = GradedPoly._clean({k: c for k, c in exponent.terms.items() if k[1] < 0})
         pf = fold_levels(sol.terms, 0).regrade(sol.flavor, target)
         if any(gp > 0 for (_, gp, _, _) in pf.terms):
             raise ValueError("prefactor terms would land above depth zero")

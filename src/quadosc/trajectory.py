@@ -20,7 +20,7 @@ exactly.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -99,6 +99,10 @@ class Trajectory:
     harmonic flow is x = X, y = Y.  ``cx`` and ``cy``, when present, express
     the amplitudes at t = T as polynomial series in the endpoint
     coordinates; they are what `evaluate_at_endpoint` substitutes.
+
+    The powers of (x, y) and of (cx, cy) that substitution needs are built
+    once per trajectory and kept with it (``powers``); they take no part in
+    comparison and are not copied by `dataclasses.replace`.
     """
 
     spec: PotentialSpec
@@ -107,10 +111,16 @@ class Trajectory:
     y: GradedPoly
     cx: GradedPoly | None = None
     cy: GradedPoly | None = None
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def b(self) -> Fraction:
         return self.spec.b
+
+    def powers(self, pair: str, max_ep: int) -> tuple[list, list]:
+        """Power lists of the "flow" pair (x, y) or the "endpoint" pair
+        (cx, cy), truncated above ``max_ep``; `GradedPoly.subs` grows them."""
+        return self._powers.setdefault((pair, max_ep), ([], []))
 
 
 def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:
@@ -150,7 +160,7 @@ def _particular(source: GradedPoly, ep: int, freq: Fraction, b: Fraction) -> Gra
                 f"exponent {p}+{q}b resonates with frequency {freq}"
             )
         out[(e, gp, p, q)] = c / denom
-    return GradedPoly(out)
+    return GradedPoly._clean(out)
 
 
 def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
@@ -158,18 +168,23 @@ def invert_endpoint_constants(traj: Trajectory) -> Trajectory:
 
     Writing X = cx e^T and Y = cy e^(bT), the endpoint conditions read
     x_T = X + Gx(X, Y) and y_T = Y + Gy(X, Y) with G collecting the
-    correction terms; the fixed point X = x_T - Gx(X, Y) converges in one
-    pass per coupling order because G starts at first order.
+    correction terms.  The fixed point X = x_T - Gx(X, Y) is solved one
+    order at a time, as in Lagrange inversion: G starts at first order, so
+    its order-n part needs X and Y only through order n - 1.  Pass n
+    substitutes G / param through order n - 1 and multiplies the parameter
+    back in, which fixes exactly the order-n slice; the slices below it are
+    already final.  After ``traj.order`` passes the result is the unique
+    fixed point truncated above ``traj.order``.
     """
     var_x = GradedPoly.variable("x")
     var_y = GradedPoly.variable("y")
-    gx = traj.x - var_x
-    gy = traj.y - var_y
+    gx = (traj.x - var_x).shift(ep=-1)
+    gy = (traj.y - var_y).shift(ep=-1)
     cx, cy = var_x, var_y
-    for _ in range(traj.order):
+    for n in range(1, traj.order + 1):
         cx, cy = (
-            var_x - gx.subs(cx, cy, max_ep=traj.order),
-            var_y - gy.subs(cx, cy, max_ep=traj.order),
+            var_x - gx.subs(cx, cy, max_ep=n - 1).shift(ep=1),
+            var_y - gy.subs(cx, cy, max_ep=n - 1).shift(ep=1),
         )
     return dataclasses.replace(traj, cx=cx, cy=cy)
 

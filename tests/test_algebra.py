@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadosc import GradedPoly, SingularInverse, grad_dot, laplacian
-from quadosc.algebra import flow_derivative, integrate_to_T
+from quadosc.algebra import extend_powers, flow_derivative, integrate_to_T
 from quadosc.perturbation import _exp_series, _series_inverse, _series_log
 
 coeffs = st.fractions(
@@ -237,3 +237,81 @@ def test_integrate_to_T_inverts_the_flow_derivative(p, b):
     p = p.drop_constant()
     assert integrate_to_T(flow_derivative(p, b), b) == p
     assert flow_derivative(integrate_to_T(p, b), b) == p
+
+
+# ------------------------------------------------------- stored-term invariant
+
+# few coefficient values and low degrees, so sums and products often cancel
+unit_coeffs = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1)])
+small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(-1, 1), st.integers(0, 2), st.integers(0, 2)),
+    unit_coeffs,
+    max_size=3,
+).map(GradedPoly)
+
+
+def assert_clean(p: GradedPoly):
+    """Only nonzero Fractions, under keys with non-negative x and y exponents."""
+    for key, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(key) == 4 and all(type(k) is int for k in key)
+        assert key[2] >= 0 and key[3] >= 0
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys, small_polys, st.integers(0, 3), ratios)
+def test_operations_store_clean_terms(p, q, r, cap, b):
+    results = [
+        p + q,
+        p - q,
+        p + (-p),
+        p - p,
+        (p + q) - q,
+        p.mul(q, cap),
+        p.mul(q) - q.mul(p),
+        p.mul(q + r, cap) - p.mul(r, cap),
+        p.subs(q, r, cap),
+        p.subs(q, r, cap) - p.subs(q, r, cap),
+        p.shift(ep=1, gp=-2),
+        p.regrade("mu", "eps"),
+        integrate_to_T(p.drop_constant(), b),
+        flow_derivative(p, b),
+        p * 0,
+        p * Fraction(-3, 2),
+    ]
+    for out in results:
+        assert_clean(out)
+    assert not p + (-p) and not p.mul(q) - q.mul(p)
+
+
+def naive_subs(p: GradedPoly, px: GradedPoly, py: GradedPoly, cap: int) -> GradedPoly:
+    """Sum of c * param^ep * g^gp * px^i * py^j by repeated multiplication."""
+    out = GradedPoly.zero()
+    for (ep, gp, i, j), c in p.terms.items():
+        prod = GradedPoly.const(1)
+        for _ in range(i):
+            prod = prod.mul(px)
+        for _ in range(j):
+            prod = prod.mul(py)
+        out = out + prod.shift(ep=ep, gp=gp) * c
+    return out.truncate_ep(cap)
+
+
+# monomials repeated at several parameter orders, each cut at its own order
+stacked_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.just(0), st.integers(0, 1), st.integers(0, 2)),
+    unit_coeffs,
+    max_size=4,
+).map(GradedPoly)
+
+
+@settings(deadline=None)
+@given(stacked_polys, small_polys, small_polys, small_polys, st.integers(0, 3))
+def test_substitution_matches_repeated_multiplication(p, p2, px, py, cap):
+    want = naive_subs(p, px, py, cap)
+    assert p.subs(px, py, cap) == want
+    # power lists shared between calls, as a trajectory keeps them
+    powers = ([], [])
+    assert p2.subs(px, py, cap, powers) == p2.subs(px, py, cap)
+    assert p.subs(px, py, cap, powers) == want
+    assert powers[0] == extend_powers([], px, len(powers[0]) - 1, cap)

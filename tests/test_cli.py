@@ -138,6 +138,8 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
         ["--tol", "-1"],
         ["--tol", "inf"],
         ["--depth", "-1"],
+        ["--min-order", "nan"],
+        ["--min-order", "inf"],
     ],
 )
 def test_bad_coupling_flag_is_usage_error(capsys, flags):
@@ -237,13 +239,15 @@ def test_text_format(capsys, method, symbol):
     [
         pytest.param("text_csv_digests.json", 56, id="run-text-csv"),
         pytest.param("report_digests.json", 8, id="report"),
+        pytest.param("high_order_digests.json", 28, id="run-json-high-order"),
     ],
 )
 def test_text_and_csv_output_match_pinned_digests(capsys, name, count):
     """Outputs hash to digests written before a refactor that had to keep
     them: run text and CSV before the parameter flavor moved off the
     polynomial type, report JSON and text before the energy series became a
-    polynomial.  The files are never regenerated."""
+    polynomial, run JSON at orders 6 and 8 before the exact kernels were
+    reworked.  The files are never regenerated."""
     pinned = json.loads((Path(__file__).parent / "data" / name).read_text())
     assert len(pinned) == count
     changed = []
@@ -251,6 +255,22 @@ def test_text_and_csv_output_match_pinned_digests(capsys, name, count):
         assert main(key.split()) == EXIT_OK
         out = capsys.readouterr().out
         if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(key)
+    assert changed == []
+
+
+def test_energy_floats_match_pinned_hex():
+    """``verify`` prints the series energy with repr, and the energy sum runs
+    in term order, so the kernels must keep that order bit for bit.  Keys are
+    "method b order g mu"; written before the exact kernels were reworked
+    and never regenerated."""
+    pinned = json.loads((Path(__file__).parent / "data" / "energy_float_hex.json").read_text())
+    assert len(pinned) == 84
+    changed = []
+    for key, want in sorted(pinned.items()):
+        method, b, order, g, mu = key.split()
+        sol = build_solution(method, Fraction(b), int(order))
+        if sol.physical_energy(float(g), float(mu)).hex() != want:
             changed.append(key)
     assert changed == []
 

@@ -16,7 +16,7 @@ from quadosc import (
     solve_classical_trajectory,
     standard_spec,
 )
-from quadosc.algebra import evaluate_at_endpoint
+from quadosc.algebra import evaluate_at_endpoint, restrict_to_trajectory
 from quadosc.errors import ResonantDenominator
 
 from helpers import B_VALUES, F, classical_exponent
@@ -94,12 +94,40 @@ def test_endpoint_inversion_closed_form(b):
     }
 
 
-@pytest.mark.parametrize("b", B_VALUES)
-def test_endpoint_inversion_roundtrip(b):
+def _check_endpoint_roundtrip(b, order):
     """Substituting the solved amplitudes back gives the endpoint coordinate."""
-    traj = invert_endpoint_constants(solve_classical_trajectory(standard_spec(b), 2))
+    traj = invert_endpoint_constants(solve_classical_trajectory(standard_spec(b), order))
     assert evaluate_at_endpoint(traj.x, traj) == GradedPoly.variable("x")
     assert evaluate_at_endpoint(traj.y, traj) == GradedPoly.variable("y")
+    # the power tables filled above take no part in comparison
+    assert traj == invert_endpoint_constants(solve_classical_trajectory(standard_spec(b), order))
+
+
+@pytest.mark.parametrize("b", B_VALUES)
+def test_endpoint_inversion_roundtrip(b):
+    _check_endpoint_roundtrip(b, 2)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_endpoint_inversion_roundtrip_high_order(order):
+    """Order-by-order inversion still gives the full truncated inverse."""
+    _check_endpoint_roundtrip(Fraction(5, 3), order)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(1, 9), st.integers(1, 9))
+def test_endpoint_inversion_roundtrip_random_ratio(p, q):
+    _check_endpoint_roundtrip(Fraction(p, q), 4)
+
+
+def test_power_tables_follow_the_truncation_order():
+    """A trajectory keeps one power table per truncation order."""
+    spec = standard_spec(Fraction(5, 3))
+    traj = invert_endpoint_constants(solve_classical_trajectory(spec, 3))
+    p = spec.potential()
+    for k in (3, 4, 2, 3):
+        assert restrict_to_trajectory(p, traj, k) == p.subs(traj.x, traj.y, max_ep=k)
+        assert evaluate_at_endpoint(p, traj, k) == p.subs(traj.cx, traj.cy, max_ep=k)
 
 
 @pytest.mark.parametrize("b", B_VALUES)
