@@ -218,28 +218,26 @@ class GradedPoly:
         px: "GradedPoly",
         py: "GradedPoly",
         max_ep: int | None = None,
-        powers: tuple[list, list] | None = None,
+        *,
+        _powers: tuple[list, list] | None = None,
     ) -> "GradedPoly":
         """Substitute polynomials for x and y, keeping the grading factors.
 
-        ``powers`` optionally supplies the power lists of ``px`` and ``py``
-        truncated above ``max_ep`` (see `extend_powers`), so callers that
-        substitute the same pair many times build each power once.
+        ``_powers`` is private to `_substitute`, which passes the power
+        lists a trajectory keeps for exactly this pair and ``max_ep``.
         """
-        xs, ys = powers if powers is not None else ([], [])
+        xs, ys = _powers if _powers is not None else ([], [])
         extend_powers(xs, px, max((k[2] for k in self.terms), default=0), max_ep)
         extend_powers(ys, py, max((k[3] for k in self.terms), default=0), max_ep)
-        prods: dict[tuple, dict] = {}  # x^i y^j truncated above cut, by (i, j, cut)
         out: dict[tuple[int, int, int, int], Fraction] = {}
         for (ep, gp, i, j), c in self.terms.items():
             cut = None if max_ep is None else max_ep - ep
             if cut is not None and cut < 0:
                 continue
-            prod = prods.get((i, j, cut))
-            if prod is None:
-                prod = prods[(i, j, cut)] = xs[i].mul(ys[j], max_ep=cut).terms
+            prod = xs[i].mul(ys[j], max_ep=cut)
             _accumulate(
-                out, (((e + ep, g + gp, a, b), v * c) for (e, g, a, b), v in prod.items())
+                out,
+                (((e + ep, g + gp, a, b), v * c) for (e, g, a, b), v in prod.terms.items()),
             )
         return GradedPoly._clean(out)
 
@@ -348,11 +346,24 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
     return GradedPoly._clean(out)
 
 
+def _substitute(p: GradedPoly, traj: "Trajectory", pair: str, order: int) -> GradedPoly:
+    """Substitute the trajectory's "flow" pair (x, y) or "endpoint" pair
+    (cx, cy) into ``p``, truncating above ``order``.
+
+    The powers of the pair are kept on the trajectory, one table per pair
+    and order, and grown by `GradedPoly.subs`; choosing the pair and its
+    table here keeps the two from disagreeing.
+    """
+    px, py = (traj.x, traj.y) if pair == "flow" else (traj.cx, traj.cy)
+    table = traj._powers.setdefault((pair, order), ([], []))
+    return p.subs(px, py, max_ep=order, _powers=table)
+
+
 def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory", order: int) -> GradedPoly:
     """Substitute the trajectory for (x, y), truncating above ``order`` in
     the perturbation parameter.  The result is a polynomial in the
     trajectory amplitudes X and Y."""
-    return p.subs(traj.x, traj.y, max_ep=order, powers=traj.powers("flow", order))
+    return _substitute(p, traj, "flow", order)
 
 
 def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = None) -> GradedPoly:
@@ -366,4 +377,4 @@ def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = 
         raise ValueError("trajectory endpoint constants not solved")
     if order is None:
         order = traj.order
-    return p.subs(traj.cx, traj.cy, max_ep=order, powers=traj.powers("endpoint", order))
+    return _substitute(p, traj, "endpoint", order)

@@ -101,8 +101,9 @@ class Trajectory:
     coordinates; they are what `evaluate_at_endpoint` substitutes.
 
     The powers of (x, y) and of (cx, cy) that substitution needs are built
-    once per trajectory and kept with it (``powers``); they take no part in
-    comparison and are not copied by `dataclasses.replace`.
+    once per trajectory and kept with it (``_powers``, filled by
+    `algebra._substitute`); they take no part in comparison and are not
+    copied by `dataclasses.replace`.
     """
 
     spec: PotentialSpec
@@ -116,11 +117,6 @@ class Trajectory:
     @property
     def b(self) -> Fraction:
         return self.spec.b
-
-    def powers(self, pair: str, max_ep: int) -> tuple[list, list]:
-        """Power lists of the "flow" pair (x, y) or the "endpoint" pair
-        (cx, cy), truncated above ``max_ep``; `GradedPoly.subs` grows them."""
-        return self._powers.setdefault((pair, max_ep), ([], []))
 
 
 def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:

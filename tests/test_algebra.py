@@ -312,6 +312,6 @@ def test_substitution_matches_repeated_multiplication(p, p2, px, py, cap):
     assert p.subs(px, py, cap) == want
     # power lists shared between calls, as a trajectory keeps them
     powers = ([], [])
-    assert p2.subs(px, py, cap, powers) == p2.subs(px, py, cap)
-    assert p.subs(px, py, cap, powers) == want
+    assert p2.subs(px, py, cap, _powers=powers) == p2.subs(px, py, cap)
+    assert p.subs(px, py, cap, _powers=powers) == want
     assert powers[0] == extend_powers([], px, len(powers[0]) - 1, cap)
