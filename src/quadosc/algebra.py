@@ -20,11 +20,21 @@ equality.  The public constructor checks and re-wraps every coefficient;
 the operations below build dicts that are already clean (nonzero Fraction
 values under keys with non-negative exponents) and hand them to
 `GradedPoly._clean`, which stores the dict as is.
+
+The two hot kernels, `GradedPoly.mul` and `GradedPoly.subs`, do not add
+Fractions term by term.  They scale each operand to integer numerators over
+one common denominator (FLINT's ``fmpq_poly`` layout), multiply and sum
+Python integers, and build one reduced Fraction per result key at the end.
+They visit the terms in the same order as a plain Fraction loop would, so a
+result has the same keys in the same insertion order with the same values.
+That order matters: `evaluate` sums floats in insertion order, so another
+order could move the last bit of an energy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import SingularInverse
@@ -114,17 +124,12 @@ class GradedPoly:
 
     def mul(self, other: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
         """Product, optionally truncated above ``max_ep`` in the parameter."""
-        out: dict[tuple[int, int, int, int], Fraction] = {}
-        get = out.get
-        for (ea, ga, ia, ja), ca in self.terms.items():
-            for (eb, gb, ib, jb), cb in other.terms.items():
-                ep = ea + eb
-                if max_ep is not None and ep > max_ep:
-                    continue
-                key = (ep, ga + gb, ia + ib, ja + jb)
-                prev = get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return GradedPoly._clean({k: c for k, c in out.items() if c})
+        da, a = _numerators(self.terms)
+        db, b = _numerators(other.terms)
+        den = da * db
+        return GradedPoly._clean(
+            {k: Fraction(n, den) for k, n in _int_product(a, b, max_ep).items()}
+        )
 
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, GradedPoly):
@@ -224,22 +229,32 @@ class GradedPoly:
         """Substitute polynomials for x and y, keeping the grading factors.
 
         ``_powers`` is private to `_substitute`, which passes the power
-        lists a trajectory keeps for exactly this pair and ``max_ep``.
+        lists a trajectory keeps for exactly this pair and ``max_ep``.  Each
+        power used is scaled to integer numerators once per call, and all
+        terms are summed over one common denominator.
         """
         xs, ys = _powers if _powers is not None else ([], [])
         extend_powers(xs, px, max((k[2] for k in self.terms), default=0), max_ep)
         extend_powers(ys, py, max((k[3] for k in self.terms), default=0), max_ep)
-        out: dict[tuple[int, int, int, int], Fraction] = {}
-        for (ep, gp, i, j), c in self.terms.items():
-            cut = None if max_ep is None else max_ep - ep
-            if cut is not None and cut < 0:
-                continue
-            prod = xs[i].mul(ys[j], max_ep=cut)
+        dc, live = _numerators(self.terms)
+        if max_ep is not None:
+            live = [(k, n) for k, n in live if k[0] <= max_ep]
+        xn = {i: _numerators(xs[i].terms) for i in {k[2] for k, _ in live}}
+        yn = {j: _numerators(ys[j].terms) for j in {k[3] for k, _ in live}}
+        lx = lcm(*(d for d, _ in xn.values()))
+        ly = lcm(*(d for d, _ in yn.values()))
+        out: dict[tuple[int, int, int, int], int] = {}
+        for (ep, gp, i, j), c in live:
+            dx, a = xn[i]
+            dy, b = yn[j]
+            c *= (lx // dx) * (ly // dy)
+            prod = _int_product(a, b, None if max_ep is None else max_ep - ep)
             _accumulate(
                 out,
-                (((e + ep, g + gp, a, b), v * c) for (e, g, a, b), v in prod.terms.items()),
+                (((e + ep, g + gp, u, v), n * c) for (e, g, u, v), n in prod.items()),
             )
-        return GradedPoly._clean(out)
+        den = dc * lx * ly
+        return GradedPoly._clean({k: Fraction(n, den) for k, n in out.items()})
 
     def evaluate(self, g: float, param_value: float, x: float = 0.0, y: float = 0.0) -> float:
         total = 0.0
@@ -275,18 +290,33 @@ class GradedPoly:
         return f"GradedPoly({self})"
 
 
+def gradient(p: GradedPoly) -> tuple[GradedPoly, GradedPoly]:
+    """The x and y derivatives."""
+    return p.diff("x"), p.diff("y")
+
+
+def divergence(grad: tuple[GradedPoly, GradedPoly]) -> GradedPoly:
+    """Sum of the x derivative of the first and the y derivative of the second."""
+    return grad[0].diff("x") + grad[1].diff("y")
+
+
+def dot(u, v, max_ep: int | None = None) -> GradedPoly:
+    """Dot product of two gradients, optionally truncated above ``max_ep``."""
+    return u[0].mul(v[0], max_ep) + u[1].mul(v[1], max_ep)
+
+
 def laplacian(p: GradedPoly) -> GradedPoly:
     """Sum of the second x and y derivatives."""
-    return p.diff("x").diff("x") + p.diff("y").diff("y")
+    return divergence(gradient(p))
 
 
 def grad_dot(p: GradedPoly, q: GradedPoly, max_ep: int | None = None) -> GradedPoly:
     """Dot product of the two gradients, optionally truncated above ``max_ep``."""
-    return p.diff("x").mul(q.diff("x"), max_ep) + p.diff("y").mul(q.diff("y"), max_ep)
+    return dot(gradient(p), gradient(q), max_ep)
 
 
 def _accumulate(out: dict, items) -> None:
-    """Add (key, nonzero Fraction) pairs with distinct keys into ``out``.
+    """Add (key, nonzero number) pairs with distinct keys into ``out``.
 
     A key whose sum cancels is removed at once, so a later term that brings
     it back appends it, just as summing one polynomial at a time would; the
@@ -303,6 +333,30 @@ def _accumulate(out: dict, items) -> None:
                 out[key] = coef
             else:
                 del out[key]
+
+
+def _numerators(terms: dict) -> tuple[int, list]:
+    """Common denominator of ``terms`` and each coefficient scaled to it,
+    as (den, [(key, integer numerator), ...]) in the dict's order."""
+    ratios = [(k, c.as_integer_ratio()) for k, c in terms.items()]
+    den = lcm(*[d for _, (_, d) in ratios])
+    return den, [(k, n * (den // d)) for k, (n, d) in ratios]
+
+
+def _int_product(a: list, b: list, max_ep: int | None) -> dict:
+    """Integer-numerator product of two `_numerators` lists, truncated above
+    ``max_ep``: keys in first-touch order, cancelled sums dropped."""
+    out: dict[tuple[int, int, int, int], int] = {}
+    get = out.get
+    rows: dict[int, list] = {}  # b cut to what each parameter power of a allows
+    for (ea, ga, ia, ja), na in a:
+        row = rows.get(ea)
+        if row is None:
+            row = rows[ea] = b if max_ep is None else [t for t in b if t[0][0] + ea <= max_ep]
+        for (eb, gb, ib, jb), nb in row:
+            key = (ea + eb, ga + gb, ia + ib, ja + jb)
+            out[key] = get(key, 0) + na * nb
+    return {k: n for k, n in out.items() if n}
 
 
 def extend_powers(powers: list, p: GradedPoly, n: int, max_ep: int | None) -> list:

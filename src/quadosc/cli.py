@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 METHODS = (
     "hierarchy",
@@ -356,9 +357,17 @@ def loglog_slope(xs: list[float], ys: list[float]) -> float:
     return num / den
 
 
+def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
+    """Physical energy of the series, rejecting couplings it overflows at."""
+    try:
+        return sol.physical_energy(g, mu)
+    except OverflowError:
+        raise ValueError(f"series energy overflows at g={g:g}, mu={mu:g}") from None
+
+
 def _grid_check(sol: SeriesSolution, cfg: RunConfig, grid, args) -> dict:
     """Series energy against the extrapolated grid energy at (g, mu)."""
-    series = sol.physical_energy(cfg.g, cfg.mu)
+    series = _series_energy(sol, cfg.g, cfg.mu)
     reference = extrapolated_ground_energy(
         cfg.g, float(cfg.b), cfg.mu, grid=grid, levels=args.levels
     )
@@ -405,7 +414,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ref = extrapolated_ground_energy(
                 cfg.g, b, mu, grid=grid, levels=max(args.levels, 2)
             )
-            residuals.append(abs(sol.physical_energy(cfg.g, mu) - ref))
+            residuals.append(abs(_series_energy(sol, cfg.g, mu) - ref))
         order_fit = loglog_slope(mus, residuals)
         sweep_ok = order_fit >= args.min_order
         doc["sweep"] = {
@@ -574,6 +583,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # Exit 1 means "methods disagree"; an unforeseen failure must not
+        # read as that, nor end in a traceback.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

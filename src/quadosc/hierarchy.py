@@ -23,10 +23,11 @@ from fractions import Fraction
 from .algebra import (
     _G_SHIFT,
     GradedPoly,
+    divergence,
+    dot,
     evaluate_at_endpoint,
-    grad_dot,
+    gradient,
     integrate_to_T,
-    laplacian,
     restrict_to_trajectory,
 )
 from .trajectory import (
@@ -103,13 +104,15 @@ def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution
     coupling flavor are those of ``traj``.
     """
     terms = [s0]
+    grads = [gradient(s0)]
     energies = GradedPoly.zero()
     for n in range(depth + 2):
-        rhs = _transport_source(traj.spec, terms, n, traj.order)
+        rhs = _transport_source(traj.spec, grads, n, traj.order)
         energy, s_next = quadrature_level(rhs, traj, traj.order)
         energies = energies + energy.shift(gp=1 - n)
         if n <= depth:
             terms.append(s_next)
+            grads.append(gradient(s_next))
     return SeriesSolution(
         kind="exp",
         flavor=traj.spec.flavor,
@@ -121,17 +124,17 @@ def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution
     )
 
 
-def _transport_source(spec: PotentialSpec, terms, n: int, max_ep: int) -> GradedPoly:
-    """Level-n right side built from the known levels, before E_n, truncated
-    above parameter order ``max_ep``.
+def _transport_source(spec: PotentialSpec, grads, n: int, max_ep: int) -> GradedPoly:
+    """Level-n right side built from the gradients of the known levels,
+    before E_n, truncated above parameter order ``max_ep``.
 
     The coupling insertion of a deferred flavor is added at its level.
     """
-    rhs = laplacian(terms[n]) * Fraction(1, 2) if n < len(terms) else GradedPoly.zero()
+    rhs = divergence(grads[n]) * Fraction(1, 2) if n < len(grads) else GradedPoly.zero()
     for i in range(1, n + 1):
         j = n + 1 - i
-        if 1 <= j < len(terms) and i < len(terms):
-            rhs = rhs - grad_dot(terms[i], terms[j], max_ep) * Fraction(1, 2)
+        if 1 <= j < len(grads) and i < len(grads):
+            rhs = rhs - dot(grads[i], grads[j], max_ep) * Fraction(1, 2)
     if n == insertion_level_for(spec.flavor):
         rhs = rhs + spec.coupling_term()
     return rhs.truncate_ep(max_ep)
@@ -177,8 +180,9 @@ def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly
         raise ValueError("pde_residual applies to exponent solutions")
     if not 0 <= n < len(sol.terms) - 1:
         raise ValueError("level outside the solved range")
-    rhs = _transport_source(spec, sol.terms, n, sol.order)
-    lhs = grad_dot(sol.terms[0], sol.terms[n + 1])
+    grads = [gradient(level) for level in sol.terms[: n + 2]]
+    rhs = _transport_source(spec, grads, n, sol.order)
+    lhs = dot(grads[0], grads[n + 1])
     return (lhs - rhs + slice_level(sol.energies, 1 - n)).truncate_ep(sol.order)
 
 

@@ -262,7 +262,11 @@ def fd_ground_state(
     y = -ly + hy * np.arange(1, ny + 1)
     xx = x[:, None]
     yy = y[None, :]
-    pot = g * g * (0.5 * (xx**2 + b * b * yy**2) + mu * xx**2 * yy**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot = g * g * (0.5 * (xx**2 + b * b * yy**2) + mu * xx**2 * yy**2)
+    if not np.isfinite(pot).all():
+        # the factorization would fail, or inverse iteration spin on NaNs
+        raise ConvergenceFailure(f"grid potential is not finite at g={g:g}, mu={mu:g}")
     ham = (
         -0.5 * kron(_second_difference(nx, hx), identity(ny))
         - 0.5 * kron(identity(nx), _second_difference(ny, hy))

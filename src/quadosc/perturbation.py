@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GradedPoly, _G_SHIFT, grad_dot, laplacian
+from .algebra import GradedPoly, _G_SHIFT, divergence, dot, gradient
 from .hierarchy import (
     SeriesSolution,
     _transport_source,
@@ -100,10 +100,13 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     order_cap = order
     traj, s0 = _harmonic_run(spec, order_cap)
 
-    e0, s1 = quadrature_level(_transport_source(spec, [s0], 0, order_cap), traj, order_cap)
+    e0, s1 = quadrature_level(
+        _transport_source(spec, [gradient(s0)], 0, order_cap), traj, order_cap
+    )
     energies = e0.shift(gp=1)
 
-    p_op = (laplacian(s1) - grad_dot(s1, s1)) * Fraction(1, 2)
+    grad_s1 = gradient(s1)
+    p_op = (divergence(grad_s1) - dot(grad_s1, grad_s1)) * Fraction(1, 2)
     if spec.flavor == "eps":
         p_op = p_op + spec.coupling_term()
     p_op = p_op.truncate_ep(order_cap)
@@ -112,8 +115,9 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     level_energies: list[GradedPoly] = []
     for n in range(1, depth + 2):
         prev = chis[n - 1]
-        rhs = laplacian(prev) * Fraction(1, 2)
-        rhs = rhs - grad_dot(s1, prev, order_cap)
+        grad_prev = gradient(prev)
+        rhs = divergence(grad_prev) * Fraction(1, 2)
+        rhs = rhs - dot(grad_s1, grad_prev, order_cap)
         rhs = rhs - p_op.mul(prev, order_cap)
         for j in range(1, n):
             rhs = rhs + level_energies[j - 1].mul(chis[n - j], order_cap)

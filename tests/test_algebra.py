@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadosc import GradedPoly, SingularInverse, grad_dot, laplacian
@@ -315,3 +315,92 @@ def test_substitution_matches_repeated_multiplication(p, p2, px, py, cap):
     assert p2.subs(px, py, cap, _powers=powers) == p2.subs(px, py, cap)
     assert p.subs(px, py, cap, _powers=powers) == want
     assert powers[0] == extend_powers([], px, len(powers[0]) - 1, cap)
+
+
+# ------------------------------------------------------------ term order
+
+def reference_mul(a: dict, b: dict, max_ep: int | None = None) -> dict:
+    """The product as a plain Fraction loop: the term-order reference."""
+    out = {}
+    for (ea, ga, ia, ja), ca in a.items():
+        for (eb, gb, ib, jb), cb in b.items():
+            ep = ea + eb
+            if max_ep is not None and ep > max_ep:
+                continue
+            key = (ep, ga + gb, ia + ib, ja + jb)
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_subs(p: GradedPoly, px: GradedPoly, py: GradedPoly, max_ep=None) -> dict:
+    """Substitution term by term, each power product folded in with
+    Fraction sums and a cancelled key removed at once."""
+    xs, ys = [{(0, 0, 0, 0): Fraction(1)}], [{(0, 0, 0, 0): Fraction(1)}]
+    out = {}
+    for (ep, gp, i, j), c in p.terms.items():
+        cut = None if max_ep is None else max_ep - ep
+        if cut is not None and cut < 0:
+            continue
+        while len(xs) <= i:
+            xs.append(reference_mul(xs[-1], px.terms, max_ep))
+        while len(ys) <= j:
+            ys.append(reference_mul(ys[-1], py.terms, max_ep))
+        for (e, g, u, v), n in reference_mul(xs[i], ys[j], cut).items():
+            key = (e + ep, g + gp, u, v)
+            total = out.get(key, 0) + n * c
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return out
+
+
+# mixed denominators exercise the common denominator, unit ones cancellation
+order_polys = st.one_of(polys, small_polys)
+
+
+def operands(p: GradedPoly, q: GradedPoly) -> list[GradedPoly]:
+    return [p, q, p - p, p.mul(q) - q.mul(p), p + q]
+
+
+@settings(deadline=None)
+@given(order_polys, order_polys, st.integers(0, 3))
+# the key x*y cancels after the second product and comes back with the third
+@example(
+    p=GradedPoly({(0, 0, 0, 1): -1, (0, 0, 1, 1): 1, (0, 0, 0, 0): -1}),
+    q=GradedPoly({(0, 0, 1, 0): 1, (0, 0, 1, 1): 1, (0, 0, 0, 0): 1}),
+    cap=3,
+)
+def test_mul_keeps_reference_term_order(p, q, cap):
+    for a in operands(p, q):
+        for b in operands(q, p):
+            for max_ep in (None, cap):
+                got = a.mul(b, max_ep)
+                assert list(got.terms.items()) == list(
+                    reference_mul(a.terms, b.terms, max_ep).items()
+                )
+                assert_clean(got)
+
+
+@settings(deadline=None)
+@given(order_polys, order_polys, small_polys, small_polys, st.integers(0, 3))
+# the key x^2*y^2 cancels after the second term and comes back with the third
+@example(
+    p=GradedPoly({(0, 0, 2, 0): 1, (0, 0, 1, 1): 1, (0, 0, 2, 1): -1}),
+    p2=GradedPoly.zero(),
+    px=GradedPoly.mono(-2, i=1, j=1),
+    py=GradedPoly({(0, 0, 0, 0): 1, (0, 0, 1, 1): 2}),
+    cap=3,
+)
+def test_subs_keeps_reference_term_order(p, p2, px, py, cap):
+    powers = ([], [])
+    for a in operands(p, p2):
+        for sx, sy in ((px, py), (px - px, py), (px, px.mul(py) - py.mul(px))):
+            want = list(reference_subs(a, sx, sy, cap).items())
+            assert list(a.subs(sx, sy, cap).terms.items()) == want
+            assert list(a.subs(sx, sy).terms.items()) == list(
+                reference_subs(a, sx, sy).items()
+            )
+            if sx is px and sy is py:
+                # power lists shared between calls, as a trajectory keeps them
+                assert list(a.subs(px, py, cap, _powers=powers).terms.items()) == want

@@ -12,6 +12,7 @@ import pytest
 from quadosc import ConvergenceFailure
 from quadosc.cli import (
     EXIT_DISAGREE,
+    EXIT_INTERNAL,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
@@ -436,6 +437,48 @@ def test_verify_maps_convergence_failure(monkeypatch, capsys):
     monkeypatch.setattr("quadosc.cli.extrapolated_ground_energy", blow_up)
     assert main(["verify", "--method", "hierarchy"]) == EXIT_NUMERIC
     assert "residual stuck" in capsys.readouterr().err
+
+
+def assert_one_error_line(err: str):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --method hierarchy --grid-n 21 --mu 1e300",
+        "report --numeric --methods hierarchy,rs --grid-n 21 --mu 1e300",
+        "verify --method hierarchy --grid-n 21 --mu-sweep=1e300,2e300",
+    ],
+)
+def test_overflowing_coupling_is_usage_error(capsys, argv):
+    assert main(argv.split()) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "overflows" in err
+
+
+@pytest.mark.parametrize("grid_n", ["21", "20"])
+def test_overflowing_grid_potential_is_numeric_failure(capsys, grid_n):
+    # An odd grid used to end in a singular factor, an even one in 200
+    # inverse iterations on NaNs.
+    argv = ["verify", "--method", "hierarchy", "--grid-n", grid_n, "--g", "1e300"]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "not finite" in err
+
+
+def test_unmapped_exception_exits_internal(monkeypatch, capsys):
+    def blow_up(*args, **kwargs):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr("quadosc.cli.build_solution", blow_up)
+    assert main(["run", "--method", "hierarchy"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RuntimeError: unexpected state\n"
 
 
 def test_verify_sweep_fits_cubic_truncation(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from quadosc import (
     grad_dot,
     laplacian,
     pde_residual,
+    solve_exponential,
     solve_hierarchy,
     standard_spec,
 )
@@ -64,11 +65,16 @@ def test_rejects_order_below_depth():
 
 
 def test_transport_equations_hold_in_coordinates(b, solution):
-    # Residuals rebuilt in (x, y) variables, not merely along the flow.
-    spec = standard_spec(b)
+    # Residuals rebuilt in (x, y) variables, not merely along the flow.  The
+    # deferred flavors at order 3 add the coupling insertion to the sources.
+    runs = [(standard_spec(b), solution)]
+    for flavor in ("eps", "lambda"):
+        spec = standard_spec(b, flavor)
+        runs.append((spec, solve_exponential(spec, order=3)))
     zero = GradedPoly.zero()
-    for n in range(len(solution.terms) - 1):
-        assert pde_residual(solution, spec, n) == zero
+    for spec, run in runs:
+        for n in range(len(run.terms) - 1):
+            assert pde_residual(run, spec, n) == zero, (spec.flavor, n)
 
 
 def test_residual_level_range(b, solution):
