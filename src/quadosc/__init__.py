@@ -33,6 +33,7 @@ from .greens import (
 from .hierarchy import (
     SeriesSolution,
     assemble_wavefunction,
+    default_depth,
     pde_residual,
     solve_hierarchy,
     solve_levels,
@@ -54,7 +55,6 @@ from .perturbation import (
     DEFAULT_WINDOW,
     NormalForm,
     canonical_window,
-    default_depth,
     exp_to_poly,
     normal_form_diff,
     normalize_grading,

@@ -4,8 +4,9 @@ Output is deterministic.  Terms are emitted in canonical sorted order and
 exact rationals as "p/q" strings, so identical configurations produce
 byte-identical output.  Floats appear only in numeric verification blocks.
 
-Exit codes: 0 success or agreement, 1 disagreement, 2 usage error,
-3 grid solver failed to converge.
+Exit codes: 0 success or agreement, 1 disagreement, 2 usage error
+(including a grid too coarse to resolve the harmonic gaussian), 3 grid
+solver failed to converge, 4 any other failure.
 """
 
 from __future__ import annotations
@@ -24,15 +25,11 @@ from .hierarchy import SeriesSolution, fold_levels, solve_hierarchy
 from .oracle import (
     GridSpec,
     compare_methods,
+    energy_gap,
     extrapolated_ground_energy,
     rs_series,
 )
-from .perturbation import (
-    DEFAULT_WINDOW,
-    default_depth,
-    solve_exponential,
-    solve_polynomial,
-)
+from .perturbation import DEFAULT_WINDOW, solve_exponential, solve_polynomial
 from .trajectory import standard_spec
 
 EXIT_OK = 0
@@ -61,7 +58,6 @@ class RunConfig:
     method: str = "hierarchy"
     b: Fraction = Fraction(1)
     order: int = 2
-    depth: int | None = None
     g: float = 10.0
     mu: float = 0.05
     grid_n: int | None = None
@@ -76,19 +72,16 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
-def build_solution(
-    method: str, b: Fraction, order: int = 2, depth: int | None = None
-) -> SeriesSolution:
+def build_solution(method: str, b: Fraction, order: int = 2) -> SeriesSolution:
     """Run one method by name and return its graded series."""
     if method == "hierarchy":
-        d = default_depth("mu", order) if depth is None else depth
-        return solve_hierarchy(standard_spec(b, "mu"), order=order, depth=d)
+        return solve_hierarchy(standard_spec(b, "mu"), order=order)
     if method in ("exp-eps", "exp-lambda"):
         flavor = method.split("-", 1)[1]
-        return solve_exponential(standard_spec(b, flavor), order=order, depth=depth)
+        return solve_exponential(standard_spec(b, flavor), order=order)
     if method in ("poly-eps", "poly-lambda"):
         flavor = method.split("-", 1)[1]
-        return solve_polynomial(standard_spec(b, flavor), order=order, depth=depth)
+        return solve_polynomial(standard_spec(b, flavor), order=order)
     if method == "green":
         return solve_green(standard_spec(b, "eps"), order=order)[1]
     if method == "rs":
@@ -136,18 +129,23 @@ def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
 
 
 def solution_from_doc(doc: dict) -> SeriesSolution:
-    return SeriesSolution(
+    sol = SeriesSolution(
         kind=doc["kind"],
         flavor=doc["flavor"],
         b=Fraction(doc["b"]),
         order=int(doc["order"]),
-        depth=int(doc["depth"]),
         terms=tuple(_poly_from_doc(rows) for rows in doc["levels"]),
         energies=GradedPoly(
             {(int(e["ep"]), int(e["gp"]), 0, 0): Fraction(e["c"]) for e in doc["energies"]}
         ),
         base=tuple(_poly_from_doc(rows) for rows in doc["base"]),
     )
+    if int(doc["depth"]) != sol.depth:
+        raise ValueError(
+            f"depth {doc['depth']} does not match the {len(sol.terms)} levels of a"
+            f" {sol.kind!r} run (depth {sol.depth})"
+        )
+    return sol
 
 
 def doc_to_json(doc: dict) -> str:
@@ -218,7 +216,6 @@ _CONFIG_KEYS = {
     "method": str,
     "b": parse_rational,
     "order": int,
-    "depth": int,
     "g": float,
     "mu": float,
     "grid_n": int,
@@ -257,8 +254,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("the frequency ratio b must be positive")
     if cfg.order < 1:
         raise ValueError("order must be at least 1")
-    if cfg.depth is not None and cfg.depth < 0:
-        raise ValueError("depth must be non-negative")
     if cfg.grid_n is not None and cfg.grid_n < 3:
         raise ValueError("grid_n must be at least 3")
     if cfg.fmt not in FORMATS:
@@ -277,7 +272,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    sol = build_solution(cfg.method, cfg.b, cfg.order, cfg.depth)
+    sol = build_solution(cfg.method, cfg.b, cfg.order)
     _emit(render_solution(sol, cfg.method, cfg.fmt), cfg.out)
     return EXIT_OK
 
@@ -313,7 +308,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         sols.append(solution_from_doc(doc))
         labels.append(f"golden:{doc.get('method', '?')}")
     for name in names:
-        sols.append(build_solution(name, cfg.b, cfg.order, cfg.depth))
+        sols.append(build_solution(name, cfg.b, cfg.order))
         labels.append(name)
     if len(sols) < 2:
         raise ValueError("compare needs at least two runs (or one plus --golden)")
@@ -365,21 +360,37 @@ def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
         raise ValueError(f"series energy overflows at g={g:g}, mu={mu:g}") from None
 
 
+def _grid_spec(cfg: RunConfig) -> GridSpec | None:
+    """The --grid-n grid, if one was asked for.
+
+    A base spacing wider than the narrowest harmonic gaussian cannot
+    resolve the state, and its energy would read as a disagreement.
+    """
+    if cfg.grid_n is None:
+        return None
+    grid = GridSpec(cfg.grid_n, cfg.grid_n)
+    b = float(cfg.b)
+    _, _, lx, ly = grid.resolved(cfg.g, b)
+    spacing = 2 * max(lx, ly) / (cfg.grid_n + 1)
+    width = 1 / math.sqrt(cfg.g * max(1.0, b))
+    # Equal spacing and width are admitted; the factor absorbs rounding.
+    if spacing > width * (1 + 1e-9):
+        raise ValueError(
+            f"grid_n {cfg.grid_n} is too coarse: spacing {spacing:.3g}"
+            f" exceeds the gaussian width {width:.3g}"
+        )
+    return grid
+
+
 def _grid_check(sol: SeriesSolution, cfg: RunConfig, grid, args) -> dict:
     """Series energy against the extrapolated grid energy at (g, mu)."""
     series = _series_energy(sol, cfg.g, cfg.mu)
     reference = extrapolated_ground_energy(
         cfg.g, float(cfg.b), cfg.mu, grid=grid, levels=args.levels
     )
-    gap = abs(series - reference)
-    rel = gap / abs(reference)
-    return {
-        "series_energy": series,
-        "grid_energy": reference,
-        "abs_gap": gap,
-        "rel_gap": rel,
-        "pass": rel <= args.tol,
-    }
+    doc = energy_gap(series, reference)
+    doc["pass"] = doc["rel_gap"] <= args.tol
+    return doc
 
 
 def _sweep_couplings(text: str) -> list[float]:
@@ -394,10 +405,10 @@ def _sweep_couplings(text: str) -> list[float]:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     mus = _sweep_couplings(args.mu_sweep) if args.mu_sweep else None
+    grid = _grid_spec(cfg)
     method = cfg.method
-    sol = build_solution(method, cfg.b, cfg.order, cfg.depth)
+    sol = build_solution(method, cfg.b, cfg.order)
     b = float(cfg.b)
-    grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n is not None else None
     doc: dict = {
         "method": method,
         "b": str(cfg.b),
@@ -456,7 +467,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     names = _split_methods(args.methods)
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
-    sols = [build_solution(name, cfg.b, cfg.order, cfg.depth) for name in names]
+    grid = _grid_spec(cfg) if args.numeric else None
+    sols = [build_solution(name, cfg.b, cfg.order) for name in names]
     report = compare_methods(sols, names=names)
     ref = sols[0]
     doc: dict = {
@@ -472,7 +484,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
     ok = report.agree
     if args.numeric:
-        grid = GridSpec(cfg.grid_n, cfg.grid_n) if cfg.grid_n is not None else None
         doc["numeric"] = {
             "g": cfg.g,
             "mu": cfg.mu,
@@ -509,7 +520,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file with defaults for these flags")
     p.add_argument("--b", type=parse_rational, help="frequency ratio, 'p/q'")
     p.add_argument("--order", type=int, help="perturbation order")
-    p.add_argument("--depth", type=int, help="series depth in inverse g")
     p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
     p.add_argument("--out", help="write output to this file")
 

@@ -158,7 +158,6 @@ class OperatorSolution:
             flavor="eps",
             b=self.spec.b,
             order=self.order,
-            depth=depth,
             terms=terms,
             energies=energies,
             base=(gaussian_exponent(self.spec.b), GradedPoly.zero()),

@@ -57,10 +57,15 @@ class SeriesSolution:
     flavor: str
     b: Fraction
     order: int
-    depth: int
     terms: tuple[GradedPoly, ...]
     energies: GradedPoly
     base: tuple[GradedPoly, ...] = ()
+
+    @property
+    def depth(self) -> int:
+        """Index of the deepest solved level; exponent runs store one level
+        past it (S_0 .. S_{depth+1}), prefactor runs do not."""
+        return len(self.terms) - (2 if self.kind == "exp" else 1)
 
     def term(self, n: int) -> GradedPoly:
         return self.terms[n]
@@ -96,13 +101,14 @@ def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[Gra
     return restricted.constant_part(), evaluate_at_endpoint(remainder, traj, order)
 
 
-def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution:
-    """Run the level hierarchy down to ``depth``.
+def solve_levels(s0: GradedPoly, traj: Trajectory) -> SeriesSolution:
+    """Run the level hierarchy down to the default depth of ``traj``.
 
     Levels S_1 .. S_{depth+1} are produced; the energy of one extra level is
     extracted (it needs no new unknown).  The truncation order and the
-    coupling flavor are those of ``traj``.
+    coupling flavor, and so the depth, are those of ``traj``.
     """
+    depth = default_depth(traj.spec.flavor, traj.order)
     terms = [s0]
     grads = [gradient(s0)]
     energies = GradedPoly.zero()
@@ -118,7 +124,6 @@ def solve_levels(s0: GradedPoly, traj: Trajectory, depth: int) -> SeriesSolution
         flavor=traj.spec.flavor,
         b=traj.b,
         order=traj.order,
-        depth=depth,
         terms=tuple(terms),
         energies=energies,
     )
@@ -140,20 +145,18 @@ def _transport_source(spec: PotentialSpec, grads, n: int, max_ep: int) -> Graded
     return rhs.truncate_ep(max_ep)
 
 
-def solve_hierarchy(spec: PotentialSpec, order: int = 2, depth: int = 1) -> SeriesSolution:
-    """Direct method: coupling rides in the classical flow.
+def classical_run(spec: PotentialSpec, order: int) -> tuple[Trajectory, GradedPoly]:
+    """Inverted classical trajectory of ``spec`` and its action S_0."""
+    traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
+    return traj, action_integral(traj)
 
-    Truncation bookkeeping: level n starts at parameter order n, so the
-    parameter order must cover every produced level or the deepest results
-    would be identically zero.
-    """
+
+def solve_hierarchy(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
+    """Direct method: coupling rides in the classical flow."""
     if spec.flavor != "mu":
         raise ValueError("direct hierarchy requires the mu flavor")
-    if order < depth + 1:
-        raise ValueError("order must be at least depth + 1")
-    traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
-    s0 = action_integral(traj)
-    return solve_levels(s0, traj, depth)
+    traj, s0 = classical_run(spec, order)
+    return solve_levels(s0, traj)
 
 
 def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:
@@ -186,10 +189,23 @@ def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly
     return (lhs - rhs + slice_level(sol.energies, 1 - n)).truncate_ep(sol.order)
 
 
+def default_depth(flavor: str, order: int) -> int:
+    """Smallest depth whose energy ladder covers the requested order.
+
+    One parameter unit costs ``_G_SHIFT[flavor]`` g powers on top of the one
+    every level costs, so the deepest energy coefficient of parameter order
+    k sits at level k (mu), 2k (lambda) or 3k (eps), and a run extracts
+    energies one level past its depth.
+    """
+    return (1 + _G_SHIFT[flavor]) * order - 1
+
+
 def insertion_level_for(flavor: str) -> int | None:
     """Level whose transport equation receives the coupling insertion.
 
-    One parameter unit costs two g powers in the eps convention and one in
-    the lambda convention, which is how many levels down the coupling lands.
+    The mu flavor carries the coupling in the flow that builds S_0, one
+    level above the level-0 equation.  One parameter unit costs two more g
+    powers in the eps convention and one in the lambda convention, which is
+    how many levels further down a deferred flavor's coupling lands.
     """
-    return {"mu": None, "eps": 1, "lambda": 0}[flavor]
+    return None if flavor == "mu" else _G_SHIFT[flavor] - 1

@@ -185,7 +185,6 @@ def rs_series(b, order: int = 2) -> SeriesSolution:
         flavor="eps",
         b=rs.b,
         order=order,
-        depth=0,
         terms=(rs.chi,),
         energies=rs.energies + zero_point_energy(rs.b),
         base=(gaussian_exponent(rs.b), GradedPoly.zero()),
@@ -338,6 +337,17 @@ def extrapolated_ground_energy(
     return energies[0]
 
 
+def energy_gap(series: float, grid: float) -> dict[str, float]:
+    """A series energy against a grid energy: both, and their gaps."""
+    gap = abs(series - grid)
+    return {
+        "series_energy": series,
+        "grid_energy": grid,
+        "abs_gap": gap,
+        "rel_gap": gap / abs(grid),
+    }
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Slot-by-slot agreement of method runs on the comparison window."""
@@ -377,15 +387,8 @@ def compare_methods(
             diffs[name] = d
     numeric = None
     if estimate is not None:
-        ref = sols[0]
-        series = ref.physical_energy(estimate.g, estimate.mu)
-        gap = abs(series - estimate.energy)
-        numeric = {
-            "series_energy": series,
-            "grid_energy": estimate.energy,
-            "abs_gap": gap,
-            "rel_gap": gap / abs(estimate.energy),
-        }
+        series = sols[0].physical_energy(estimate.g, estimate.mu)
+        numeric = energy_gap(series, estimate.energy)
     return ComparisonReport(
         agree=not diffs,
         names=tuple(names),

@@ -27,59 +27,26 @@ from .algebra import GradedPoly, _G_SHIFT, divergence, dot, gradient
 from .hierarchy import (
     SeriesSolution,
     _transport_source,
+    classical_run,
+    default_depth,
     fold_levels,
     quadrature_level,
     slice_level,
-    solve_hierarchy,
     solve_levels,
 )
-from .trajectory import (
-    PotentialSpec,
-    action_integral,
-    gaussian_exponent,
-    invert_endpoint_constants,
-    solve_classical_trajectory,
-)
+from .trajectory import PotentialSpec, gaussian_exponent
 
 # parameter half-window, g-depth half-window for cross-method comparison
 DEFAULT_WINDOW = (2, 5)
 
 
-def default_depth(flavor: str, order: int) -> int:
-    """Smallest depth whose energy ladder covers the requested order.
-
-    The deepest energy coefficient of parameter order k sits at level 3k
-    (eps), 2k (lambda) or k (mu), and the run extracts energies one level
-    past ``depth``.
-    """
-    return {"mu": order - 1, "eps": 3 * order - 1, "lambda": 2 * order - 1}[flavor]
-
-
-def _check_depth(flavor: str, order: int, depth: int):
-    floor = default_depth(flavor, order)
-    if depth < floor:
-        raise ValueError(
-            f"flavor {flavor!r} at order {order} needs depth >= {floor}"
-        )
-
-
-def _harmonic_run(spec: PotentialSpec, order: int):
-    traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
-    return traj, action_integral(traj)
-
-
-def solve_exponential(spec: PotentialSpec, order: int = 2, depth: int | None = None) -> SeriesSolution:
+def solve_exponential(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     """Exponent levels for any flavor; deferred flavors use an insertion."""
-    if depth is None:
-        depth = default_depth(spec.flavor, order)
-    if spec.flavor == "mu":
-        return solve_hierarchy(spec, order, depth)
-    _check_depth(spec.flavor, order, depth)
-    traj, s0 = _harmonic_run(spec, order)
-    return solve_levels(s0, traj, depth)
+    traj, s0 = classical_run(spec, order)
+    return solve_levels(s0, traj)
 
 
-def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = None) -> SeriesSolution:
+def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     """Prefactor levels chi_0, chi_1, ... solved by their own recursion.
 
     Level n obeys
@@ -94,11 +61,9 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
     """
     if spec.flavor == "mu":
         raise ValueError("prefactor recursion needs a deferred-coupling flavor")
-    if depth is None:
-        depth = default_depth(spec.flavor, order)
-    _check_depth(spec.flavor, order, depth)
+    depth = default_depth(spec.flavor, order)
     order_cap = order
-    traj, s0 = _harmonic_run(spec, order_cap)
+    traj, s0 = classical_run(spec, order_cap)
 
     e0, s1 = quadrature_level(
         _transport_source(spec, [gradient(s0)], 0, order_cap), traj, order_cap
@@ -134,7 +99,6 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2, depth: int | None = No
         flavor=spec.flavor,
         b=spec.b,
         order=order_cap,
-        depth=depth,
         terms=tuple(chis),
         energies=energies,
         base=(s0, s1),
@@ -203,7 +167,6 @@ def exp_to_poly(sol: SeriesSolution) -> SeriesSolution:
         flavor=sol.flavor,
         b=sol.b,
         order=sol.order,
-        depth=depth,
         terms=tuple(chis),
         energies=sol.energies,
         base=(sol.terms[0], sol.terms[1]),
@@ -258,8 +221,6 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
             raise ValueError("terms would land above the leading level")
         last = max((1 - gp for (_, gp, _, _) in folded.terms), default=1)
         last = max(last, 1)
-        # exponent solutions store levels 0 .. depth+1
-        depth = last - 1
         terms = tuple(slice_level(folded, 1 - n) for n in range(last + 1))
         base: tuple[GradedPoly, ...] = ()
     else:
@@ -285,7 +246,6 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
         flavor=target,
         b=sol.b,
         order=sol.order,
-        depth=depth,
         terms=terms,
         energies=energies,
         base=base,

@@ -6,7 +6,6 @@ verbose listing provides the per-criterion pass/fail status.
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +29,7 @@ from quadosc import (
     solve_polynomial,
     standard_spec,
 )
-from quadosc.cli import main as cli_main
+from quadosc.cli import loglog_slope, main as cli_main
 
 from helpers import (
     B_VALUES,
@@ -53,7 +52,7 @@ PIPE_NAMES = ("hierarchy", "exp-eps", "exp-lambda", "poly-eps", "poly-lambda")
 @lru_cache(maxsize=None)
 def pipeline_runs(b: Fraction):
     return (
-        solve_hierarchy(standard_spec(b), order=2, depth=1),
+        solve_hierarchy(standard_spec(b), order=2),
         solve_exponential(standard_spec(b, "eps"), order=2),
         solve_exponential(standard_spec(b, "lambda"), order=2),
         solve_polynomial(standard_spec(b, "eps"), order=2),
@@ -64,7 +63,7 @@ def pipeline_runs(b: Fraction):
 def test_criterion_1_direct_solver_closed_forms():
     started = time.monotonic()
     for b in B_VALUES:
-        sol = solve_hierarchy(standard_spec(b), order=2, depth=1)
+        sol = solve_hierarchy(standard_spec(b), order=2)
         assert sol.terms == mu_levels(b), f"levels differ at b={b}"
         assert sol.energies == mu_energy_slots(b), f"energies differ at b={b}"
     elapsed = time.monotonic() - started
@@ -190,8 +189,8 @@ def test_criterion_7_energy_conservation_along_flow():
 
 def test_criterion_8_frequency_swap_symmetry():
     for b in B_VALUES:
-        direct = solve_hierarchy(standard_spec(b), 2, 1).energies.terms
-        swapped = solve_hierarchy(standard_spec(1 / b), 2, 1).energies.terms
+        direct = solve_hierarchy(standard_spec(b), 2).energies.terms
+        swapped = solve_hierarchy(standard_spec(1 / b), 2).energies.terms
         assert direct.keys() == swapped.keys()
         for (ep, gp, i, j), c in direct.items():
             assert c == swapped[(ep, gp, i, j)] * b ** (gp - 2 * ep), f"slot {(gp, ep)} at b={b}"
@@ -204,7 +203,7 @@ def test_criterion_8_frequency_swap_symmetry():
 def test_criterion_9_grid_verification():
     started = time.monotonic()
     g = 10.0
-    sol = solve_hierarchy(standard_spec(Fraction(1)), order=2, depth=1)
+    sol = solve_hierarchy(standard_spec(Fraction(1)), order=2)
 
     # truncated series vs extrapolated grid energies on small couplings
     for mu in (0.02, 0.05):
@@ -220,12 +219,7 @@ def test_criterion_9_grid_verification():
         gap = abs(sol.physical_energy(g, mu) - reference)
         assert gap / abs(reference) <= 1e-4
         residuals.append(gap)
-    xs = [math.log(m) for m in mus]
-    ys = [math.log(r) for r in residuals]
-    mx, my = sum(xs) / 3, sum(ys) / 3
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-        (x - mx) ** 2 for x in xs
-    )
+    slope = loglog_slope(mus, residuals)
     assert slope >= 2.5, f"fitted truncation order {slope:.3f}"
 
     # pure harmonic check: halving the grid spacing quarters the energy error

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quadosc import ConvergenceFailure
+from quadosc import ConvergenceFailure, GridSpec
 from quadosc.cli import (
     EXIT_DISAGREE,
     EXIT_INTERNAL,
@@ -62,10 +62,6 @@ def test_parse_rational():
         parse_rational("x")
 
 
-def test_depth_below_floor_is_usage_error(capsys):
-    assert main(["run", "--method", "exp-eps", "--depth", "0"]) == EXIT_USAGE
-
-
 def test_order_zero_is_usage_error(capsys):
     assert main(["run", "--method", "hierarchy", "--order", "0"]) == EXIT_USAGE
 
@@ -106,7 +102,7 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
         {"grid_n": 0},
         {"grid_n": 2},
         {"grid_n": -5},
-        {"depth": -1},
+        {"depth": 5},
     ],
     ids=str,
 )
@@ -138,7 +134,6 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
         ["--tol", "0"],
         ["--tol", "-1"],
         ["--tol", "inf"],
-        ["--depth", "-1"],
         ["--min-order", "nan"],
         ["--min-order", "inf"],
     ],
@@ -356,6 +351,18 @@ def test_golden_energy_diffs_list_in_g_power_order(tmp_path, capsys):
     ]
 
 
+def test_golden_with_wrong_depth_is_usage_error(tmp_path, capsys):
+    doc = solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy")
+    doc["depth"] += 1
+    with pytest.raises(ValueError):
+        solution_from_doc(doc)
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(doc))
+    argv = ["compare", "--methods", "hierarchy", "--golden", str(golden)]
+    assert main(argv) == EXIT_USAGE
+    assert_one_error_line(capsys.readouterr().err)
+
+
 def test_compare_needs_two_runs(capsys):
     assert main(["compare", "--methods", "hierarchy"]) == EXIT_USAGE
 
@@ -479,6 +486,37 @@ def test_unmapped_exception_exits_internal(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: RuntimeError: unexpected state\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify --method hierarchy --grid-n 3",
+        "verify --method hierarchy --grid-n 3 --mu-sweep=0.02,0.04",
+        "report --numeric --methods hierarchy,rs --grid-n 3",
+        "verify --method hierarchy --b 2 --grid-n 15",
+    ],
+)
+def test_coarse_grid_is_usage_error(capsys, argv):
+    # A spacing wider than the gaussian used to read as a disagreement.
+    assert main(argv.split()) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "too coarse" in err
+
+
+def test_grid_as_fine_as_the_gaussian_is_admitted(monkeypatch, capsys):
+    sol = build_solution("hierarchy", Fraction(2))
+    grids = []
+
+    def series_energy(g, b, mu, grid=None, levels=1, tol=1e-10):
+        grids.append(grid)
+        return sol.physical_energy(g, mu)
+
+    monkeypatch.setattr("quadosc.cli.extrapolated_ground_energy", series_energy)
+    argv = ["verify", "--method", "hierarchy", "--b", "2", "--grid-n", "16"]
+    assert main(argv) == EXIT_OK
+    assert grids == [GridSpec(16, 16)]
 
 
 def test_verify_sweep_fits_cubic_truncation(monkeypatch, capsys):

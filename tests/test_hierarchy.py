@@ -30,7 +30,7 @@ def b(request):
 
 @pytest.fixture
 def solution(b):
-    return solve_hierarchy(standard_spec(b), order=2, depth=1)
+    return solve_hierarchy(standard_spec(b), order=2)
 
 
 def test_levels_match_closed_form(b, solution):
@@ -57,11 +57,6 @@ def test_rejects_deferred_flavors():
         solve_hierarchy(standard_spec(Fraction(1), "eps"))
     with pytest.raises(ValueError):
         solve_hierarchy(standard_spec(Fraction(1), "lambda"))
-
-
-def test_rejects_order_below_depth():
-    with pytest.raises(ValueError):
-        solve_hierarchy(standard_spec(Fraction(1)), order=1, depth=1)
 
 
 def test_transport_equations_hold_in_coordinates(b, solution):
@@ -121,7 +116,7 @@ def test_assembly_rejects_prefactor_solutions(solution):
 
 
 def test_physical_energy_exact_sample():
-    sol = solve_hierarchy(standard_spec(Fraction(1)), order=2, depth=1)
+    sol = solve_hierarchy(standard_spec(Fraction(1)), order=2)
     g, mu = Fraction(10), Fraction(1, 10)
     exact = sum(c * g**gp * mu**ep for (ep, gp, _, _), c in sol.energies.terms.items())
     assert exact == Fraction(160397, 16000)
@@ -129,8 +124,8 @@ def test_physical_energy_exact_sample():
 
 
 def _check_swap_symmetry(b: Fraction, order: int) -> None:
-    direct = solve_hierarchy(standard_spec(b), order, order - 1).energies.terms
-    swapped = solve_hierarchy(standard_spec(1 / b), order, order - 1).energies.terms
+    direct = solve_hierarchy(standard_spec(b), order).energies.terms
+    swapped = solve_hierarchy(standard_spec(1 / b), order).energies.terms
     assert direct.keys() == swapped.keys()
     for (ep, gp, i, j), c in direct.items():
         assert c == swapped[(ep, gp, i, j)] * b ** (gp - 2 * ep)

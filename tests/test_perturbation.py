@@ -22,6 +22,7 @@ from quadosc import (
     solve_polynomial,
     standard_spec,
 )
+from quadosc.cli import METHODS, PIPELINES, build_solution
 
 from helpers import (
     B_VALUES,
@@ -47,7 +48,7 @@ def poly_run(b: Fraction, flavor: str):
 
 @lru_cache(maxsize=None)
 def mu_run(b: Fraction):
-    return solve_hierarchy(standard_spec(b), order=2, depth=1)
+    return solve_hierarchy(standard_spec(b), order=2)
 
 
 @pytest.fixture(params=B_VALUES, ids=str)
@@ -67,14 +68,15 @@ def test_default_depths_cover_requested_order():
     assert default_depth("lambda", 1) == 1
 
 
-def test_depth_floor_is_enforced():
-    spec = standard_spec(Fraction(1), "eps")
-    with pytest.raises(ValueError):
-        solve_exponential(spec, order=2, depth=4)
-    with pytest.raises(ValueError):
-        solve_polynomial(spec, order=2, depth=4)
-    with pytest.raises(ValueError):
-        solve_exponential(standard_spec(Fraction(1), "lambda"), order=2, depth=2)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("method", METHODS)
+def test_depth_follows_level_count(method, order):
+    sol = build_solution(method, Fraction(1, 2), order)
+    # exponent runs store one level past their depth, prefactor runs do not
+    assert len(sol.terms) == sol.depth + (2 if sol.kind == "exp" else 1)
+    assert sol.terms[-1], "the deepest stored level is empty"
+    if method in PIPELINES:
+        assert sol.depth == default_depth(sol.flavor, order)
 
 
 def test_prefactor_rejects_direct_flavor():
@@ -254,6 +256,6 @@ def test_normal_form_diff_reports_slots():
     st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=4)
 )
 def test_canonical_window_agreement_random_ratio(ratio):
-    reference = canonical_window(solve_hierarchy(standard_spec(ratio), 2, 1))
+    reference = canonical_window(solve_hierarchy(standard_spec(ratio), 2))
     other = canonical_window(solve_exponential(standard_spec(ratio, "eps"), 2))
     assert other == reference
