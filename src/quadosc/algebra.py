@@ -15,26 +15,28 @@ each monomial by its eigenvalue i + j*b.  `integrate_to_T` is its inverse;
 both the trajectory quadrature and the operator inversion of `greens` use it.
 
 Values are immutable by convention; every operation returns a new value.
-Zero coefficients are never stored, so dict equality is mathematical
-equality.  The public constructor checks and re-wraps every coefficient;
-the operations below build dicts that are already clean (nonzero Fraction
-values under keys with non-negative exponents) and hand them to
-`GradedPoly._clean`, which stores the dict as is.
+A polynomial is stored as integer numerators over one denominator (FLINT's
+``fmpq_poly`` layout): ``num`` maps each key to a nonzero int, ``den`` is a
+positive int, and the form is reduced, gcd(den, *num.values()) == 1.  Zero is
+``den == 1`` with an empty ``num``.  The form is canonical, so equality is
+equality of ``den`` and ``num``.  ``terms`` is a read-only view with one
+reduced Fraction per key, built on first read and kept.
 
-The two hot kernels, `GradedPoly.mul` and `GradedPoly.subs`, do not add
-Fractions term by term.  They scale each operand to integer numerators over
-one common denominator (FLINT's ``fmpq_poly`` layout), multiply and sum
-Python integers, and build one reduced Fraction per result key at the end.
-They visit the terms in the same order as a plain Fraction loop would, so a
-result has the same keys in the same insertion order with the same values.
-That order matters: `evaluate` sums floats in insertion order, so another
-order could move the last bit of an energy.
+The public constructor checks and converts Fraction-like coefficients.  The
+operations below work on the integers alone: they scale operands to a common
+denominator, add and multiply Python integers, and divide out the common
+factor of the result once.  They visit the terms in the same order as a plain
+Fraction loop would, removing a key whose sum cancels at once, so a result
+has the same keys in the same insertion order with the same values.  That
+order matters: `evaluate` sums floats in insertion order, so another order
+could move the last bit of an energy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import SingularInverse
@@ -50,13 +52,14 @@ _G_SHIFT = {"mu": 0, "eps": 2, "lambda": 1}
 class GradedPoly:
     """Polynomial in (x, y) over Q, graded by g and one perturbation parameter.
 
-    ``terms`` maps ``(ep, gp, i, j)`` to a nonzero Fraction: ``ep`` is the
-    parameter power, ``gp`` the explicit g power, ``i`` and ``j`` the x and y
-    exponents.  The key layout makes plain ``sorted()`` the canonical term
+    Keys are ``(ep, gp, i, j)``: ``ep`` is the parameter power, ``gp`` the
+    explicit g power, ``i`` and ``j`` the x and y exponents.  The coefficient
+    at a key is ``num[key] / den``; ``terms`` maps each key to it as a
+    Fraction.  The key layout makes plain ``sorted()`` the canonical term
     order used for printing and serialization.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den", "_terms")
 
     def __init__(self, terms=None):
         clean: dict[tuple[int, int, int, int], Fraction] = {}
@@ -67,20 +70,47 @@ class GradedPoly:
                 coef = Fraction(coef)
                 if coef:
                     clean[(ep, gp, i, j)] = coef
-        self.terms = clean
+        # the lcm of reduced denominators leaves the numerators no factor in common with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.den = den
+        self._terms = MappingProxyType(clean)
 
     @classmethod
-    def _clean(cls, terms: dict) -> "GradedPoly":
-        """Wrap a dict that is already clean, without copying or checking it."""
+    def _raw(cls, num: dict, den: int) -> "GradedPoly":
+        """Wrap a form that is already reduced, without copying or checking it."""
         out = object.__new__(cls)
-        out.terms = terms
+        out.num = num
+        out.den = den
+        out._terms = None
         return out
+
+    @classmethod
+    def _reduced(cls, num: dict, den: int) -> "GradedPoly":
+        """Wrap nonzero integer numerators over ``den`` > 0, dividing out
+        their common factor with it."""
+        common = gcd(den, *num.values())
+        if common != 1:
+            den //= common
+            num = {k: n // common for k, n in num.items()}
+        return cls._raw(num, den)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only map from each key to its coefficient as a Fraction."""
+        view = self._terms
+        if view is None:
+            den = self.den
+            view = self._terms = MappingProxyType(
+                {k: Fraction(n, den) for k, n in self.num.items()}
+            )
+        return view
 
     # ---------------------------------------------------------------- build
 
     @classmethod
     def zero(cls) -> "GradedPoly":
-        return cls()
+        return cls._raw({}, 1)
 
     @classmethod
     def const(cls, value) -> "GradedPoly":
@@ -107,14 +137,23 @@ class GradedPoly:
 
     def __add__(self, other) -> "GradedPoly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items())
-        return GradedPoly._clean(out)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = dict(self.num) if sa == 1 else {k: n * sa for k, n in self.num.items()}
+        _accumulate(
+            out,
+            other.num.items() if sb == 1 else ((k, n * sb) for k, n in other.num.items()),
+        )
+        return GradedPoly._reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._clean({k: -c for k, c in self.terms.items()})
+        return GradedPoly._raw({k: -n for k, n in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "GradedPoly":
         return self + (-self._coerce(other))
@@ -124,11 +163,8 @@ class GradedPoly:
 
     def mul(self, other: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
         """Product, optionally truncated above ``max_ep`` in the parameter."""
-        da, a = _numerators(self.terms)
-        db, b = _numerators(other.terms)
-        den = da * db
-        return GradedPoly._clean(
-            {k: Fraction(n, den) for k, n in _int_product(a, b, max_ep).items()}
+        return GradedPoly._reduced(
+            _int_product(self.num, other.num, max_ep), self.den * other.den
         )
 
     def __mul__(self, other) -> "GradedPoly":
@@ -136,8 +172,11 @@ class GradedPoly:
             return self.mul(other)
         coef = Fraction(other)
         if not coef:
-            return GradedPoly()
-        return GradedPoly._clean({k: c * coef for k, c in self.terms.items()})
+            return GradedPoly.zero()
+        top = coef.numerator
+        return GradedPoly._reduced(
+            {k: n * top for k, n in self.num.items()}, self.den * coef.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -155,21 +194,21 @@ class GradedPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     # ------------------------------------------------------------- calculus
 
     def diff(self, var: str) -> "GradedPoly":
-        out = {}
-        for (ep, gp, i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                out[(ep, gp, i - 1, j)] = c * i
-            elif var == "y" and j > 0:
-                out[(ep, gp, i, j - 1)] = c * j
-        return GradedPoly._clean(out)
+        if var == "x":
+            out = {(ep, gp, i - 1, j): n * i for (ep, gp, i, j), n in self.num.items() if i}
+        elif var == "y":
+            out = {(ep, gp, i, j - 1): n * j for (ep, gp, i, j), n in self.num.items() if j}
+        else:
+            out = {}
+        return GradedPoly._reduced(out, self.den)
 
     # ----------------------------------------------------------- structure
 
@@ -177,8 +216,8 @@ class GradedPoly:
         """Multiply by param^ep * g^gp (pure grading shift)."""
         if ep == 0 and gp == 0:
             return self
-        return GradedPoly._clean(
-            {(e + ep, g + gp, i, j): c for (e, g, i, j), c in self.terms.items()}
+        return GradedPoly._raw(
+            {(e + ep, g + gp, i, j): n for (e, g, i, j), n in self.num.items()}, self.den
         )
 
     def regrade(self, src: str, dst: str) -> "GradedPoly":
@@ -187,36 +226,39 @@ class GradedPoly:
         Uses eps = g^2 mu and lambda = g mu, so only the g power moves.
         """
         shift = _G_SHIFT[src] - _G_SHIFT[dst]
-        return GradedPoly._clean(
-            {(ep, gp + shift * ep, i, j): c for (ep, gp, i, j), c in self.terms.items()}
+        return GradedPoly._raw(
+            {(ep, gp + shift * ep, i, j): n for (ep, gp, i, j), n in self.num.items()},
+            self.den,
         )
 
     def truncate_ep(self, max_ep: int) -> "GradedPoly":
-        return GradedPoly._clean({k: c for k, c in self.terms.items() if k[0] <= max_ep})
+        return GradedPoly._reduced(
+            {k: n for k, n in self.num.items() if k[0] <= max_ep}, self.den
+        )
 
     def constant_part(self) -> "GradedPoly":
-        return GradedPoly._clean(
-            {k: c for k, c in self.terms.items() if k[2] == 0 and k[3] == 0}
+        return GradedPoly._reduced(
+            {k: n for k, n in self.num.items() if k[2] == 0 and k[3] == 0}, self.den
         )
 
     def drop_constant(self) -> "GradedPoly":
-        return GradedPoly._clean(
-            {k: c for k, c in self.terms.items() if k[2] != 0 or k[3] != 0}
+        return GradedPoly._reduced(
+            {k: n for k, n in self.num.items() if k[2] != 0 or k[3] != 0}, self.den
         )
 
     def coefficient(self, i: int, j: int, gp: int | None = None, ep: int | None = None):
         """Collect terms at monomial (i, j), optionally pinned to one grade."""
         out = {}
-        for (e, g, ii, jj), c in self.terms.items():
+        for (e, g, ii, jj), n in self.num.items():
             if ii == i and jj == j and (gp is None or g == gp) and (ep is None or e == ep):
-                out[(e, g, 0, 0)] = c
-        return GradedPoly(out)
+                out[(e, g, 0, 0)] = n
+        return GradedPoly._reduced(out, self.den)
 
     def max_ep(self) -> int:
-        return max((k[0] for k in self.terms), default=0)
+        return max((k[0] for k in self.num), default=0)
 
     def degree(self) -> int:
-        return max((k[2] + k[3] for k in self.terms), default=0)
+        return max((k[2] + k[3] for k in self.num), default=0)
 
     def subs(
         self,
@@ -229,37 +271,34 @@ class GradedPoly:
         """Substitute polynomials for x and y, keeping the grading factors.
 
         ``_powers`` is private to `_substitute`, which passes the power
-        lists a trajectory keeps for exactly this pair and ``max_ep``.  Each
-        power used is scaled to integer numerators once per call, and all
+        lists a trajectory keeps for exactly this pair and ``max_ep``.  All
         terms are summed over one common denominator.
         """
         xs, ys = _powers if _powers is not None else ([], [])
-        extend_powers(xs, px, max((k[2] for k in self.terms), default=0), max_ep)
-        extend_powers(ys, py, max((k[3] for k in self.terms), default=0), max_ep)
-        dc, live = _numerators(self.terms)
+        extend_powers(xs, px, max((k[2] for k in self.num), default=0), max_ep)
+        extend_powers(ys, py, max((k[3] for k in self.num), default=0), max_ep)
+        live = self.num.items()
         if max_ep is not None:
             live = [(k, n) for k, n in live if k[0] <= max_ep]
-        xn = {i: _numerators(xs[i].terms) for i in {k[2] for k, _ in live}}
-        yn = {j: _numerators(ys[j].terms) for j in {k[3] for k, _ in live}}
-        lx = lcm(*(d for d, _ in xn.values()))
-        ly = lcm(*(d for d, _ in yn.values()))
+        lx = lcm(*{xs[k[2]].den for k, _ in live})
+        ly = lcm(*{ys[k[3]].den for k, _ in live})
         out: dict[tuple[int, int, int, int], int] = {}
         for (ep, gp, i, j), c in live:
-            dx, a = xn[i]
-            dy, b = yn[j]
-            c *= (lx // dx) * (ly // dy)
-            prod = _int_product(a, b, None if max_ep is None else max_ep - ep)
+            x, y = xs[i], ys[j]
+            c *= (lx // x.den) * (ly // y.den)
+            prod = _int_product(x.num, y.num, None if max_ep is None else max_ep - ep)
             _accumulate(
                 out,
                 (((e + ep, g + gp, u, v), n * c) for (e, g, u, v), n in prod.items()),
             )
-        den = dc * lx * ly
-        return GradedPoly._clean({k: Fraction(n, den) for k, n in out.items()})
+        return GradedPoly._reduced(out, self.den * lx * ly)
 
     def evaluate(self, g: float, param_value: float, x: float = 0.0, y: float = 0.0) -> float:
+        # n / den is the correctly rounded float of the coefficient
+        den = self.den
         total = 0.0
-        for (ep, gp, i, j), c in self.terms.items():
-            total += float(c) * g**gp * param_value**ep * x**i * y**j
+        for (ep, gp, i, j), n in self.num.items():
+            total += n / den * g**gp * param_value**ep * x**i * y**j
         return total
 
     def sorted_terms(self):
@@ -267,7 +306,7 @@ class GradedPoly:
 
     def show(self, sym: str = "p") -> str:
         """Canonical text form, with ``sym`` naming the parameter."""
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for (ep, gp, i, j), c in self.sorted_terms():
@@ -335,34 +374,40 @@ def _accumulate(out: dict, items) -> None:
                 del out[key]
 
 
-def _numerators(terms: dict) -> tuple[int, list]:
-    """Common denominator of ``terms`` and each coefficient scaled to it,
-    as (den, [(key, integer numerator), ...]) in the dict's order."""
-    ratios = [(k, c.as_integer_ratio()) for k, c in terms.items()]
-    den = lcm(*[d for _, (_, d) in ratios])
-    return den, [(k, n * (den // d)) for k, (n, d) in ratios]
-
-
-def _int_product(a: list, b: list, max_ep: int | None) -> dict:
-    """Integer-numerator product of two `_numerators` lists, truncated above
-    ``max_ep``: keys in first-touch order, cancelled sums dropped."""
+def _int_product(a: dict, b: dict, max_ep: int | None) -> dict:
+    """Product of two numerator dicts, truncated above ``max_ep``: keys in
+    first-touch order, cancelled sums dropped."""
     out: dict[tuple[int, int, int, int], int] = {}
     get = out.get
     rows: dict[int, list] = {}  # b cut to what each parameter power of a allows
-    for (ea, ga, ia, ja), na in a:
+    for (ea, ga, ia, ja), na in a.items():
         row = rows.get(ea)
         if row is None:
-            row = rows[ea] = b if max_ep is None else [t for t in b if t[0][0] + ea <= max_ep]
+            row = rows[ea] = (
+                b.items() if max_ep is None else [t for t in b.items() if t[0][0] + ea <= max_ep]
+            )
         for (eb, gb, ib, jb), nb in row:
             key = (ea + eb, ga + gb, ia + ib, ja + jb)
             out[key] = get(key, 0) + na * nb
     return {k: n for k, n in out.items() if n}
 
 
+def _scale_terms(p: GradedPoly, factors: dict) -> GradedPoly:
+    """The terms of ``p`` at the keys of ``factors``, in that order, each
+    multiplied by its factor, given as an integer pair (top, bottom) with
+    ``bottom`` nonzero."""
+    den = lcm(*(bottom for _, bottom in factors.values()))
+    num = p.num
+    return GradedPoly._reduced(
+        {k: num[k] * top * (den // bottom) for k, (top, bottom) in factors.items()},
+        p.den * den,
+    )
+
+
 def extend_powers(powers: list, p: GradedPoly, n: int, max_ep: int | None) -> list:
     """Grow ``powers`` in place to p^0 .. p^n, each truncated above ``max_ep``."""
     if not powers:
-        powers.append(GradedPoly.const(1))
+        powers.append(GradedPoly._raw({(0, 0, 0, 0): 1}, 1))
     while len(powers) <= n:
         powers.append(powers[-1].mul(p, max_ep=max_ep))
     return powers
@@ -375,12 +420,13 @@ def flow_derivative(p: GradedPoly, b) -> GradedPoly:
     the trajectory amplitudes X = cx e^t, Y = cy e^(bt), this is d/dt.
     """
     b = Fraction(b)
-    out = {}
-    for (ep, gp, i, j), c in p.terms.items():
-        rate = i + j * b
+    top, q = b.numerator, b.denominator
+    factors = {}
+    for k in p.num:
+        rate = k[2] * q + k[3] * top  # q times the eigenvalue i + j*b
         if rate:
-            out[(ep, gp, i, j)] = c * rate
-    return GradedPoly._clean(out)
+            factors[k] = (rate, q)
+    return _scale_terms(p, factors)
 
 
 def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
@@ -392,12 +438,13 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
     signals a missing energy subtraction upstream and raises SingularInverse.
     """
     b = Fraction(b)
-    out = {}
-    for (ep, gp, i, j), c in p.terms.items():
-        if i == 0 and j == 0:
+    top, q = b.numerator, b.denominator
+    factors = {}
+    for k in p.num:
+        if k[2] == 0 and k[3] == 0:
             raise SingularInverse("flat term has flow eigenvalue zero")
-        out[(ep, gp, i, j)] = c / (i + j * b)
-    return GradedPoly._clean(out)
+        factors[k] = (q, k[2] * q + k[3] * top)
+    return _scale_terms(p, factors)
 
 
 def _substitute(p: GradedPoly, traj: "Trajectory", pair: str, order: int) -> GradedPoly:

@@ -305,7 +305,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.golden:
         with open(args.golden) as fh:
             doc = json.load(fh)
-        sols.append(solution_from_doc(doc))
+        golden = solution_from_doc(doc)
+        if golden.b != cfg.b:
+            raise ValueError(f"golden file has b={golden.b}, but the request has b={cfg.b}")
+        sols.append(golden)
         labels.append(f"golden:{doc.get('method', '?')}")
     for name in names:
         sols.append(build_solution(name, cfg.b, cfg.order))

@@ -32,7 +32,7 @@ def apply_flow_inverse(p: GradedPoly, b: Fraction) -> GradedPoly:
     This is `integrate_to_T` with the g it costs made explicit; a flat term
     raises SingularInverse.
     """
-    for (_, _, i, j) in p.terms:
+    for (_, _, i, j) in p.num:
         if i % 2 or j % 2:
             raise OddParity(f"x^{i} y^{j} is not an even monomial")
     return integrate_to_T(p, b).shift(gp=-1)
@@ -148,7 +148,7 @@ class OperatorSolution:
         total = GradedPoly.zero()
         for part in self.chi:
             total = total + part
-        depth = -min((gp for (_, gp, _, _) in total.terms), default=0)
+        depth = -min((gp for (_, gp, _, _) in total.num), default=0)
         terms = tuple(slice_level(total, -n) for n in range(depth + 1))
         energies = zero_point_energy(self.spec.b)
         for shift in self.delta:

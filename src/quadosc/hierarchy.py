@@ -85,8 +85,8 @@ def fold_levels(levels, top_gp: int) -> GradedPoly:
 
 def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
     """Pull out one g slice, dropping the grade it implicitly carries."""
-    return GradedPoly._clean(
-        {(ep, 0, i, j): c for (ep, g, i, j), c in p.terms.items() if g == gp}
+    return GradedPoly._reduced(
+        {(ep, 0, i, j): n for (ep, g, i, j), n in p.num.items() if g == gp}, p.den
     )
 
 

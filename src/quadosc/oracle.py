@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
-from .algebra import GradedPoly
+from .algebra import GradedPoly, integrate_to_T
 from .errors import ConvergenceFailure
 from .hierarchy import SeriesSolution
 from .perturbation import (
@@ -68,24 +68,29 @@ def oscillator_matrix_element(m: int, n: int, omega) -> float:
     return 0.0
 
 
-def _square_action(table: dict[tuple[int, int], Fraction], b: Fraction):
+def _square_action(table: GradedPoly, b: Fraction) -> GradedPoly:
     """Act with x^2 y^2 on a raw-basis coefficient table.
 
-    In the unnormalized basis s^2 maps entry m to (1/omega) times 1/4 of
-    entry m+2, (m + 1/2) of entry m, and m(m-1) of entry m-2.  The two
+    A table stores entry (m, n) at the monomial x^m y^n.  In the
+    unnormalized basis s^2 maps entry m to (1/omega) times 1/4 of entry m+2,
+    (m + 1/2) of entry m, and m(m-1) of entry m-2; the loop uses four times
+    these weights on each axis and divides by 16 at the end.  The two
     1/omega factors contribute 1/b here and g^-2 to the implicit grading.
     """
-    out: dict[tuple[int, int], Fraction] = {}
-    for (m, n), v in table.items():
-        for dm, ax in ((2, Fraction(1, 4)), (0, Fraction(2 * m + 1, 2)), (-2, Fraction(m * (m - 1)))):
+    out: dict[tuple[int, int, int, int], int] = {}
+    for (_, _, m, n), v in table.num.items():
+        v *= b.denominator
+        for dm, ax in ((2, 1), (0, 4 * m + 2), (-2, 4 * m * (m - 1))):
             if not ax:
                 continue
-            for dn, ay in ((2, Fraction(1, 4)), (0, Fraction(2 * n + 1, 2)), (-2, Fraction(n * (n - 1)))):
+            for dn, ay in ((2, 1), (0, 4 * n + 2), (-2, 4 * n * (n - 1))):
                 if not ay:
                     continue
-                key = (m + dm, n + dn)
-                out[key] = out.get(key, Fraction(0)) + v * ax * ay / b
-    return {k: v for k, v in out.items() if v}
+                key = (0, 0, m + dm, n + dn)
+                out[key] = out.get(key, 0) + v * ax * ay
+    return GradedPoly._reduced(
+        {k: v for k, v in out.items() if v}, table.den * 16 * b.numerator
+    )
 
 
 def _hermite_table(max_m: int, axis: str, b: Fraction) -> dict[int, GradedPoly]:
@@ -105,16 +110,18 @@ def _hermite_table(max_m: int, axis: str, b: Fraction) -> dict[int, GradedPoly]:
     return tab
 
 
-def _chi_from_tables(tables, b: Fraction, order: int) -> GradedPoly:
+def _chi_from_tables(tables: list[GradedPoly], b: Fraction, order: int) -> GradedPoly:
     """Divide the corrected state by the bare gaussian and normalize at 0."""
-    max_m = max((m for t in tables for (m, _) in t), default=0)
-    max_n = max((n for t in tables for (_, n) in t), default=0)
+    max_m = max((k[2] for t in tables for k in t.num), default=0)
+    max_n = max((k[3] for t in tables for k in t.num), default=0)
     hx = _hermite_table(max_m, "x", b)
     hy = _hermite_table(max_n, "y", b)
     chi = GradedPoly.zero()
     for k, table in enumerate(tables):
-        for (m, n), c in table.items():
-            chi = chi + (hx[m].mul(hy[n]) * c).shift(ep=k, gp=-3 * k)
+        state = GradedPoly.zero()
+        for (_, _, m, n), v in table.num.items():
+            state = state + hx[m].mul(hy[n]) * v
+        chi = chi + (state / table.den).shift(ep=k, gp=-3 * k)
     head = chi.constant_part()
     return chi.mul(_series_inverse(head, order), order)
 
@@ -159,22 +166,25 @@ def rs_corrections(b, order: int = 2) -> RSCorrections:
         raise ValueError("frequency ratio must be positive")
     if order < 1:
         raise ValueError("order must be at least 1")
-    tables: list[dict[tuple[int, int], Fraction]] = [{(0, 0): Fraction(1)}]
+    tables = [GradedPoly.const(1)]
     shifts: list[Fraction] = []
     for k in range(1, order + 1):
         acted = _square_action(tables[k - 1], b)
-        shifts.append(acted.pop((0, 0), Fraction(0)))
+        shifts.append(Fraction(acted.num.get((0, 0, 0, 0), 0), acted.den))
+        acted = acted.drop_constant()
         for r in range(1, k):
-            for s, v in tables[k - r].items():
-                acted[s] = acted.get(s, Fraction(0)) - shifts[r - 1] * v
-        nxt = {}
-        for (m, n), v in acted.items():
-            if v and (m, n) != (0, 0):
-                nxt[(m, n)] = -v / (m + n * b)
-        tables.append(nxt)
+            acted = acted - tables[k - r] * shifts[r - 1]
+        # integrate_to_T divides entry (m, n) by its energy denominator m + n b
+        tables.append(-integrate_to_T(acted, b))
     energies = GradedPoly({(k, 1 - 3 * k, 0, 0): e for k, e in enumerate(shifts, start=1)})
     chi = _chi_from_tables(tables, b, order)
-    return RSCorrections(b=b, order=order, tables=tuple(tables), energies=energies, chi=chi)
+    return RSCorrections(
+        b=b,
+        order=order,
+        tables=tuple({(m, n): c for (_, _, m, n), c in t.terms.items()} for t in tables),
+        energies=energies,
+        chi=chi,
+    )
 
 
 def rs_series(b, order: int = 2) -> SeriesSolution:
@@ -285,6 +295,12 @@ def fd_ground_state(
         residual = float(np.linalg.norm(hv - energy * vec))
         if residual <= tol_eff:
             break
+        floor = np.finfo(float).eps * abs(energy)
+        if tol_eff < floor:
+            raise ConvergenceFailure(
+                f"residual bound {tol_eff:.3e} is below the round-off floor"
+                f" {floor:.3e} of the energy {energy:.6g}"
+            )
     else:
         raise ConvergenceFailure(
             f"residual {residual:.3e} above {tol_eff:.3e} after {max_iter} iterations"

@@ -106,7 +106,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
 
 
 def _truncate_g_depth(p: GradedPoly, g_depth: int) -> GradedPoly:
-    return GradedPoly._clean({k: c for k, c in p.terms.items() if k[1] >= -g_depth})
+    return GradedPoly._reduced({k: n for k, n in p.num.items() if k[1] >= -g_depth}, p.den)
 
 
 def _power_series(q: GradedPoly, coef, order: int, g_depth: int | None = None) -> GradedPoly:
@@ -116,7 +116,7 @@ def _power_series(q: GradedPoly, coef, order: int, g_depth: int | None = None) -
     The series is finite when every term of q carries the parameter or,
     with a g-depth cut, lowers the g grade.
     """
-    if any(ep == 0 and (g_depth is None or gp >= 0) for (ep, gp, _, _) in q.terms):
+    if any(ep == 0 and (g_depth is None or gp >= 0) for (ep, gp, _, _) in q.num):
         raise ValueError("series argument must carry the parameter or lower the g grade")
     acc = GradedPoly.zero()
     pw = GradedPoly.const(1)
@@ -217,9 +217,9 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
     energies = sol.energies.regrade(sol.flavor, target)
     if sol.kind == "exp":
         folded = fold_levels(sol.terms, 1).regrade(sol.flavor, target)
-        if any(gp > 1 for (_, gp, _, _) in folded.terms):
+        if any(gp > 1 for (_, gp, _, _) in folded.num):
             raise ValueError("terms would land above the leading level")
-        last = max((1 - gp for (_, gp, _, _) in folded.terms), default=1)
+        last = max((1 - gp for (_, gp, _, _) in folded.num), default=1)
         last = max(last, 1)
         terms = tuple(slice_level(folded, 1 - n) for n in range(last + 1))
         base: tuple[GradedPoly, ...] = ()
@@ -227,17 +227,19 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
         if target == "mu":
             raise ValueError("the mu flavor has no prefactor form")
         exponent = fold_levels(sol.base, 1).regrade(sol.flavor, target)
-        if any(gp > 1 for (_, gp, _, _) in exponent.terms):
+        if any(gp > 1 for (_, gp, _, _) in exponent.num):
             raise ValueError("terms would land above the leading level")
-        deep = GradedPoly._clean({k: c for k, c in exponent.terms.items() if k[1] < 0})
+        deep = GradedPoly._reduced(
+            {k: n for k, n in exponent.num.items() if k[1] < 0}, exponent.den
+        )
         pf = fold_levels(sol.terms, 0).regrade(sol.flavor, target)
-        if any(gp > 0 for (_, gp, _, _) in pf.terms):
+        if any(gp > 0 for (_, gp, _, _) in pf.num):
             raise ValueError("prefactor terms would land above depth zero")
         pf = pf.mul(_exp_series(-deep, sol.order), sol.order)
         head = slice_level(pf, 0)
         s1 = slice_level(exponent, 0) - _series_log(head, sol.order)
         pf = pf.mul(_series_inverse(head, sol.order), sol.order)
-        depth = max((-gp for (_, gp, _, _) in pf.terms), default=0)
+        depth = max((-gp for (_, gp, _, _) in pf.num), default=0)
         terms = tuple(slice_level(pf, -n) for n in range(depth + 1))
         base = (slice_level(exponent, 1), s1)
 
@@ -297,19 +299,20 @@ def normal_form_diff(left: NormalForm, right: NormalForm) -> list[str]:
         diffs.append("incompatible comparison frames")
         return diffs
     # energy slots are listed in (g power, parameter power) order
-    slots = set(left.energies.terms) | set(right.energies.terms)
-    for slot in sorted(slots, key=lambda k: (k[1], k[0])):
-        lv = left.energies.terms.get(slot, Fraction(0))
-        rv = right.energies.terms.get(slot, Fraction(0))
-        if lv != rv:
-            diffs.append(f"energy slot g^{slot[1]} order {slot[0]}: {lv} != {rv}")
-    keys = sorted(set(left.chi.terms) | set(right.chi.terms))
-    for key in keys:
-        lv = left.chi.terms.get(key, Fraction(0))
-        rv = right.chi.terms.get(key, Fraction(0))
-        if lv != rv:
-            ep, gp, i, j = key
-            diffs.append(
-                f"prefactor term x^{i} y^{j} g^{gp} order {ep}: {lv} != {rv}"
-            )
+    if left.energies != right.energies:
+        slots = set(left.energies.num) | set(right.energies.num)
+        for slot in sorted(slots, key=lambda k: (k[1], k[0])):
+            lv = left.energies.terms.get(slot, Fraction(0))
+            rv = right.energies.terms.get(slot, Fraction(0))
+            if lv != rv:
+                diffs.append(f"energy slot g^{slot[1]} order {slot[0]}: {lv} != {rv}")
+    if left.chi != right.chi:
+        for key in sorted(set(left.chi.num) | set(right.chi.num)):
+            lv = left.chi.terms.get(key, Fraction(0))
+            rv = right.chi.terms.get(key, Fraction(0))
+            if lv != rv:
+                ep, gp, i, j = key
+                diffs.append(
+                    f"prefactor term x^{i} y^{j} g^{gp} order {ep}: {lv} != {rv}"
+                )
     return diffs

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .algebra import (
     _G_SHIFT,
     GradedPoly,
+    _scale_terms,
     evaluate_at_endpoint,
     flow_derivative,
     integrate_to_T,
@@ -53,7 +54,7 @@ class PotentialSpec:
             raise ValueError("frequency ratio b must be positive")
         if self.flavor not in _G_SHIFT:
             raise ValueError(f"unknown coupling flavor {self.flavor!r}")
-        if any(ep for (ep, _, _, _) in self.coupling.terms):
+        if any(ep for (ep, _, _, _) in self.coupling.num):
             raise ValueError("coupling polynomial must be parameter-free")
         if self.coupling.constant_part():
             raise ValueError("coupling polynomial must vanish at the origin")
@@ -146,8 +147,9 @@ def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:
 
 def _particular(source: GradedPoly, ep: int, freq: Fraction, b: Fraction) -> GradedPoly:
     """Decaying response to the order-``ep`` slice of ``source``."""
-    out = {}
-    for (e, gp, p, q), c in source.terms.items():
+    factors = {}
+    for key in source.num:
+        e, _, p, q = key
         if e != ep:
             continue
         denom = (p + q * b) ** 2 - freq**2
@@ -155,8 +157,8 @@ def _particular(source: GradedPoly, ep: int, freq: Fraction, b: Fraction) -> Gra
             raise ResonantDenominator(
                 f"exponent {p}+{q}b resonates with frequency {freq}"
             )
-        out[(e, gp, p, q)] = c / denom
-    return GradedPoly._clean(out)
+        factors[key] = (denom.denominator, denom.numerator)
+    return _scale_terms(source, factors)
 
 
 def invert_endpoint_constants(traj: Trajectory) -> Trajectory:

@@ -1,6 +1,7 @@
 """Ring laws and grading bookkeeping of the exact polynomial algebra."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from quadosc import GradedPoly, SingularInverse, grad_dot, laplacian
 from quadosc.algebra import extend_powers, flow_derivative, integrate_to_T
-from quadosc.perturbation import _exp_series, _series_inverse, _series_log
+from quadosc.hierarchy import slice_level
+from quadosc.perturbation import _exp_series, _series_inverse, _series_log, _truncate_g_depth
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -250,18 +252,31 @@ small_polys = st.dictionaries(
 ).map(GradedPoly)
 
 
+def assert_canonical(p: GradedPoly):
+    """Nonzero int numerators over a positive int denominator, with no common
+    factor; zero is stored over 1."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+
+
 def assert_clean(p: GradedPoly):
-    """Only nonzero Fractions, under keys with non-negative x and y exponents."""
+    """Only nonzero Fractions, under keys with non-negative x and y exponents,
+    viewing a canonical stored form key for key."""
+    assert_canonical(p)
+    assert list(p.terms) == list(p.num)
     for key, c in p.terms.items():
         assert type(c) is Fraction and c != 0
+        assert c == Fraction(p.num[key], p.den)
         assert len(key) == 4 and all(type(k) is int for k in key)
         assert key[2] >= 0 and key[3] >= 0
 
 
-@settings(deadline=None)
-@given(small_polys, small_polys, small_polys, st.integers(0, 3), ratios)
-def test_operations_store_clean_terms(p, q, r, cap, b):
-    results = [
+def operation_results(p, q, r, cap, b) -> list[GradedPoly]:
+    """One result of every operation, cancelling ones included."""
+    return [
         p + q,
         p - q,
         p + (-p),
@@ -278,10 +293,40 @@ def test_operations_store_clean_terms(p, q, r, cap, b):
         flow_derivative(p, b),
         p * 0,
         p * Fraction(-3, 2),
+        p * 4,
+        p / 6,
+        -p,
+        p.diff("x"),
+        p.diff("y"),
+        p.truncate_ep(cap),
+        p.constant_part(),
+        p.drop_constant(),
+        p.coefficient(1, 0),
+        slice_level(p, 0),
+        _truncate_g_depth(p, 0),
+        GradedPoly.zero(),
     ]
-    for out in results:
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys, small_polys, st.integers(0, 3), ratios)
+def test_operations_store_clean_terms(p, q, r, cap, b):
+    for out in operation_results(p, q, r, cap, b):
         assert_clean(out)
     assert not p + (-p) and not p.mul(q) - q.mul(p)
+
+
+@settings(deadline=None)
+@given(small_polys, small_polys, small_polys, st.integers(0, 3), ratios)
+def test_stored_form_is_canonical(p, q, r, cap, b):
+    for out in operation_results(p, q, r, cap, b):
+        assert_canonical(out)
+        # the same terms in the opposite key order make an equal value
+        backwards = GradedPoly(dict(reversed(out.terms.items())))
+        assert backwards == out
+        assert_canonical(backwards)
+        with pytest.raises(TypeError):
+            out.terms[(0, 0, 0, 0)] = Fraction(1)
 
 
 def naive_subs(p: GradedPoly, px: GradedPoly, py: GradedPoly, cap: int) -> GradedPoly:
@@ -332,9 +377,21 @@ def reference_mul(a: dict, b: dict, max_ep: int | None = None) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
+def reference_add(a: dict, b: dict) -> dict:
+    """The sum as a plain Fraction loop, a cancelled key removed at once."""
+    out = dict(a)
+    for key, c in b.items():
+        total = out.get(key, 0) + c
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
+
+
 def reference_subs(p: GradedPoly, px: GradedPoly, py: GradedPoly, max_ep=None) -> dict:
     """Substitution term by term, each power product folded in with
-    Fraction sums and a cancelled key removed at once."""
+    `reference_add`."""
     xs, ys = [{(0, 0, 0, 0): Fraction(1)}], [{(0, 0, 0, 0): Fraction(1)}]
     out = {}
     for (ep, gp, i, j), c in p.terms.items():
@@ -345,14 +402,36 @@ def reference_subs(p: GradedPoly, px: GradedPoly, py: GradedPoly, max_ep=None) -
             xs.append(reference_mul(xs[-1], px.terms, max_ep))
         while len(ys) <= j:
             ys.append(reference_mul(ys[-1], py.terms, max_ep))
-        for (e, g, u, v), n in reference_mul(xs[i], ys[j], cut).items():
-            key = (e + ep, g + gp, u, v)
-            total = out.get(key, 0) + n * c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+        prod = reference_mul(xs[i], ys[j], cut)
+        out = reference_add(out, {(e + ep, g + gp, u, v): n * c for (e, g, u, v), n in prod.items()})
     return out
+
+
+def reference_linear(a: dict, b) -> list[tuple[str, dict]]:
+    """Each term-by-term operation as a plain Fraction loop, by name."""
+    rate = {k: k[2] + k[3] * b for k in a}
+    return [
+        ("neg", {k: -c for k, c in a.items()}),
+        ("scale", {k: c * Fraction(-3, 2) for k, c in a.items()}),
+        ("dx", {(e, g, i - 1, j): c * i for (e, g, i, j), c in a.items() if i}),
+        ("dy", {(e, g, i, j - 1): c * j for (e, g, i, j), c in a.items() if j}),
+        ("flow", {k: c * rate[k] for k, c in a.items() if rate[k]}),
+        ("integrate", {k: c / rate[k] for k, c in a.items() if k[2] or k[3]}),
+    ]
+
+
+def test_mul_and_subs_build_no_fraction(monkeypatch):
+    p = GradedPoly({(0, 0, 2, 1): Fraction(1, 3), (1, -1, 0, 2): Fraction(-2, 5)})
+    q = GradedPoly({(0, 0, 1, 0): Fraction(3, 4), (1, 0, 0, 1): Fraction(1, 6)})
+    want_mul, want_subs = reference_mul(p.terms, q.terms, 1), reference_subs(p, q, p, 2)
+
+    def no_fraction(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr("quadosc.algebra.Fraction", no_fraction)
+    got_mul, got_subs = p.mul(q, 1), p.subs(q, p, 2)
+    monkeypatch.undo()
+    assert got_mul.terms == want_mul and got_subs.terms == want_subs
 
 
 # mixed denominators exercise the common denominator, unit ones cancellation
@@ -404,3 +483,30 @@ def test_subs_keeps_reference_term_order(p, p2, px, py, cap):
             if sx is px and sy is py:
                 # power lists shared between calls, as a trajectory keeps them
                 assert list(a.subs(px, py, cap, _powers=powers).terms.items()) == want
+
+
+@settings(deadline=None)
+@given(order_polys, order_polys, ratios)
+# the keys x and x*y cancel in p + q
+@example(
+    p=GradedPoly({(0, 0, 1, 0): 1, (0, 0, 1, 1): Fraction(1, 2), (0, 0, 0, 0): -1}),
+    q=GradedPoly({(0, 0, 0, 1): 3, (0, 0, 1, 0): -1, (0, 0, 1, 1): Fraction(-1, 2)}),
+    b=Fraction(1, 2),
+)
+def test_linear_operations_keep_reference_term_order(p, q, b):
+    for a in operands(p, q):
+        for c in operands(q, p):
+            assert list((a + c).terms.items()) == list(reference_add(a.terms, c.terms).items())
+            minus = {k: -v for k, v in c.terms.items()}
+            assert list((a - c).terms.items()) == list(reference_add(a.terms, minus).items())
+        got = {
+            "neg": -a,
+            "scale": a * Fraction(-3, 2),
+            "dx": a.diff("x"),
+            "dy": a.diff("y"),
+            "flow": flow_derivative(a, b),
+            "integrate": integrate_to_T(a.drop_constant(), b),
+        }
+        for name, want in reference_linear(a.terms, b):
+            assert list(got[name].terms.items()) == list(want.items()), name
+            assert_clean(got[name])

@@ -363,6 +363,19 @@ def test_golden_with_wrong_depth_is_usage_error(tmp_path, capsys):
     assert_one_error_line(capsys.readouterr().err)
 
 
+def test_golden_for_another_ratio_is_usage_error(tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    assert main(["run", "--b", "1", "--out", str(golden)]) == EXIT_OK
+    argv = ["compare", "--methods", "hierarchy", "--golden", str(golden), "--b", "2"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert_one_error_line(captured.err)
+    assert "b=1" in captured.err and "b=2" in captured.err
+    assert "DIFFERS" not in captured.out
+    argv[-1] = "1"
+    assert main(argv) == EXIT_OK
+
+
 def test_compare_needs_two_runs(capsys):
     assert main(["compare", "--methods", "hierarchy"]) == EXIT_USAGE
 
@@ -475,6 +488,31 @@ def test_overflowing_grid_potential_is_numeric_failure(capsys, grid_n):
     err = capsys.readouterr().err
     assert_one_error_line(err)
     assert "not finite" in err
+
+
+def test_residual_bound_below_round_off_stops_at_once(monkeypatch, capsys):
+    # At g = mu = 1e100 the energy is about 1e100, so no float residual can
+    # reach the absolute bound of 1e-10; this used to take 200 solves.
+    import quadosc.oracle as oracle
+
+    solves = []
+    factor = oracle.splu
+
+    class CountingFactor:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.inner.solve(rhs)
+
+    monkeypatch.setattr(oracle, "splu", lambda ham: CountingFactor(factor(ham)))
+    argv = ["verify", "--grid-n", "21", "--g", "1e100", "--mu", "1e100"]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "round-off floor" in err
+    assert 0 < len(solves) < 5
 
 
 def test_unmapped_exception_exits_internal(monkeypatch, capsys):
