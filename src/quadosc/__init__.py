@@ -35,7 +35,6 @@ from .hierarchy import (
     assemble_wavefunction,
     default_depth,
     pde_residual,
-    solve_hierarchy,
     solve_levels,
 )
 from .oracle import (
@@ -121,7 +120,6 @@ __all__ = [
     "solve_classical_trajectory",
     "solve_exponential",
     "solve_green",
-    "solve_hierarchy",
     "solve_levels",
     "solve_polynomial",
     "standard_spec",

@@ -207,7 +207,7 @@ class GradedPoly:
         elif var == "y":
             out = {(ep, gp, i, j - 1): n * j for (ep, gp, i, j), n in self.num.items() if j}
         else:
-            out = {}
+            raise ValueError(f"unknown variable {var!r}")
         return GradedPoly._reduced(out, self.den)
 
     # ----------------------------------------------------------- structure
@@ -271,8 +271,9 @@ class GradedPoly:
         """Substitute polynomials for x and y, keeping the grading factors.
 
         ``_powers`` is private to `_substitute`, which passes the power
-        lists a trajectory keeps for exactly this pair and ``max_ep``.  All
-        terms are summed over one common denominator.
+        lists a trajectory keeps for exactly this pair, truncated at its
+        order, which is ``max_ep``.  All terms are summed over one common
+        denominator.
         """
         xs, ys = _powers if _powers is not None else ([], [])
         extend_powers(xs, px, max((k[2] for k in self.num), default=0), max_ep)
@@ -447,35 +448,35 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
     return _scale_terms(p, factors)
 
 
-def _substitute(p: GradedPoly, traj: "Trajectory", pair: str, order: int) -> GradedPoly:
+def _substitute(p: GradedPoly, traj: "Trajectory", pair: str) -> GradedPoly:
     """Substitute the trajectory's "flow" pair (x, y) or "endpoint" pair
-    (cx, cy) into ``p``, truncating above ``order``.
+    (cx, cy) into ``p``, truncating above ``traj.order``.
 
-    The powers of the pair are kept on the trajectory, one table per pair
-    and order, and grown by `GradedPoly.subs`; choosing the pair and its
-    table here keeps the two from disagreeing.
+    The powers of the pair are kept on the trajectory, one table per pair,
+    and grown by `GradedPoly.subs`; choosing the pair and its table here
+    keeps the two from disagreeing.  The trajectory fixes the truncation
+    order, so a table never serves another one.
     """
     px, py = (traj.x, traj.y) if pair == "flow" else (traj.cx, traj.cy)
-    table = traj._powers.setdefault((pair, order), ([], []))
-    return p.subs(px, py, max_ep=order, _powers=table)
+    table = traj._powers.setdefault(pair, ([], []))
+    return p.subs(px, py, max_ep=traj.order, _powers=table)
 
 
-def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory", order: int) -> GradedPoly:
-    """Substitute the trajectory for (x, y), truncating above ``order`` in
-    the perturbation parameter.  The result is a polynomial in the
+def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory") -> GradedPoly:
+    """Substitute the trajectory for (x, y), truncating above ``traj.order``
+    in the perturbation parameter.  The result is a polynomial in the
     trajectory amplitudes X and Y."""
-    return _substitute(p, traj, "flow", order)
+    return _substitute(p, traj, "flow")
 
 
-def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory", order: int | None = None) -> GradedPoly:
+def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory") -> GradedPoly:
     """Set t = T and replace the amplitudes by the endpoint series.
 
     At t = T the amplitudes X and Y are the solved series ``traj.cx`` and
     ``traj.cy`` in the endpoint coordinates, so the result is a polynomial
-    in the endpoint coordinates, returned in the (x, y) variables.
+    in the endpoint coordinates, returned in the (x, y) variables, truncated
+    above ``traj.order``.
     """
     if traj.cx is None or traj.cy is None:
         raise ValueError("trajectory endpoint constants not solved")
-    if order is None:
-        order = traj.order
-    return _substitute(p, traj, "endpoint", order)
+    return _substitute(p, traj, "endpoint")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .algebra import GradedPoly
 from .errors import ConvergenceFailure
 from .greens import solve_green
-from .hierarchy import SeriesSolution, fold_levels, solve_hierarchy
+from .hierarchy import SeriesSolution, fold_levels
 from .oracle import (
     GridSpec,
     compare_methods,
@@ -48,6 +48,8 @@ METHODS = (
     "rs",
 )
 PIPELINES = METHODS[:5]
+# coupling flavor of each exponent method; all three run `solve_exponential`
+_EXP_FLAVORS = {"hierarchy": "mu", "exp-eps": "eps", "exp-lambda": "lambda"}
 FORMATS = ("json", "csv", "text")
 
 
@@ -74,11 +76,8 @@ def parse_rational(text: str) -> Fraction:
 
 def build_solution(method: str, b: Fraction, order: int = 2) -> SeriesSolution:
     """Run one method by name and return its graded series."""
-    if method == "hierarchy":
-        return solve_hierarchy(standard_spec(b, "mu"), order=order)
-    if method in ("exp-eps", "exp-lambda"):
-        flavor = method.split("-", 1)[1]
-        return solve_exponential(standard_spec(b, flavor), order=order)
+    if method in _EXP_FLAVORS:
+        return solve_exponential(standard_spec(b, _EXP_FLAVORS[method]), order=order)
     if method in ("poly-eps", "poly-lambda"):
         flavor = method.split("-", 1)[1]
         return solve_polynomial(standard_spec(b, flavor), order=order)
@@ -212,13 +211,20 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it stands; a float, bool or string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 _CONFIG_KEYS = {
     "method": str,
     "b": parse_rational,
-    "order": int,
+    "order": _json_int,
     "g": float,
     "mu": float,
-    "grid_n": int,
+    "grid_n": _json_int,
     "format": str,
     "out": str,
 }
@@ -582,10 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

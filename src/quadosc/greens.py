@@ -83,7 +83,9 @@ def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPo
     """Named coefficients of iterated diffusion-step chains on one monomial.
 
     Computed by composing the operator steps and reading off the requested
-    slot; the result is a pure g-graded rational.
+    slot; the result is a pure g-graded rational.  A full chain is the
+    `collapse_constant` of its monomial: each step lowers the degree by
+    exactly two, so only the last iterate is flat.
 
     kinds (``indices`` is an int or a tuple as noted):
       - "x_full", l >= 1: flat remnant after l steps on x^(2l)
@@ -97,24 +99,20 @@ def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPo
     b = Fraction(b)
     idx = (indices,) if isinstance(indices, int) else tuple(indices)
 
-    def chain(i: int, j: int, steps: int) -> GradedPoly:
-        p = GradedPoly.mono(1, i=i, j=j)
-        for _ in range(steps):
-            p = diffusion_step(p, b)
-        return p
-
     if kind == "x_full" or kind == "y_full":
         (l,) = idx
         if l < 1:
             raise IndexError("chain needs a positive half-degree")
-        i, j = (2 * l, 0) if kind == "x_full" else (0, 2 * l)
-        return chain(i, j, l).constant_part()
+        return collapse_constant(l, 0, b) if kind == "x_full" else collapse_constant(0, l, b)
     if kind == "x_partial" or kind == "y_partial":
         l, n = idx
         if not 0 <= n < l:
             raise IndexError("partial chain needs 0 <= steps < half-degree")
         i, j = (2 * l, 0) if kind == "x_partial" else (0, 2 * l)
-        p = apply_flow_inverse(chain(i, j, n), b)
+        p = GradedPoly.mono(1, i=i, j=j)
+        for _ in range(n):
+            p = diffusion_step(p, b)
+        p = apply_flow_inverse(p, b)
         keep = 2 * (l - n)
         i, j = (keep, 0) if kind == "x_partial" else (0, keep)
         return p.coefficient(i, j)
@@ -122,7 +120,7 @@ def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPo
         l, m = idx
         if l < 1 or m < 1:
             raise IndexError("mixed chain needs both half-degrees positive")
-        return chain(2 * l, 2 * m, l + m).constant_part()
+        return collapse_constant(l, m, b)
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 

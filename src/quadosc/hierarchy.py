@@ -90,15 +90,16 @@ def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
     )
 
 
-def quadrature_level(rhs: GradedPoly, traj: Trajectory, order: int) -> tuple[GradedPoly, GradedPoly]:
+def quadrature_level(rhs: GradedPoly, traj: Trajectory) -> tuple[GradedPoly, GradedPoly]:
     """Solve grad(S_0) . grad(S_next) = rhs - E along the flow.
 
     Returns (E, S_next) with E the flat part of the restricted right side
-    and S_next the endpoint value of the time integral of the remainder.
+    and S_next the endpoint value of the time integral of the remainder,
+    both truncated above ``traj.order``.
     """
-    restricted = restrict_to_trajectory(rhs, traj, order)
+    restricted = restrict_to_trajectory(rhs, traj)
     remainder = integrate_to_T(restricted.drop_constant(), traj.b)
-    return restricted.constant_part(), evaluate_at_endpoint(remainder, traj, order)
+    return restricted.constant_part(), evaluate_at_endpoint(remainder, traj)
 
 
 def solve_levels(s0: GradedPoly, traj: Trajectory) -> SeriesSolution:
@@ -114,7 +115,7 @@ def solve_levels(s0: GradedPoly, traj: Trajectory) -> SeriesSolution:
     energies = GradedPoly.zero()
     for n in range(depth + 2):
         rhs = _transport_source(traj.spec, grads, n, traj.order)
-        energy, s_next = quadrature_level(rhs, traj, traj.order)
+        energy, s_next = quadrature_level(rhs, traj)
         energies = energies + energy.shift(gp=1 - n)
         if n <= depth:
             terms.append(s_next)
@@ -149,14 +150,6 @@ def classical_run(spec: PotentialSpec, order: int) -> tuple[Trajectory, GradedPo
     """Inverted classical trajectory of ``spec`` and its action S_0."""
     traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
     return traj, action_integral(traj)
-
-
-def solve_hierarchy(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
-    """Direct method: coupling rides in the classical flow."""
-    if spec.flavor != "mu":
-        raise ValueError("direct hierarchy requires the mu flavor")
-    traj, s0 = classical_run(spec, order)
-    return solve_levels(s0, traj)
 
 
 def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:

@@ -1,11 +1,11 @@
 """Deferred-coupling solvers and the canonical cross-method form.
 
 Three bookkeepings of the same coupling are supported.  The "mu" flavor
-feeds it into the classical flow (see `hierarchy.solve_hierarchy`).  The
-"eps" and "lambda" flavors keep the flow harmonic and insert the coupling
-into one fixed level of the quantum recursion; one eps unit is worth g^2 mu
-units and one lambda unit g^1, so the insertion lands two levels or one
-level down.
+feeds it into the classical flow; this is the direct hierarchy.  The "eps"
+and "lambda" flavors keep the flow harmonic and insert the coupling into one
+fixed level of the quantum recursion; one eps unit is worth g^2 mu units and
+one lambda unit g^1, so the insertion lands two levels or one level down.
+`solve_exponential` runs all three the same way.
 
 Solutions come in two shapes: exponent levels ("exp") and prefactor levels
 ("poly", the state being exp of the harmonic exponent times a graded
@@ -41,7 +41,8 @@ DEFAULT_WINDOW = (2, 5)
 
 
 def solve_exponential(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
-    """Exponent levels for any flavor; deferred flavors use an insertion."""
+    """Exponent levels for any flavor: the direct hierarchy for "mu", a
+    coupling insertion at one level for the deferred flavors."""
     traj, s0 = classical_run(spec, order)
     return solve_levels(s0, traj)
 
@@ -62,19 +63,16 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     if spec.flavor == "mu":
         raise ValueError("prefactor recursion needs a deferred-coupling flavor")
     depth = default_depth(spec.flavor, order)
-    order_cap = order
-    traj, s0 = classical_run(spec, order_cap)
+    traj, s0 = classical_run(spec, order)
 
-    e0, s1 = quadrature_level(
-        _transport_source(spec, [gradient(s0)], 0, order_cap), traj, order_cap
-    )
+    e0, s1 = quadrature_level(_transport_source(spec, [gradient(s0)], 0, order), traj)
     energies = e0.shift(gp=1)
 
     grad_s1 = gradient(s1)
     p_op = (divergence(grad_s1) - dot(grad_s1, grad_s1)) * Fraction(1, 2)
     if spec.flavor == "eps":
         p_op = p_op + spec.coupling_term()
-    p_op = p_op.truncate_ep(order_cap)
+    p_op = p_op.truncate_ep(order)
 
     chis = [GradedPoly.const(1)]
     level_energies: list[GradedPoly] = []
@@ -82,12 +80,12 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
         prev = chis[n - 1]
         grad_prev = gradient(prev)
         rhs = divergence(grad_prev) * Fraction(1, 2)
-        rhs = rhs - dot(grad_s1, grad_prev, order_cap)
-        rhs = rhs - p_op.mul(prev, order_cap)
+        rhs = rhs - dot(grad_s1, grad_prev, order)
+        rhs = rhs - p_op.mul(prev, order)
         for j in range(1, n):
-            rhs = rhs + level_energies[j - 1].mul(chis[n - j], order_cap)
-        rhs = rhs.truncate_ep(order_cap)
-        flat, chi_n = quadrature_level(rhs, traj, order_cap)
+            rhs = rhs + level_energies[j - 1].mul(chis[n - j], order)
+        rhs = rhs.truncate_ep(order)
+        flat, chi_n = quadrature_level(rhs, traj)
         e_n = -flat
         level_energies.append(e_n)
         energies = energies + e_n.shift(gp=1 - n)
@@ -98,7 +96,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
         kind="poly",
         flavor=spec.flavor,
         b=spec.b,
-        order=order_cap,
+        order=order,
         terms=tuple(chis),
         energies=energies,
         base=(s0, s1),

@@ -95,16 +95,19 @@ def standard_spec(b, flavor: str = "mu") -> PotentialSpec:
 class Trajectory:
     """Escape trajectory, optionally with endpoint constants solved.
 
-    ``x`` and ``y`` are polynomials in the amplitudes X = cx e^t and
-    Y = cy e^(bt), stored in the x and y slots of a `GradedPoly`; the
-    harmonic flow is x = X, y = Y.  ``cx`` and ``cy``, when present, express
-    the amplitudes at t = T as polynomial series in the endpoint
-    coordinates; they are what `evaluate_at_endpoint` substitutes.
+    ``order`` is the run's truncation order in the perturbation parameter:
+    every substitution of the trajectory, and every product along the flow,
+    is cut above it.  ``x`` and ``y`` are polynomials in the amplitudes
+    X = cx e^t and Y = cy e^(bt), stored in the x and y slots of a
+    `GradedPoly`; the harmonic flow is x = X, y = Y.  ``cx`` and ``cy``, when
+    present, express the amplitudes at t = T as polynomial series in the
+    endpoint coordinates; they are what `evaluate_at_endpoint` substitutes.
 
     The powers of (x, y) and of (cx, cy) that substitution needs are built
-    once per trajectory and kept with it (``_powers``, filled by
-    `algebra._substitute`); they take no part in comparison and are not
-    copied by `dataclasses.replace`.
+    once per trajectory and kept with it (``_powers``, keyed "flow" and
+    "endpoint", filled by `algebra._substitute`); they take no part in
+    comparison and are not copied by `dataclasses.replace`, so a trajectory
+    replaced at another order starts with empty tables.
     """
 
     spec: PotentialSpec
@@ -140,8 +143,8 @@ def solve_classical_trajectory(spec: PotentialSpec, order: int) -> Trajectory:
     fy = spec.coupling_term().diff("y")
     for n in range(1, order + 1):
         partial = Trajectory(spec, n, x, y)
-        x = x + _particular(restrict_to_trajectory(fx, partial, n), n, Fraction(1), b)
-        y = y + _particular(restrict_to_trajectory(fy, partial, n), n, b, b)
+        x = x + _particular(restrict_to_trajectory(fx, partial), n, Fraction(1), b)
+        y = y + _particular(restrict_to_trajectory(fy, partial), n, b, b)
     return Trajectory(spec, order, x, y)
 
 
@@ -194,15 +197,14 @@ def action_integral(traj: Trajectory) -> GradedPoly:
     equals twice the potential, every term decays toward t = -infinity, and
     the endpoint value is a polynomial in the endpoint coordinates.
     """
-    order = traj.order
-    integrand = _kinetic(traj, order) + restrict_to_trajectory(traj.spec.potential(), traj, order)
-    return evaluate_at_endpoint(integrate_to_T(integrand, traj.b), traj, order)
+    integrand = _kinetic(traj) + restrict_to_trajectory(traj.spec.potential(), traj)
+    return evaluate_at_endpoint(integrate_to_T(integrand, traj.b), traj)
 
 
-def _kinetic(traj: Trajectory, max_ep: int) -> GradedPoly:
+def _kinetic(traj: Trajectory) -> GradedPoly:
     vx = flow_derivative(traj.x, traj.b)
     vy = flow_derivative(traj.y, traj.b)
-    return (vx.mul(vx, max_ep) + vy.mul(vy, max_ep)) * Fraction(1, 2)
+    return (vx.mul(vx, traj.order) + vy.mul(vy, traj.order)) * Fraction(1, 2)
 
 
 def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) -> GradedPoly:
@@ -211,19 +213,19 @@ def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) ->
     Exactly zero through the solved order; the first truncated order shows
     up when ``max_ep`` exceeds ``traj.order``.
     """
-    if max_ep is None:
-        max_ep = traj.order
-    return _kinetic(traj, max_ep) - restrict_to_trajectory(traj.spec.potential(), traj, max_ep)
+    if max_ep is not None:
+        traj = dataclasses.replace(traj, order=max_ep)
+    return _kinetic(traj) - restrict_to_trajectory(traj.spec.potential(), traj)
 
 
 def flow_equation_residual(traj: Trajectory, max_ep: int | None = None) -> tuple[GradedPoly, GradedPoly]:
     """Second-derivative residuals of both flow equations, truncated."""
-    if max_ep is None:
-        max_ep = traj.order
+    if max_ep is not None:
+        traj = dataclasses.replace(traj, order=max_ep)
     fx = traj.spec.potential().diff("x")
     fy = traj.spec.potential().diff("y")
     ax = flow_derivative(flow_derivative(traj.x, traj.b), traj.b)
     ay = flow_derivative(flow_derivative(traj.y, traj.b), traj.b)
-    res_x = ax - restrict_to_trajectory(fx, traj, max_ep)
-    res_y = ay - restrict_to_trajectory(fy, traj, max_ep)
-    return res_x.truncate_ep(max_ep), res_y.truncate_ep(max_ep)
+    res_x = ax - restrict_to_trajectory(fx, traj)
+    res_y = ay - restrict_to_trajectory(fy, traj)
+    return res_x.truncate_ep(traj.order), res_y.truncate_ep(traj.order)

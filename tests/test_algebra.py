@@ -74,6 +74,17 @@ def test_derivative_product_rule(p, q):
         assert pq.diff(var) == p.diff(var).mul(q) + p.mul(q.diff(var))
 
 
+def test_unknown_variable_is_rejected():
+    p = GradedPoly.mono(3, i=2, j=1)
+    for name in ("z", "X", ""):
+        with pytest.raises(ValueError, match="unknown variable"):
+            p.diff(name)
+        with pytest.raises(ValueError, match="unknown variable"):
+            GradedPoly.variable(name)
+    with pytest.raises(ValueError, match="unknown variable"):
+        GradedPoly.zero().diff("z")
+
+
 @given(polys)
 def test_laplacian_is_sum_of_second_derivatives(p):
     assert laplacian(p) == p.diff("x").diff("x") + p.diff("y").diff("y")

@@ -17,6 +17,7 @@ from quadosc.cli import (
     EXIT_OK,
     EXIT_USAGE,
     METHODS,
+    build_parser,
     build_solution,
     main,
     parse_rational,
@@ -103,6 +104,12 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
         {"grid_n": 2},
         {"grid_n": -5},
         {"depth": 5},
+        {"order": 2.7},
+        {"order": 2.0},
+        {"order": True},
+        {"order": "2"},
+        {"grid_n": 41.9},
+        {"grid_n": True},
     ],
     ids=str,
 )
@@ -112,6 +119,16 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
     assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(
+        "quadosc.cli.build_parser", lambda: calls.append(1) or build_parser()
+    )
+    for _ in range(2):
+        assert main(["run", "--method", "rs", "--order", "1"]) == EXIT_OK
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize(

@@ -155,11 +155,15 @@ def test_mixed_chain_printed_values(b):
 
 
 def test_mixed_chain_agrees_with_collapse(b):
+    # l + m diffusion steps flatten x^(2l) y^(2m); no earlier iterate is flat
     for l in range(1, 4):
         for m in range(1, 4):
-            assert collapse_constant(l, m, b) == gamma_coefficient(
-                "xy_full", (l, m), b
-            )
+            p = mono(1, i=2 * l, j=2 * m)
+            for _ in range(l + m):
+                assert not p.constant_part()
+                p = diffusion_step(p, b)
+            assert p == p.constant_part() == collapse_constant(l, m, b)
+            assert gamma_coefficient("xy_full", (l, m), b) == p
 
 
 def test_partial_chain_closed_form(b):

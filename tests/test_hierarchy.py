@@ -16,7 +16,6 @@ from quadosc import (
     laplacian,
     pde_residual,
     solve_exponential,
-    solve_hierarchy,
     standard_spec,
 )
 
@@ -30,7 +29,7 @@ def b(request):
 
 @pytest.fixture
 def solution(b):
-    return solve_hierarchy(standard_spec(b), order=2)
+    return solve_exponential(standard_spec(b), order=2)
 
 
 def test_levels_match_closed_form(b, solution):
@@ -50,13 +49,6 @@ def test_term_accessor(solution):
 
 def test_energy_slots_match_closed_form(b, solution):
     assert solution.energies == mu_energy_slots(b)
-
-
-def test_rejects_deferred_flavors():
-    with pytest.raises(ValueError):
-        solve_hierarchy(standard_spec(Fraction(1), "eps"))
-    with pytest.raises(ValueError):
-        solve_hierarchy(standard_spec(Fraction(1), "lambda"))
 
 
 def test_transport_equations_hold_in_coordinates(b, solution):
@@ -116,7 +108,7 @@ def test_assembly_rejects_prefactor_solutions(solution):
 
 
 def test_physical_energy_exact_sample():
-    sol = solve_hierarchy(standard_spec(Fraction(1)), order=2)
+    sol = solve_exponential(standard_spec(Fraction(1)), order=2)
     g, mu = Fraction(10), Fraction(1, 10)
     exact = sum(c * g**gp * mu**ep for (ep, gp, _, _), c in sol.energies.terms.items())
     assert exact == Fraction(160397, 16000)
@@ -124,8 +116,8 @@ def test_physical_energy_exact_sample():
 
 
 def _check_swap_symmetry(b: Fraction, order: int) -> None:
-    direct = solve_hierarchy(standard_spec(b), order).energies.terms
-    swapped = solve_hierarchy(standard_spec(1 / b), order).energies.terms
+    direct = solve_exponential(standard_spec(b), order).energies.terms
+    swapped = solve_exponential(standard_spec(1 / b), order).energies.terms
     assert direct.keys() == swapped.keys()
     for (ep, gp, i, j), c in direct.items():
         assert c == swapped[(ep, gp, i, j)] * b ** (gp - 2 * ep)

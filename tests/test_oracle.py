@@ -23,7 +23,6 @@ from quadosc import (
     rs_corrections,
     rs_series,
     solve_exponential,
-    solve_hierarchy,
     solve_polynomial,
     standard_spec,
 )
@@ -228,7 +227,7 @@ def test_compare_agreement_and_names():
     b = Fraction(2)
     report = compare_methods(
         [
-            solve_hierarchy(standard_spec(b), 2),
+            solve_exponential(standard_spec(b), 2),
             solve_exponential(standard_spec(b, "eps"), 2),
         ],
         names=["direct", "deferred"],
@@ -264,7 +263,7 @@ def test_compare_reports_disagreements():
     import dataclasses
 
     b = Fraction(1)
-    good = solve_hierarchy(standard_spec(b), 2)
+    good = solve_exponential(standard_spec(b), 2)
     bad_energies = good.energies + GradedPoly.mono(Fraction(1, 3), gp=-1, ep=2)
     bad = dataclasses.replace(good, energies=bad_energies)
     report = compare_methods([good, bad])
@@ -276,13 +275,13 @@ def test_compare_reports_disagreements():
 def test_compare_guards():
     with pytest.raises(ValueError):
         compare_methods([])
-    sol = solve_hierarchy(standard_spec(Fraction(1)), 2)
+    sol = solve_exponential(standard_spec(Fraction(1)), 2)
     with pytest.raises(ValueError):
         compare_methods([sol], names=["a", "b"])
 
 
 def test_compare_numeric_block():
-    sol = solve_hierarchy(standard_spec(Fraction(1)), 2)
+    sol = solve_exponential(standard_spec(Fraction(1)), 2)
     est = fd_ground_state(10.0, 1.0, 0.05)
     report = compare_methods([sol], estimate=est)
     assert report.numeric is not None

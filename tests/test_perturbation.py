@@ -18,7 +18,6 @@ from quadosc import (
     normal_form_diff,
     normalize_grading,
     solve_exponential,
-    solve_hierarchy,
     solve_polynomial,
     standard_spec,
 )
@@ -48,7 +47,7 @@ def poly_run(b: Fraction, flavor: str):
 
 @lru_cache(maxsize=None)
 def mu_run(b: Fraction):
-    return solve_hierarchy(standard_spec(b), order=2)
+    return solve_exponential(standard_spec(b), order=2)
 
 
 @pytest.fixture(params=B_VALUES, ids=str)
@@ -256,6 +255,6 @@ def test_normal_form_diff_reports_slots():
     st.fractions(min_value=Fraction(1, 4), max_value=Fraction(4), max_denominator=4)
 )
 def test_canonical_window_agreement_random_ratio(ratio):
-    reference = canonical_window(solve_hierarchy(standard_spec(ratio), 2))
+    reference = canonical_window(solve_exponential(standard_spec(ratio), 2))
     other = canonical_window(solve_exponential(standard_spec(ratio, "eps"), 2))
     assert other == reference

@@ -1,5 +1,6 @@
 """Classical escape trajectory: flow solution, endpoint inversion, action."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -121,13 +122,18 @@ def test_endpoint_inversion_roundtrip_random_ratio(p, q):
 
 
 def test_power_tables_follow_the_truncation_order():
-    """A trajectory keeps one power table per truncation order."""
+    """A trajectory keeps one power table per pair, cut at its own order;
+    the same trajectory at another order starts with fresh tables."""
     spec = standard_spec(Fraction(5, 3))
-    traj = invert_endpoint_constants(solve_classical_trajectory(spec, 3))
+    traj = invert_endpoint_constants(solve_classical_trajectory(spec, 4))
     p = spec.potential()
-    for k in (3, 4, 2, 3):
-        assert restrict_to_trajectory(p, traj, k) == p.subs(traj.x, traj.y, max_ep=k)
-        assert evaluate_at_endpoint(p, traj, k) == p.subs(traj.cx, traj.cy, max_ep=k)
+    for k in (4, 2, 5, 3):
+        cut = dataclasses.replace(traj, order=k)
+        assert cut._powers == {}
+        for q in (p, p.mul(p), p):  # grows the tables, then reuses them
+            assert restrict_to_trajectory(q, cut) == q.subs(traj.x, traj.y, max_ep=k)
+            assert evaluate_at_endpoint(q, cut) == q.subs(traj.cx, traj.cy, max_ep=k)
+        assert set(cut._powers) == {"flow", "endpoint"}
 
 
 @pytest.mark.parametrize("b", B_VALUES)
