@@ -14,32 +14,39 @@ import sys
 import time
 
 from quadosc import compare_methods
-from quadosc.cli import METHODS, build_solution, parse_rational
+from quadosc.cli import (
+    METHODS,
+    build_solution,
+    comma_list,
+    parse_methods,
+    positive_int,
+    positive_rational,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--ratios",
+        type=comma_list(positive_rational),
         default="1/2,1,2,3,5/3",
         help="comma-separated rational frequency ratios to sweep",
     )
     parser.add_argument(
         "--methods",
+        type=parse_methods,
         default=",".join(METHODS),
         help="comma-separated method names (first one is the reference)",
     )
-    parser.add_argument("--order", type=int, default=2, help="coupling order")
+    parser.add_argument("--order", type=positive_int, default=2, help="coupling order")
     parser.add_argument(
         "--json", action="store_true", help="emit a JSON report instead of a table"
     )
     args = parser.parse_args(argv)
 
-    ratios = [parse_rational(r) for r in args.ratios.split(",") if r.strip()]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for name in methods:
-        if name not in METHODS:
-            parser.error(f"unknown method {name!r}; choose from {', '.join(METHODS)}")
+    ratios, methods = args.ratios, args.methods
+    if not methods:
+        parser.error("--methods names no method")
 
     rows = []
     all_agree = True

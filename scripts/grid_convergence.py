@@ -20,20 +20,30 @@ from quadosc import (
     extrapolated_ground_energy,
     fd_ground_state,
 )
-from quadosc.cli import build_solution, loglog_slope, parse_rational
+from quadosc.cli import (
+    METHODS,
+    build_solution,
+    loglog_slope,
+    one_of,
+    positive_float,
+    positive_int,
+    positive_rational,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--method", default="hierarchy", help="series to evaluate")
-    parser.add_argument("--b", type=parse_rational, default="1", help="frequency ratio")
-    parser.add_argument("--g", type=float, default=10.0, help="overall coupling")
-    parser.add_argument("--order", type=int, default=2, help="coupling order")
+    parser.add_argument(
+        "--method", type=one_of(METHODS), default="hierarchy", help="series to evaluate"
+    )
+    parser.add_argument("--b", type=positive_rational, default="1", help="frequency ratio")
+    parser.add_argument("--g", type=positive_float, default=10.0, help="overall coupling")
+    parser.add_argument("--order", type=positive_int, default=2, help="coupling order")
     parser.add_argument(
         "--mus", default="0.02,0.04,0.08", help="comma-separated couplings to sweep"
     )
     parser.add_argument(
-        "--levels", type=int, default=2, help="Richardson refinement passes"
+        "--levels", type=positive_int, default=2, help="Richardson refinement passes"
     )
     parser.add_argument(
         "--grids",

@@ -4,7 +4,11 @@ Output is deterministic.  Terms are emitted in canonical sorted order and
 exact rationals as "p/q" strings, so identical configurations produce
 byte-identical output.  Floats appear only in numeric verification blocks.
 
-Exit codes: 0 success or agreement, 1 disagreement, 2 usage error
+Each input rule has one converter: a flag's argparse ``type``, and the check
+after the JSON-type check of a --config value or a --golden field.  It and
+the parser raise `InputError`, so a rejected input is one ``error:`` line.
+
+Exit codes: 0 success or agreement, 1 disagreement, 2 rejected input
 (including a grid too coarse to resolve the harmonic gaussian), 3 grid
 solver failed to converge, 4 any other failure.
 """
@@ -15,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import GradedPoly
@@ -38,40 +41,93 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
-METHODS = (
-    "hierarchy",
-    "exp-eps",
-    "exp-lambda",
-    "poly-eps",
-    "poly-lambda",
-    "green",
-    "rs",
-)
+METHODS = ("hierarchy", "exp-eps", "exp-lambda", "poly-eps", "poly-lambda", "green", "rs")
 PIPELINES = METHODS[:5]
 # coupling flavor of each exponent method; all three run `solve_exponential`
 _EXP_FLAVORS = {"hierarchy": "mu", "exp-eps": "eps", "exp-lambda": "lambda"}
 FORMATS = ("json", "csv", "text")
+SUMMARY_FORMATS = ("json", "text")  # compare, verify and report write no csv
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation; mirrors the JSON accepted by --config."""
+# --------------------------------------------------------------- converters
 
-    method: str = "hierarchy"
-    b: Fraction = Fraction(1)
-    order: int = 2
-    g: float = 10.0
-    mu: float = 0.05
-    grid_n: int | None = None
-    fmt: str = "json"
-    out: str | None = None
+
+class InputError(ValueError, argparse.ArgumentTypeError):
+    """A rejected input; argparse reports its message as it stands."""
 
 
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise InputError(f"not a rational number: {text!r}") from exc
+
+
+def _rule(cast, ok, need: str):
+    """Converter for one input rule: ``cast`` the input, then require ``ok``."""
+    def convert(text):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except (ValueError, OverflowError):
+            pass
+        raise InputError(f"must be {need}, got {text!r}")
+    return convert
+
+
+positive_rational = _rule(parse_rational, lambda v: v > 0, "positive and rational")
+finite_float = _rule(float, math.isfinite, "a finite number")
+positive_float = _rule(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+natural_int = _rule(int, lambda v: v >= 0, "an integer >= 0")
+positive_int = _rule(int, lambda v: v >= 1, "an integer >= 1")
+grid_points = _rule(int, lambda v: v >= 3, "an integer >= 3")
+
+
+def one_of(choices: tuple[str, ...]):
+    return _rule(str, choices.__contains__, "one of " + ", ".join(choices))
+
+
+def comma_list(rule):
+    """Converter for comma-separated values, each non-blank one through ``rule``."""
+    return lambda text: [rule(part.strip()) for part in text.split(",") if part.strip()]
+
+
+def parse_methods(text: str) -> list[str]:
+    """'all' for the five pipelines, or comma-separated method names."""
+    return list(PIPELINES) if text == "all" else comma_list(one_of(METHODS))(text)
+
+
+parse_window = _rule(
+    lambda t: tuple(comma_list(natural_int)(t)), lambda w: len(w) == 2, "'ep,gdepth', two ints >= 0"
+)
+parse_mu_sweep = _rule(
+    comma_list(positive_float), lambda m: len(set(m)) > 1, "at least two distinct finite values > 0"
+)
+
+
+def _typed(types, need: str):
+    """Converter for a JSON value of ``types`` as `json.load` gives it; a bool is none."""
+    return _rule(lambda v: v, lambda v: isinstance(v, types) and not isinstance(v, bool), need)
+
+
+_INT = _typed(int, "an integer")
+_NUMBER = _typed((int, float), "a number")
+_STRING = _typed(str, "a string")
+_LIST = _typed(list, "a list")
+
+
+def _get(doc, key: str, *rules, where: str = "key"):
+    """``doc[key]`` of a JSON object, through each of ``rules`` in turn."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise InputError(f"no key {key!r} in a JSON {type(doc).__name__}")
+    value = doc[key]
+    try:
+        for rule in rules:
+            value = rule(value)
+    except InputError as exc:
+        raise InputError(f"{where} {key!r}: {exc}") from None
+    return value
 
 
 def build_solution(method: str, b: Fraction, order: int = 2) -> SeriesSolution:
@@ -103,11 +159,13 @@ def _energy_slots(energies: GradedPoly) -> list[tuple[int, int, Fraction]]:
     return sorted((gp, ep, c) for (ep, gp, _, _), c in energies.terms.items())
 
 
-def _poly_from_doc(rows: list[dict]) -> GradedPoly:
+def _poly_from_doc(rows, monomial: bool = True) -> GradedPoly:
+    """Rows {ep, gp, i, j, c}; energy rows carry no monomial (i, j)."""
     terms = {}
-    for row in rows:
-        key = (int(row["ep"]), int(row["gp"]), int(row["i"]), int(row["j"]))
-        terms[key] = Fraction(row["c"])
+    for row in _LIST(rows):
+        ij = [_get(row, k, _INT, natural_int) for k in "ij"] if monomial else [0, 0]
+        key = (_get(row, "ep", _INT, natural_int), _get(row, "gp", _INT), *ij)
+        terms[key] = _get(row, "c", _STRING, parse_rational)
     return GradedPoly(terms)
 
 
@@ -127,21 +185,21 @@ def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
     }
 
 
-def solution_from_doc(doc: dict) -> SeriesSolution:
+def solution_from_doc(doc) -> SeriesSolution:
+    """Read back a `solution_to_doc` document; a malformed field raises `InputError`."""
     sol = SeriesSolution(
-        kind=doc["kind"],
-        flavor=doc["flavor"],
-        b=Fraction(doc["b"]),
-        order=int(doc["order"]),
-        terms=tuple(_poly_from_doc(rows) for rows in doc["levels"]),
-        energies=GradedPoly(
-            {(int(e["ep"]), int(e["gp"]), 0, 0): Fraction(e["c"]) for e in doc["energies"]}
-        ),
-        base=tuple(_poly_from_doc(rows) for rows in doc["base"]),
+        kind=_get(doc, "kind", _STRING, one_of(("exp", "poly"))),
+        flavor=_get(doc, "flavor", _STRING, one_of(tuple(_EXP_FLAVORS.values()))),
+        b=_get(doc, "b", _STRING, positive_rational),
+        order=_get(doc, "order", _INT, positive_int),
+        terms=tuple(_poly_from_doc(rows) for rows in _get(doc, "levels", _LIST)),
+        energies=_poly_from_doc(_get(doc, "energies", _LIST), monomial=False),
+        base=tuple(_poly_from_doc(rows) for rows in _get(doc, "base", _LIST)),
     )
-    if int(doc["depth"]) != sol.depth:
-        raise ValueError(
-            f"depth {doc['depth']} does not match the {len(sol.terms)} levels of a"
+    depth = _get(doc, "depth", _INT)
+    if depth != sol.depth:
+        raise InputError(
+            f"depth {depth} does not match the {len(sol.terms)} levels of a"
             f" {sol.kind!r} run (depth {sol.depth})"
         )
     return sol
@@ -202,74 +260,39 @@ def _emit(text: str, out: str | None) -> None:
 
 # -------------------------------------------------------------- config merge
 
-
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config file must hold a JSON object")
-    return doc
-
-
-def _json_int(value) -> int:
-    """A JSON integer as it stands; a float, bool or string is not one."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
+# each --config key: its default, then the converters its JSON value goes through
 _CONFIG_KEYS = {
-    "method": str,
-    "b": parse_rational,
-    "order": _json_int,
-    "g": float,
-    "mu": float,
-    "grid_n": _json_int,
-    "format": str,
-    "out": str,
+    "method": ("hierarchy", _STRING, one_of(METHODS)),
+    "b": (Fraction(1), _typed((str, int, float), "a string or a number"), positive_rational),
+    "order": (2, _INT, positive_int),
+    "g": (10.0, _NUMBER, positive_float),
+    "mu": (0.05, _NUMBER, finite_float),
+    "grid_n": (None, _INT, grid_points),
+    "format": ("json", _STRING),
+    "out": (None, _STRING),
 }
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Fold an optional --config file under explicit flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        doc = _load_config(args.config)
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The run's settings: explicit flags over an optional --config file over defaults."""
+    cfg = argparse.Namespace(**{key: rules[0] for key, rules in _CONFIG_KEYS.items()})
+    if args.config:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InputError("config file must hold a JSON object")
         for key, value in doc.items():
             if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            conv = _CONFIG_KEYS[key]
-            attr = "fmt" if key == "format" else key
-            try:
-                setattr(cfg, attr, None if value is None else conv(value))
-            except (TypeError, OverflowError) as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
+                raise InputError(f"unknown config key {key!r}")
+            rules = _CONFIG_KEYS[key][1:]
+            if key == "format":
+                rules += (one_of(args.formats),)
+            if value is not None or key not in ("grid_n", "out"):
+                setattr(cfg, key, _get(doc, key, *rules, where="config key"))
     for key in _CONFIG_KEYS:
-        attr = "fmt" if key == "format" else key
-        flag = getattr(args, attr, None)
+        flag = getattr(args, key, None)
         if flag is not None:
-            setattr(cfg, attr, flag)
-    for key in ("method", "b", "order", "g", "mu", "format"):
-        if getattr(cfg, "fmt" if key == "format" else key) is None:
-            raise ValueError(f"{key} must not be null")
-    if not (math.isfinite(cfg.g) and math.isfinite(cfg.mu)):
-        raise ValueError("g and mu must be finite")
-    if cfg.g <= 0:
-        raise ValueError("the overall coupling g must be positive")
-    if cfg.b <= 0:
-        raise ValueError("the frequency ratio b must be positive")
-    if cfg.order < 1:
-        raise ValueError("order must be at least 1")
-    if cfg.grid_n is not None and cfg.grid_n < 3:
-        raise ValueError("grid_n must be at least 3")
-    if cfg.fmt not in FORMATS:
-        raise ValueError(f"unknown format {cfg.fmt!r}; choose from {', '.join(FORMATS)}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
-    min_order = getattr(args, "min_order", None)
-    if min_order is not None and not math.isfinite(min_order):
-        raise ValueError("min-order must be finite")
+            setattr(cfg, key, flag)
     return cfg
 
 
@@ -279,35 +302,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     sol = build_solution(cfg.method, cfg.b, cfg.order)
-    _emit(render_solution(sol, cfg.method, cfg.fmt), cfg.out)
+    _emit(render_solution(sol, cfg.method, cfg.format), cfg.out)
     return EXIT_OK
-
-
-def _split_methods(text: str) -> list[str]:
-    if text == "all":
-        return list(PIPELINES)
-    names = [m.strip() for m in text.split(",") if m.strip()]
-    for name in names:
-        if name not in METHODS:
-            raise ValueError(
-                f"unknown method {name!r}; choose from {', '.join(METHODS)}"
-            )
-    return names
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    names = _split_methods(args.methods)
-    window = DEFAULT_WINDOW
-    if args.window:
-        parts = args.window.split(",")
-        if len(parts) != 2:
-            raise ValueError("window must be two integers 'ep,gdepth'")
-        window = (int(parts[0]), int(parts[1]))
-        if min(window) < 0:
-            raise ValueError("window parts must be non-negative")
-    sols = []
-    labels = []
+    window = args.window
+    sols, labels = [], []
     if args.golden:
         with open(args.golden) as fh:
             doc = json.load(fh)
@@ -316,7 +318,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ValueError(f"golden file has b={golden.b}, but the request has b={cfg.b}")
         sols.append(golden)
         labels.append(f"golden:{doc.get('method', '?')}")
-    for name in names:
+    for name in args.methods:
         sols.append(build_solution(name, cfg.b, cfg.order))
         labels.append(name)
     if len(sols) < 2:
@@ -331,7 +333,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "agree": report.agree,
         "diffs": {name: list(d) for name, d in sorted(report.diffs.items())},
     }
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         _emit(doc_to_json(doc), cfg.out)
     else:
         lines = [
@@ -369,7 +371,7 @@ def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
         raise ValueError(f"series energy overflows at g={g:g}, mu={mu:g}") from None
 
 
-def _grid_spec(cfg: RunConfig) -> GridSpec | None:
+def _grid_spec(cfg: argparse.Namespace) -> GridSpec | None:
     """The --grid-n grid, if one was asked for.
 
     A base spacing wider than the narrowest harmonic gaussian cannot
@@ -391,7 +393,7 @@ def _grid_spec(cfg: RunConfig) -> GridSpec | None:
     return grid
 
 
-def _grid_check(sol: SeriesSolution, cfg: RunConfig, grid, args) -> dict:
+def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dict:
     """Series energy against the extrapolated grid energy at (g, mu)."""
     series = _series_energy(sol, cfg.g, cfg.mu)
     reference = extrapolated_ground_energy(
@@ -402,18 +404,9 @@ def _grid_check(sol: SeriesSolution, cfg: RunConfig, grid, args) -> dict:
     return doc
 
 
-def _sweep_couplings(text: str) -> list[float]:
-    mus = [float(m) for m in text.split(",") if m.strip()]
-    if not all(math.isfinite(m) and m > 0 for m in mus):
-        raise ValueError("sweep couplings must be finite and positive")
-    if len(set(mus)) < 2:
-        raise ValueError("a sweep needs at least two distinct couplings")
-    return mus
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    mus = _sweep_couplings(args.mu_sweep) if args.mu_sweep else None
+    mus = args.mu_sweep
     grid = _grid_spec(cfg)
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order)
@@ -446,7 +439,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         }
         ok = ok and sweep_ok
 
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         _emit(doc_to_json(doc), cfg.out)
     else:
         lines = [
@@ -473,7 +466,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    names = _split_methods(args.methods)
+    names = args.methods
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
     grid = _grid_spec(cfg) if args.numeric else None
@@ -500,7 +493,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             **_grid_check(ref, cfg, grid, args),
         }
         ok = ok and doc["numeric"]["pass"]
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         _emit(doc_to_json(doc), cfg.out)
     else:
         lines = [f"report b={cfg.b} order={cfg.order} reference={names[0]}"]
@@ -525,63 +518,74 @@ def cmd_report(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected command line instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+def _add_choice(p: argparse.ArgumentParser, flag: str, choices, help: str) -> None:
+    metavar = "{" + ",".join(choices) + "}"
+    p.add_argument(flag, type=one_of(choices), metavar=metavar, help=help)
+
+
+def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--config", help="JSON file with defaults for these flags")
-    p.add_argument("--b", type=parse_rational, help="frequency ratio, 'p/q'")
-    p.add_argument("--order", type=int, help="perturbation order")
-    p.add_argument("--format", dest="fmt", choices=FORMATS, help="output format")
+    p.add_argument("--b", type=positive_rational, help="frequency ratio, 'p/q'")
+    p.add_argument("--order", type=positive_int, help="perturbation order")
+    _add_choice(p, "--format", formats, "output format")
     p.add_argument("--out", help="write output to this file")
+    p.set_defaults(formats=formats)
 
 
 def _add_numeric(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g", type=float, help="overall coupling for evaluation")
-    p.add_argument("--mu", type=float, help="quartic coupling for evaluation")
-    p.add_argument("--grid-n", dest="grid_n", type=int, help="grid points per axis")
-    p.add_argument("--levels", type=int, default=1, help="grid refinement passes")
-    p.add_argument("--tol", type=float, default=1e-4, help="relative energy tolerance")
+    p.add_argument("--g", type=positive_float, help="overall coupling for evaluation")
+    p.add_argument("--mu", type=finite_float, help="quartic coupling for evaluation")
+    p.add_argument("--grid-n", dest="grid_n", type=grid_points, help="grid points per axis")
+    p.add_argument("--levels", type=positive_int, default=1, help="grid refinement passes")
+    p.add_argument("--tol", type=positive_float, default=1e-4, help="relative energy tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quadosc",
-        description="Ground-state series for the coupled quartic oscillator.",
+    parser = _Parser(
+        prog="quadosc", description="Ground-state series for the coupled quartic oscillator."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one method and print its series")
-    _add_common(p_run)
-    p_run.add_argument("--method", choices=METHODS, help="which solver to run")
+    _add_common(p_run, FORMATS)
+    _add_choice(p_run, "--method", METHODS, "which solver to run")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several methods and compare")
-    _add_common(p_cmp)
+    _add_common(p_cmp, SUMMARY_FORMATS)
     p_cmp.add_argument(
-        "--methods",
-        default="all",
+        "--methods", type=parse_methods, default="all",
         help="comma-separated method names, or 'all' for the five pipelines",
     )
     p_cmp.add_argument("--golden", help="JSON run to compare against")
-    p_cmp.add_argument("--window", help="comparison window 'ep,gdepth'")
+    p_cmp.add_argument(
+        "--window", type=parse_window, default=DEFAULT_WINDOW, help="comparison window 'ep,gdepth'"
+    )
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="check the series against a grid solver")
-    _add_common(p_ver)
-    p_ver.add_argument("--method", choices=METHODS, help="series to evaluate")
+    _add_common(p_ver, SUMMARY_FORMATS)
+    _add_choice(p_ver, "--method", METHODS, "series to evaluate")
     _add_numeric(p_ver)
-    p_ver.add_argument("--mu-sweep", help="comma-separated couplings to sweep")
+    p_ver.add_argument("--mu-sweep", type=parse_mu_sweep, help="comma-separated couplings to sweep")
     p_ver.add_argument(
-        "--min-order", type=float, default=2.5, help="least acceptable fitted order"
+        "--min-order", type=finite_float, default=2.5, help="least acceptable fitted order"
     )
     p_ver.set_defaults(func=cmd_verify)
 
     p_rep = sub.add_parser("report", help="full agreement and numeric summary")
-    _add_common(p_rep)
+    _add_common(p_rep, SUMMARY_FORMATS)
     p_rep.add_argument(
-        "--methods", default="all", help="comma-separated method names or 'all'"
+        "--methods", type=parse_methods, default="all", help="comma-separated method names or 'all'"
     )
-    p_rep.add_argument(
-        "--numeric", action="store_true", help="include a grid comparison"
-    )
+    p_rep.add_argument("--numeric", action="store_true", help="include a grid comparison")
     _add_numeric(p_rep)
     p_rep.set_defaults(func=cmd_report)
 
@@ -592,18 +596,13 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, return its exit code; ``--help`` exits 0 as argparse does."""
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
-    except ConvergenceFailure as exc:
+    except (ConvergenceFailure, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NUMERIC if isinstance(exc, ConvergenceFailure) else EXIT_USAGE
     except Exception as exc:
         # Exit 1 means "methods disagree"; an unforeseen failure must not
         # read as that, nor end in a traceback.

@@ -37,6 +37,7 @@ def test_zero_and_negation(p):
     assert p + zero == p
     assert p - p == zero
     assert -(-p) == p
+    assert 1 - p == GradedPoly.const(1) + (-p)
 
 
 @given(polys, polys)

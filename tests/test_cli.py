@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadosc import ConvergenceFailure, GridSpec
 from quadosc.cli import (
@@ -41,6 +46,36 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 def test_unknown_method_is_usage_error(capsys):
     assert main(["run", "--method", "bogus"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "",
+        "bogus",
+        "run --method bogus",
+        "run --order x",
+        "run --b",
+        "run --foo",
+        "verify --levels x",
+        "compare --methods",
+        "compare --methods hierarchy,bogus",
+    ],
+)
+def test_parser_rejection_is_one_error_line(capsys, argv):
+    # argparse's own error() prints the usage before the message
+    assert main(argv.split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    assert "usage:" not in captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: quadosc run")
 
 
 def test_nonpositive_ratio_is_usage_error(capsys):
@@ -110,6 +145,15 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
         {"order": "2"},
         {"grid_n": 41.9},
         {"grid_n": True},
+        {"g": True, "mu": True, "method": "rs", "order": 1},
+        {"g": "1e1"},
+        {"mu": "0.05"},
+        {"g": 10**400},
+        {"b": True},
+        {"b": [1]},
+        {"method": "bogus"},
+        {"format": "csv"},
+        {"out": 3},
     ],
     ids=str,
 )
@@ -153,6 +197,8 @@ def test_parser_is_built_once(monkeypatch, capsys):
         ["--tol", "inf"],
         ["--min-order", "nan"],
         ["--min-order", "inf"],
+        ["--levels", "0"],
+        ["--mu-sweep="],
     ],
 )
 def test_bad_coupling_flag_is_usage_error(capsys, flags):
@@ -294,6 +340,86 @@ def test_unknown_format_is_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["compare", "verify", "report"])
+def test_csv_is_written_by_run_only(tmp_path, capsys, command):
+    # these commands write no csv, so their text form must not stand in for it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "csv"}))
+    for argv in ([command, "--format", "csv"], [command, "--config", str(cfg)]):
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+    assert main(["run", "--method", "rs", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("method,ep,gp,i,j,coefficient\n")
+
+
+# JSON values of every type, nested a little
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+CONFIG_KEYS = ("method", "b", "order", "g", "mu", "grid_n", "format", "out")
+
+
+def run_main(argv):
+    """Exit code and stderr of one in-process call (hypothesis admits no capsys)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(CONFIG_KEYS), value=json_values)
+def test_any_config_value_runs_or_is_one_error_line(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = str(Path(tmp) / "out")
+        code, err = run_main(
+            ["run", "--method", "rs", "--order", "1", "--out", out, "--config", str(cfg)]
+        )
+    assert code in (EXIT_OK, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert_one_error_line(err)
+    else:
+        assert err == ""
+    # no key takes a bool, and only grid_n and out take null
+    if isinstance(value, bool) or (value is None and key not in ("grid_n", "out")):
+        assert code == EXIT_USAGE
+
+
+GOLDEN = solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy")
+GOLDEN_FIELDS = [
+    *GOLDEN,
+    *(("levels", key) for key in ("ep", "gp", "i", "j", "c")),
+    *(("energies", key) for key in ("ep", "gp", "c")),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), field=st.sampled_from(GOLDEN_FIELDS), value=json_values)
+def test_any_golden_field_never_exits_internal(data, field, value):
+    doc = json.loads(json.dumps(GOLDEN))
+    if isinstance(field, str):
+        doc[field] = value
+    else:
+        rows = doc[field[0]]
+        if field[0] == "levels":
+            rows = rows[data.draw(st.integers(0, len(rows) - 1))]
+        rows[data.draw(st.integers(0, len(rows) - 1))][field[1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = Path(tmp) / "golden.json"
+        golden.write_text(json.dumps(doc))
+        code, err = run_main(["compare", "--methods", "rs", "--golden", str(golden), "--b", "1"])
+    assert code in (EXIT_OK, EXIT_DISAGREE, EXIT_USAGE)
+    if code == EXIT_USAGE:
+        assert_one_error_line(err)
+
+
 # ----- compare ------------------------------------------------------------------
 
 
@@ -366,6 +492,40 @@ def test_golden_energy_diffs_list_in_g_power_order(tmp_path, capsys):
         "  energy slot g^-2 order 1: 7 != 1/4",
         "DISAGREE",
     ]
+
+
+def _set_row(level, key, value):
+    def mutate(doc):
+        doc["levels"][level][0][key] = value
+        return doc
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(_set_row(0, "c", None), id="c-null"),
+        pytest.param(lambda doc: {**doc, "levels": "x"}, id="levels-string"),
+        pytest.param(lambda doc: [doc], id="top-level-list"),
+        pytest.param(_set_row(0, "i", 1.5), id="i-float"),
+        pytest.param(lambda doc: {**doc, "levels": [3]}, id="level-int"),
+        pytest.param(lambda doc: {**doc, "levels": [[3]]}, id="row-int"),
+        pytest.param(lambda doc: {**doc, "flavor": "nu"}, id="unknown-flavor"),
+        pytest.param(lambda doc: {**doc, "kind": "x"}, id="unknown-kind"),
+        pytest.param(lambda doc: {**doc, "order": "2"}, id="order-string"),
+        pytest.param(lambda doc: {k: v for k, v in doc.items() if k != "kind"}, id="no-kind"),
+        # a negative parameter power would make the comparison's exp series endless
+        pytest.param(_set_row(2, "ep", -1), id="negative-ep"),
+    ],
+)
+def test_malformed_golden_is_one_error_line(tmp_path, capsys, mutate):
+    doc = mutate(solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy"))
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(doc))
+    argv = ["compare", "--methods", "hierarchy", "--golden", str(golden)]
+    assert main(argv) == EXIT_USAGE
+    assert_one_error_line(capsys.readouterr().err)
 
 
 def test_golden_with_wrong_depth_is_usage_error(tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -35,3 +37,27 @@ def test_grid_convergence_runs(capsys):
     assert lines[3] == "# zero-coupling refinement ladder (exact energy 10)"
     assert lines[4] == "points_per_axis,energy,error,shrink_factor"
     assert [line.split(",")[0] for line in lines[5:]] == ["21", "43"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("agreement_sweep", ["--ratios", "0"]),
+        ("agreement_sweep", ["--ratios", "1/2,x"]),
+        ("agreement_sweep", ["--order", "0"]),
+        ("agreement_sweep", ["--methods", "hierarchy,bogus"]),
+        ("agreement_sweep", ["--methods", ""]),
+        ("grid_convergence", ["--b", "-1"]),
+        ("grid_convergence", ["--order", "0"]),
+        ("grid_convergence", ["--g", "nan"]),
+        ("grid_convergence", ["--levels", "0"]),
+        ("grid_convergence", ["--method", "bogus"]),
+    ],
+    ids=str,
+)
+def test_bad_input_exits_2(capsys, name, argv):
+    with pytest.raises(SystemExit) as exc:
+        load_script(name).main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
