@@ -15,14 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from quadosc import (
-    GridSpec,
-    extrapolated_ground_energy,
-    fd_ground_state,
-)
+from quadosc import extrapolated_ground_energy, fd_ground_state
 from quadosc.cli import (
     METHODS,
     build_solution,
+    comma_list,
+    grid_points,
+    grid_spec,
     loglog_slope,
     one_of,
     positive_float,
@@ -40,25 +39,34 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--g", type=positive_float, default=10.0, help="overall coupling")
     parser.add_argument("--order", type=positive_int, default=2, help="coupling order")
     parser.add_argument(
-        "--mus", default="0.02,0.04,0.08", help="comma-separated couplings to sweep"
+        "--mus",
+        type=comma_list(positive_float),
+        default="0.02,0.04,0.08",
+        help="comma-separated couplings to sweep",
     )
     parser.add_argument(
         "--levels", type=positive_int, default=2, help="Richardson refinement passes"
     )
     parser.add_argument(
         "--grids",
+        type=comma_list(grid_points),
         default="41,83,167",
         help="grid sizes for the zero-coupling refinement ladder",
     )
     args = parser.parse_args(argv)
-
-    sol = build_solution(args.method, args.b, args.order)
     g = args.g
     b = float(args.b)
+    try:
+        # the coarse-grid rule of `quadosc verify --grid-n`
+        ladder = [grid_spec(argparse.Namespace(grid_n=n, g=g, b=args.b)) for n in args.grids]
+    except ValueError as exc:
+        parser.error(str(exc))
+
+    sol = build_solution(args.method, args.b, args.order)
 
     print(f"# series vs grid: method={args.method} b={args.b} g={g:g}")
     print("mu,series_energy,grid_energy,residual")
-    mus = [float(m) for m in args.mus.split(",") if m.strip()]
+    mus = args.mus
     residuals = []
     for mu in mus:
         series = sol.physical_energy(g, mu)
@@ -72,11 +80,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"# zero-coupling refinement ladder (exact energy {exact:g})")
     print("points_per_axis,energy,error,shrink_factor")
     previous = None
-    for n in [int(s) for s in args.grids.split(",") if s.strip()]:
-        energy = fd_ground_state(g, b, 0.0, GridSpec(n, n)).energy
+    for grid in ladder:
+        energy = fd_ground_state(g, b, 0.0, grid).energy
         error = abs(energy - exact)
         factor = "" if previous is None else f"{previous / error:.2f}"
-        print(f"{n},{energy!r},{error:.6e},{factor}")
+        print(f"{grid.n_x},{energy!r},{error:.6e},{factor}")
         previous = error
     return 0
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -76,7 +77,31 @@ def _rule(cast, ok, need: str):
     return convert
 
 
-positive_rational = _rule(parse_rational, lambda v: v > 0, "positive and rational")
+# The most bits of a frequency ratio's reduced numerator, and of its
+# denominator.  Every exact product carries the ratio, so unbounded, a
+# nine-character input such as 1e3000000 stalls even an order-1 run.
+RATIO_BITS = 64
+
+
+def _ratio(text) -> Fraction:
+    """`parse_rational`, refusing a decimal exponent before 10**e is formed.
+
+    A decimal of L characters with exponent e has a reduced numerator or
+    denominator of at least 10**(|e| - L), so |e| > RATIO_BITS + L is
+    already too large.
+    """
+    text = str(text)
+    exp = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
+    if exp and abs(int(exp.group(1))) > RATIO_BITS + len(text):
+        raise ValueError("decimal exponent too large")
+    return parse_rational(text)
+
+
+positive_rational = _rule(
+    _ratio,
+    lambda v: v > 0 and max(v.numerator.bit_length(), v.denominator.bit_length()) <= RATIO_BITS,
+    f"positive and rational, numerator and denominator of at most {RATIO_BITS} bits",
+)
 finite_float = _rule(float, math.isfinite, "a finite number")
 positive_float = _rule(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
 natural_int = _rule(int, lambda v: v >= 0, "an integer >= 0")
@@ -273,12 +298,20 @@ _CONFIG_KEYS = {
 }
 
 
+def _load_json(path: str):
+    """A --config or --golden file; nesting too deep to parse is an input error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """The run's settings: explicit flags over an optional --config file over defaults."""
     cfg = argparse.Namespace(**{key: rules[0] for key, rules in _CONFIG_KEYS.items()})
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise InputError("config file must hold a JSON object")
         for key, value in doc.items():
@@ -311,8 +344,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     window = args.window
     sols, labels = [], []
     if args.golden:
-        with open(args.golden) as fh:
-            doc = json.load(fh)
+        doc = _load_json(args.golden)
         golden = solution_from_doc(doc)
         if golden.b != cfg.b:
             raise ValueError(f"golden file has b={golden.b}, but the request has b={cfg.b}")
@@ -371,7 +403,7 @@ def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
         raise ValueError(f"series energy overflows at g={g:g}, mu={mu:g}") from None
 
 
-def _grid_spec(cfg: argparse.Namespace) -> GridSpec | None:
+def grid_spec(cfg: argparse.Namespace) -> GridSpec | None:
     """The --grid-n grid, if one was asked for.
 
     A base spacing wider than the narrowest harmonic gaussian cannot
@@ -407,7 +439,7 @@ def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dic
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     mus = args.mu_sweep
-    grid = _grid_spec(cfg)
+    grid = grid_spec(cfg)
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order)
     b = float(cfg.b)
@@ -469,7 +501,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     names = args.methods
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
-    grid = _grid_spec(cfg) if args.numeric else None
+    grid = grid_spec(cfg) if args.numeric else None
     sols = [build_solution(name, cfg.b, cfg.order) for name in names]
     report = compare_methods(sols, names=names)
     ref = sols[0]

@@ -5,7 +5,12 @@ so tests compare solver output against independently coded formulas rather
 than per-b literals.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
+from scipy.sparse import diags, identity, kron
+from scipy.sparse.linalg import splu
 
 from quadosc import GradedPoly
 
@@ -279,3 +284,48 @@ def basis_second_order_amplitudes(b) -> dict:
 def origin_constant_first_order(b) -> Fraction:
     b = F(b)
     return (b**2 + b + 1) / (8 * b**2 * (1 + b))
+
+
+# ------------------------------------------------- full-box grid reference
+
+
+def _second_difference(n: int, h: float):
+    main = np.full(n, -2.0 / (h * h))
+    off = np.full(n - 1, 1.0 / (h * h))
+    return diags([off, main, off], [-1, 0, 1])
+
+
+def full_box_ground_state(g: float, b: float, mu: float, grid, tol: float = 1e-10):
+    """(energy, psi) of the 5-point Hamiltonian on the whole Dirichlet box.
+
+    Inverse iteration on every grid point, with no use of the mirror
+    symmetries: the reference that `fd_ground_state`'s quarter-box solve
+    must reproduce.
+    """
+    nx, ny, lx, ly = grid.resolved(g, b)
+    hx = 2 * lx / (nx + 1)
+    hy = 2 * ly / (ny + 1)
+    xx = (-lx + hx * np.arange(1, nx + 1))[:, None]
+    yy = (-ly + hy * np.arange(1, ny + 1))[None, :]
+    pot = g * g * (0.5 * (xx**2 + b * b * yy**2) + mu * xx**2 * yy**2)
+    ham = (
+        -0.5 * kron(_second_difference(nx, hx), identity(ny))
+        - 0.5 * kron(identity(nx), _second_difference(ny, hy))
+        + diags(pot.ravel())
+    ).tocsc()
+    solver = splu(ham)
+    vec = np.exp(-0.5 * g * (xx**2 + b * yy**2)).ravel()
+    vec /= np.linalg.norm(vec)
+    tol_eff = tol * max(1.0, (max(nx, ny) / 161.0) ** 2)
+    for _ in range(200):
+        vec = solver.solve(vec)
+        vec /= np.linalg.norm(vec)
+        hv = ham @ vec
+        energy = float(vec @ hv)
+        if np.linalg.norm(hv - energy * vec) <= tol_eff:
+            break
+    else:
+        raise AssertionError("full-box reference did not converge")
+    if vec.sum() < 0:
+        vec = -vec
+    return energy, vec.reshape(nx, ny) / math.sqrt(hx * hy)

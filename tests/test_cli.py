@@ -89,6 +89,36 @@ def test_malformed_ratio_is_usage_error(capsys):
     assert main(["run", "--method", "hierarchy", "--b", "abc"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "ratio",
+    ["1e3000000", "1e-3000000", "1e70", "18446744073709551616", "1/18446744073709551616"],
+)
+def test_oversized_ratio_is_usage_error(tmp_path, capsys, ratio):
+    # Each exact product carries b: a short input with millions of digits
+    # used to stall even an order-1 run.
+    assert main(["run", "--method", "rs", "--order", "1", "--b", ratio]) == EXIT_USAGE
+    assert_one_error_line(capsys.readouterr().err)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": ratio}))
+    assert main(["run", "--method", "rs", "--order", "1", "--config", str(cfg)]) == EXIT_USAGE
+    assert_one_error_line(capsys.readouterr().err)
+
+
+def test_largest_ratio_is_accepted(capsys):
+    assert main(["run", "--method", "rs", "--order", "1", "--b", "18446744073709551615/7"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag", ["--config", "--golden"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    command = "run" if flag == "--config" else "compare"
+    assert main([command, flag, str(deep)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert "nested too deeply" in err
+
+
 def test_parse_rational():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("2") == Fraction(2)
@@ -683,7 +713,7 @@ def test_residual_bound_below_round_off_stops_at_once(monkeypatch, capsys):
             solves.append(1)
             return self.inner.solve(rhs)
 
-    monkeypatch.setattr(oracle, "splu", lambda ham: CountingFactor(factor(ham)))
+    monkeypatch.setattr(oracle, "splu", lambda ham, **kw: CountingFactor(factor(ham, **kw)))
     argv = ["verify", "--grid-n", "21", "--g", "1e100", "--mu", "1e100"]
     assert main(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err

@@ -34,6 +34,7 @@ from helpers import (
     basis_second_order_amplitudes,
     energy_poly,
     eps_energy_slots,
+    full_box_ground_state,
     origin_constant_first_order,
     shift_first_order,
     shift_second_order,
@@ -205,6 +206,25 @@ def test_grid_guards():
 def test_grid_convergence_failure():
     with pytest.raises(ConvergenceFailure):
         fd_ground_state(1.0, 1.0, 0.05, max_iter=1, tol=1e-14)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.05])
+@pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(5, 3)])
+@pytest.mark.parametrize("n_x, n_y", [(41, 41), (40, 40), (41, 44), (21, 30)])
+def test_quarter_box_matches_full_box(n_x, n_y, b, mu):
+    # Odd and even axes, square and not: the even-quarter solve must give the
+    # full box's ground state, not only an eigenvalue near it.
+    grid = GridSpec(n_x, n_y)
+    est = fd_ground_state(10.0, b, mu, grid)
+    energy, psi = full_box_ground_state(10.0, float(b), mu, grid)
+    assert est.energy == pytest.approx(energy, rel=1e-12, abs=0)
+    assert est.psi.shape == (n_x, n_y)
+    assert float(np.abs(est.psi - psi).max()) <= 1e-10
+    assert np.array_equal(est.psi, est.psi[::-1, :])
+    assert np.array_equal(est.psi, est.psi[:, ::-1])
+    _, _, lx, ly = est.grid
+    cell = (2 * lx / (n_x + 1)) * (2 * ly / (n_y + 1))
+    assert float(np.sum(est.psi**2) * cell) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extrapolation_sharpens_harmonic_energy():

@@ -52,6 +52,9 @@ def test_grid_convergence_runs(capsys):
         ("grid_convergence", ["--g", "nan"]),
         ("grid_convergence", ["--levels", "0"]),
         ("grid_convergence", ["--method", "bogus"]),
+        ("grid_convergence", ["--mus", "0,0.02"]),
+        ("grid_convergence", ["--grids", "2"]),
+        ("grid_convergence", ["--grids", "41,5"]),
     ],
     ids=str,
 )
