@@ -4,12 +4,15 @@
     python3 scripts/bench_snapshot.py --checkout . --label change --out BENCH_11.json
 
 For the checkout given, this runs its own ``perfbench/run.py`` on every
-workload at each seed (``--trace 0``) and keeps each run's result and
-provenance lines.  It then times the checkout's grid oracle at several grid
-sizes in a fresh interpreter: the sparse LU factorization, the
-inverse-iteration solves and their number, each time the median over
-repeats and scaled, like perfbench's end-to-end times, by its calibration
-probe to one reference speed of the host.  The snapshot is stored under
+workload at seeds 1-3 for 10 s each (``--trace 0``) and keeps each run's
+result and provenance lines.  It then times the checkout's grid oracle at
+several grid sizes in a fresh interpreter, through the checkout's own
+perfbench tracer: the sparse LU factorization (``oracle.fd.factor_s``), the
+oracle's time outside it, most of it the inverse-iteration solves
+(``oracle.fd_ground_state.self_s``), and the number of solves
+(``oracle.fd.iterations``).  Each time is the median over repeats, scaled
+like perfbench's end-to-end times by its calibration probe to one reference
+speed of the host.  The snapshot is stored under
 ``--label`` in the ``--out`` file, next to the labels already there, so a
 parent run and a change run made in one session share one file.
 """
@@ -22,23 +25,24 @@ import os
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 WORKLOADS = ("series-deep", "agree-sweep", "verify-numeric")
+SEEDS = (1, 2, 3)
+SECONDS = 10.0
 FD_SIZES = (41, 83, 161, 323)
 FD_POINT = {"g": 10.0, "b": 1.0, "mu": 0.05}  # the paper's example at b = 1
 FD_REPEATS = 5
 
 
-def perfbench_runs(checkout: Path, seeds: list[int], seconds: float) -> list[dict]:
+def perfbench_runs(checkout: Path) -> list[dict]:
     """The result and provenance lines of one perfbench run per workload and seed."""
     runs = []
     for workload in WORKLOADS:
-        for seed in seeds:
+        for seed in SEEDS:
             argv = [
                 sys.executable, "perfbench/run.py", "--workload", workload,
-                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+                "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0",
             ]
             proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
             lines = proc.stdout.splitlines()
@@ -54,55 +58,36 @@ def perfbench_runs(checkout: Path, seeds: list[int], seconds: float) -> list[dic
 
 
 def fd_table(checkout: Path) -> dict:
-    """Time the checkout's `fd_ground_state`, in this interpreter.
-
-    The factorization is timed by wrapping the oracle module's ``splu``;
-    the solves by wrapping the factor it returns.
-    """
+    """Time the checkout's `fd_ground_state` with its tracer, in this interpreter."""
     sys.path[:0] = [str(checkout / "perfbench"), str(checkout / "src")]
     import run as perfbench  # the checkout's perfbench/run.py
+    from tracing import Tracer
 
     perfbench.pin_threads()
+    import quadosc.cli  # noqa: F401  (loads every module the tracer wraps)
     import quadosc.oracle as oracle
 
     probe = perfbench.Probe()
-    factor = oracle.splu
-    clock = {"factor_s": 0.0, "solve_s": 0.0, "iterations": 0}
-
-    class TimedFactor:
-        def __init__(self, inner):
-            self.inner = inner
-
-        def solve(self, rhs):
-            start = time.perf_counter()
-            out = self.inner.solve(rhs)
-            clock["solve_s"] += time.perf_counter() - start
-            clock["iterations"] += 1
-            return out
-
-    def timed_splu(*args, **kwargs):
-        start = time.perf_counter()
-        out = factor(*args, **kwargs)
-        clock["factor_s"] += time.perf_counter() - start
-        return TimedFactor(out)
-
-    oracle.splu = timed_splu
+    keys = ("oracle.fd.factor_s", "oracle.fd_ground_state.self_s", "oracle.fd.iterations")
     rows = []
     probes = []
     for n in FD_SIZES:
         samples = []
         for _ in range(FD_REPEATS):
-            clock.update(factor_s=0.0, solve_s=0.0, iterations=0)
-            oracle.fd_ground_state(grid=oracle.GridSpec(n, n), **FD_POINT)
-            samples.append(dict(clock))
+            tracer = Tracer()
+            tracer.install()
+            try:
+                oracle.fd_ground_state(grid=oracle.GridSpec(n, n), **FD_POINT)
+            finally:
+                tracer.uninstall()
+            samples.append(tracer.metrics())
             probes.append(probe())
         scale = perfbench.PROBE_REF_S / statistics.median(probes[-FD_REPEATS:])
-        rows.append({
-            "n": n,
-            "factor_s": statistics.median(s["factor_s"] for s in samples) * scale,
-            "solve_s": statistics.median(s["solve_s"] for s in samples) * scale,
-            "iterations": samples[0]["iterations"],
-        })
+        row = {"n": n}
+        for key in keys[:2]:
+            row[key] = statistics.median(s[key] for s in samples) * scale
+        row[keys[2]] = samples[0][keys[2]]
+        rows.append(row)
     return {"point": FD_POINT, "repeats": FD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
@@ -111,8 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--checkout", type=Path, default=Path("."), help="repository to measure")
     parser.add_argument("--label", help="key of this snapshot in the output file")
     parser.add_argument("--out", type=Path, help="JSON file to add the snapshot to")
-    parser.add_argument("--seeds", default="1,2,3", help="comma-separated perfbench seeds")
-    parser.add_argument("--seconds", type=float, default=10.0, help="perfbench --seconds")
     parser.add_argument("--fd-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
@@ -122,8 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.label or not args.out:
         parser.error("--label and --out are required")
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    snapshot = {"perfbench": perfbench_runs(checkout, seeds, args.seconds)}
+    snapshot = {"perfbench": perfbench_runs(checkout)}
     # A fresh interpreter, so that this checkout's quadosc is the one imported.
     child = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--checkout", str(checkout), "--fd-only"],

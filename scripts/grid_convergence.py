@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     b = float(args.b)
     try:
         # the coarse-grid rule of `quadosc verify --grid-n`
-        ladder = [grid_spec(argparse.Namespace(grid_n=n, g=g, b=args.b)) for n in args.grids]
+        ladder = [grid_spec(n, g, args.b) for n in args.grids]
     except ValueError as exc:
         parser.error(str(exc))
 

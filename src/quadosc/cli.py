@@ -403,23 +403,21 @@ def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
         raise ValueError(f"series energy overflows at g={g:g}, mu={mu:g}") from None
 
 
-def grid_spec(cfg: argparse.Namespace) -> GridSpec | None:
-    """The --grid-n grid, if one was asked for.
+def grid_spec(n: int, g: float, b) -> GridSpec:
+    """The n-by-n grid of --grid-n, checked against the state at (g, b).
 
     A base spacing wider than the narrowest harmonic gaussian cannot
     resolve the state, and its energy would read as a disagreement.
     """
-    if cfg.grid_n is None:
-        return None
-    grid = GridSpec(cfg.grid_n, cfg.grid_n)
-    b = float(cfg.b)
-    _, _, lx, ly = grid.resolved(cfg.g, b)
-    spacing = 2 * max(lx, ly) / (cfg.grid_n + 1)
-    width = 1 / math.sqrt(cfg.g * max(1.0, b))
+    grid = GridSpec(n, n)
+    b = float(b)
+    _, _, lx, ly = grid.resolved(g, b)
+    spacing = 2 * max(lx, ly) / (n + 1)
+    width = 1 / math.sqrt(g * max(1.0, b))
     # Equal spacing and width are admitted; the factor absorbs rounding.
     if spacing > width * (1 + 1e-9):
         raise ValueError(
-            f"grid_n {cfg.grid_n} is too coarse: spacing {spacing:.3g}"
+            f"grid_n {n} is too coarse: spacing {spacing:.3g}"
             f" exceeds the gaussian width {width:.3g}"
         )
     return grid
@@ -439,7 +437,7 @@ def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dic
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     mus = args.mu_sweep
-    grid = grid_spec(cfg)
+    grid = None if cfg.grid_n is None else grid_spec(cfg.grid_n, cfg.g, cfg.b)
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order)
     b = float(cfg.b)
@@ -501,7 +499,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     names = args.methods
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
-    grid = grid_spec(cfg) if args.numeric else None
+    grid = None
+    if args.numeric and cfg.grid_n is not None:
+        grid = grid_spec(cfg.grid_n, cfg.g, cfg.b)
     sols = [build_solution(name, cfg.b, cfg.order) for name in names]
     report = compare_methods(sols, names=names)
     ref = sols[0]

@@ -245,9 +245,9 @@ class SpectralEstimate:
 def _half_axis(n: int, length: float):
     """One axis of the box reflected at the origin.
 
-    Returns the nonnegative grid points, the number of full-grid points each
-    stands for, and the second difference on even functions, symmetrized by
-    the square root of those multiplicities.  For odd n the origin is a grid
+    Returns the grid spacing, the nonnegative grid points, the number of
+    full-grid points each stands for, and the second difference on even
+    functions, symmetrized by the square root of those multiplicities.  For odd n the origin is a grid
     point and its mirror neighbour is its right one, so that coupling
     doubles, and becomes sqrt(2)/h^2 both ways once symmetrized; for even n
     the first point is its own mirror neighbour.
@@ -263,7 +263,7 @@ def _half_axis(n: int, length: float):
         off[:1] = math.sqrt(2.0) / (h * h)
     else:
         main[0] = -1.0 / (h * h)
-    return points, weight, diags([off, main, off], [-1, 0, 1])
+    return h, points, weight, diags([off, main, off], [-1, 0, 1])
 
 
 def _unfold(n: int):
@@ -301,10 +301,8 @@ def fd_ground_state(
     if grid is None:
         grid = GridSpec()
     nx, ny, lx, ly = grid.resolved(g, b)
-    hx = 2 * lx / (nx + 1)
-    hy = 2 * ly / (ny + 1)
-    x, wx, dxx = _half_axis(nx, lx)
-    y, wy, dyy = _half_axis(ny, ly)
+    hx, x, wx, dxx = _half_axis(nx, lx)
+    hy, y, wy, dyy = _half_axis(ny, ly)
     xx = x[:, None]
     yy = y[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
