@@ -68,7 +68,7 @@ def fd_table(checkout: Path) -> dict:
     import quadosc.oracle as oracle
 
     probe = perfbench.Probe()
-    keys = ("oracle.fd.factor_s", "oracle.fd_ground_state.self_s", "oracle.fd.iterations")
+    times = ("oracle.fd.factor_s", "oracle.fd_ground_state.self_s")
     rows = []
     probes = []
     for n in FD_SIZES:
@@ -83,11 +83,8 @@ def fd_table(checkout: Path) -> dict:
             samples.append(tracer.metrics())
             probes.append(probe())
         scale = perfbench.PROBE_REF_S / statistics.median(probes[-FD_REPEATS:])
-        row = {"n": n}
-        for key in keys[:2]:
-            row[key] = statistics.median(s[key] for s in samples) * scale
-        row[keys[2]] = samples[0][keys[2]]
-        rows.append(row)
+        row = {key: statistics.median(s[key] for s in samples) * scale for key in times}
+        rows.append({"n": n, **row, "oracle.fd.iterations": samples[0]["oracle.fd.iterations"]})
     return {"point": FD_POINT, "repeats": FD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
