@@ -83,22 +83,23 @@ def _rule(cast, ok, need: str):
 RATIO_BITS = 64
 
 
-def _ratio(text) -> Fraction:
+def _rational(text) -> Fraction:
     """`parse_rational`, refusing a decimal exponent before 10**e is formed.
 
     A decimal of L characters with exponent e has a reduced numerator or
     denominator of at least 10**(|e| - L), so |e| > RATIO_BITS + L is
-    already too large.
+    already too large for a ratio; a golden coefficient, which no run
+    writes in exponent form, is held to the same rule.
     """
     text = str(text)
     exp = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
     if exp and abs(int(exp.group(1))) > RATIO_BITS + len(text):
-        raise ValueError("decimal exponent too large")
+        raise InputError(f"decimal exponent too large: {text[:40]!r}")
     return parse_rational(text)
 
 
 positive_rational = _rule(
-    _ratio,
+    _rational,
     lambda v: v > 0 and max(v.numerator.bit_length(), v.denominator.bit_length()) <= RATIO_BITS,
     f"positive and rational, numerator and denominator of at most {RATIO_BITS} bits",
 )
@@ -190,7 +191,7 @@ def _poly_from_doc(rows, monomial: bool = True) -> GradedPoly:
     for row in _LIST(rows):
         ij = [_get(row, k, _INT, natural_int) for k in "ij"] if monomial else [0, 0]
         key = (_get(row, "ep", _INT, natural_int), _get(row, "gp", _INT), *ij)
-        terms[key] = _get(row, "c", _STRING, parse_rational)
+        terms[key] = _get(row, "c", _STRING, _rational)
     return GradedPoly(terms)
 
 

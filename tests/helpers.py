@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
@@ -329,3 +330,21 @@ def full_box_ground_state(g: float, b: float, mu: float, grid, tol: float = 1e-1
     if vec.sum() < 0:
         vec = -vec
     return energy, vec.reshape(nx, ny) / math.sqrt(hx * hy)
+
+
+def axis_ground_level(n: int, length: float, freq: float) -> float:
+    """Lowest eigenvalue of -D/2 + freq^2 s^2/2 on a full n-point Dirichlet axis.
+
+    No mirror symmetry is used: at zero coupling the grid ground energy is
+    the sum of the two axes' levels.
+    """
+    h = 2 * length / (n + 1)
+    s = -length + h * np.arange(1, n + 1)
+    level = eigh_tridiagonal(
+        np.full(n, 1.0 / (h * h)) + 0.5 * freq**2 * s**2,
+        np.full(n - 1, -0.5 / (h * h)),
+        eigvals_only=True,
+        select="i",
+        select_range=(0, 0),
+    )
+    return float(level[0])

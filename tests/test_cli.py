@@ -532,10 +532,22 @@ def _set_row(level, key, value):
     return mutate
 
 
+def _set_energy(key, value):
+    def mutate(doc):
+        doc["energies"][0][key] = value
+        return doc
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         pytest.param(_set_row(0, "c", None), id="c-null"),
+        # refused before 10**e is formed, as a ratio's exponent is
+        pytest.param(_set_energy("c", "1e30000000"), id="c-exponent-30000000"),
+        pytest.param(_set_energy("c", "1e3000000"), id="c-exponent-3000000"),
+        pytest.param(_set_row(0, "c", "1e-3000000"), id="c-negative-exponent"),
         pytest.param(lambda doc: {**doc, "levels": "x"}, id="levels-string"),
         pytest.param(lambda doc: [doc], id="top-level-list"),
         pytest.param(_set_row(0, "i", 1.5), id="i-float"),
@@ -556,6 +568,16 @@ def test_malformed_golden_is_one_error_line(tmp_path, capsys, mutate):
     argv = ["compare", "--methods", "hierarchy", "--golden", str(golden)]
     assert main(argv) == EXIT_USAGE
     assert_one_error_line(capsys.readouterr().err)
+
+
+def test_golden_coefficient_has_no_bit_cap(tmp_path, capsys):
+    # Only a ratio is held to RATIO_BITS: real high-order coefficients exceed it.
+    doc = solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy")
+    row = _set_energy("c", str(2**200))(doc)["energies"][0]
+    assert solution_from_doc(doc).energies.terms[(row["ep"], row["gp"], 0, 0)] == 2**200
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps(doc))
+    assert main(["compare", "--methods", "hierarchy", "--golden", str(golden)]) == EXIT_DISAGREE
 
 
 def test_golden_with_wrong_depth_is_usage_error(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import diags, identity, kron
 
 from quadosc import (
     ConvergenceFailure,
@@ -26,10 +27,12 @@ from quadosc import (
     solve_polynomial,
     standard_spec,
 )
+import quadosc.oracle as oracle
 from quadosc.cli import METHODS, build_solution
 
 from helpers import (
     B_VALUES,
+    axis_ground_level,
     basis_first_order_table,
     basis_second_order_amplitudes,
     energy_poly,
@@ -225,6 +228,83 @@ def test_quarter_box_matches_full_box(n_x, n_y, b, mu):
     _, _, lx, ly = est.grid
     cell = (2 * lx / (n_x + 1)) * (2 * ly / (n_y + 1))
     assert float(np.sum(est.psi**2) * cell) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", [0.5, 5 / 3])
+@pytest.mark.parametrize("n_x, n_y", [(41, 41), (40, 40), (41, 44), (21, 30)])
+def test_harmonic_energy_is_the_separable_floor(n_x, n_y, b):
+    # At mu = 0 the energy is the sum of the two full axes' levels, the bound
+    # the shift sits a sixteenth of a gap below, where it is closest to E_0.
+    est = fd_ground_state(10.0, b, 0.0, GridSpec(n_x, n_y))
+    _, _, lx, ly = est.grid
+    floor = axis_ground_level(n_x, lx, 10.0) + axis_ground_level(n_y, ly, 10.0 * b)
+    assert est.energy == pytest.approx(floor, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "mu, n",
+    [
+        # criterion 9: its couplings on the base grid, its harmonic pair
+        *((mu, 161) for mu in (0.02, 0.04, 0.05, 0.08)),
+        (0.0, 81),
+        (0.0, 163),
+        (0.05, 41),
+        (0.05, 83),
+    ],
+)
+def test_shifted_iteration_needs_few_solves(monkeypatch, mu, n):
+    factors, solves = [], []
+    factor = oracle.splu
+
+    class CountingFactor:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.inner.solve(rhs)
+
+    def counting_splu(matrix, **kw):
+        factors.append(1)
+        return CountingFactor(factor(matrix, **kw))
+
+    monkeypatch.setattr(oracle, "splu", counting_splu)
+    fd_ground_state(10.0, 1.0, mu, GridSpec(n, n))
+    assert len(factors) == 1
+    assert 0 < len(solves) <= 10
+
+
+@pytest.mark.parametrize("n_x, n_y", [(41, 41), (40, 40), (21, 30), (41, 44), (161, 161)])
+def test_band_operator_equals_kron_assembly(monkeypatch, n_x, n_y):
+    # The five-band build must give the Kronecker-sum operator bit for bit.
+    g, b, mu = 10.0, 5 / 3, 0.05
+    built = []
+    band = oracle.diags
+
+    def recording_diags(*args, **kw):
+        built.append(band(*args, **kw))
+        return built[-1]
+
+    monkeypatch.setattr(oracle, "diags", recording_diags)
+    grid = GridSpec(n_x, n_y)
+    fd_ground_state(g, b, mu, grid)
+    _, _, lx, ly = grid.resolved(g, b)
+    _, x, _, main_x, off_x = oracle._half_axis(n_x, lx)
+    _, y, _, main_y, off_y = oracle._half_axis(n_y, ly)
+    xx = x[:, None]
+    yy = y[None, :]
+    pot = g * g * (0.5 * (xx**2 + b * b * yy**2) + mu * xx**2 * yy**2)
+    reference = (
+        -0.5 * kron(diags([off_x, main_x, off_x], [-1, 0, 1]), identity(len(y)))
+        - 0.5 * kron(identity(len(x)), diags([off_y, main_y, off_y], [-1, 0, 1]))
+        + diags(pot.ravel())
+    ).tocsc()
+    assert any(
+        np.array_equal(m.indptr, reference.indptr)
+        and np.array_equal(m.indices, reference.indices)
+        and np.array_equal(m.data, reference.data)
+        for m in built
+    )
 
 
 def test_extrapolation_sharpens_harmonic_energy():

@@ -1,13 +1,18 @@
-"""Smoke tests for the two sweep scripts, run in-process through ``main``."""
+"""Smoke tests for the scripts: the two sweeps in-process through ``main``,
+the benchmark snapshot's grid-oracle table in a fresh interpreter."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name: str):
@@ -37,6 +42,20 @@ def test_grid_convergence_runs(capsys):
     assert lines[3] == "# zero-coupling refinement ladder (exact energy 10)"
     assert lines[4] == "points_per_axis,energy,error,shrink_factor"
     assert [line.split(",")[0] for line in lines[5:]] == ["21", "43"]
+
+
+def test_bench_snapshot_fd_table_runs():
+    # Its own interpreter: the script loads perfbench/run.py as ``run`` and
+    # installs perfbench's tracer over quadosc.
+    argv = [sys.executable, str(SCRIPTS / "bench_snapshot.py"), "--checkout", str(ROOT), "--fd-only"]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
+    table = json.loads(proc.stdout.splitlines()[-1])
+    assert [row["n"] for row in table["rows"]] == [41, 83, 161, 323]
+    for row in table["rows"]:
+        assert row["oracle.fd.factor_s"] > 0
+        assert row["oracle.fd_ground_state.self_s"] > 0
+        assert row["oracle.fd.iterations"] > 0
+    assert table["probe_s.median"] > 0
 
 
 @pytest.mark.parametrize(
