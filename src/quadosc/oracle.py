@@ -335,19 +335,24 @@ def fd_ground_state(
     if not np.isfinite(pot).all():
         # the factorization would fail, or inverse iteration spin on NaNs
         raise ConvergenceFailure(f"grid potential is not finite at g={g:g}, mu={mu:g}")
-    # the five bands of the module docstring; no y bond across a row's end
+    # the five bands of the module docstring; no y bond across a row's end,
+    # and none at all on a one-point y axis, whose x bonds sit at +-1
     xbond = -0.5 * np.repeat(offx, my)
     ybond = -0.5 * np.tile(np.append(offy, 0.0), mx)[:-1]
     diag = -0.5 * np.repeat(mainx, my) - 0.5 * np.tile(mainy, mx) + pot.ravel()
+    bands = [xbond, ybond, diag, ybond, xbond]
     offsets = [-my, -1, 0, 1, my]
-    ham = diags([xbond, ybond, diag, ybond, xbond], offsets, format="csc")
+    if my == 1:
+        bands, offsets = bands[::2], offsets[::2]
+    ham = diags(bands, offsets, format="csc")
     levels = (
         _lowest_levels(mainx, offx, 0.5 * g * g * x**2),
         _lowest_levels(mainy, offy, 0.5 * g * g * b * b * y**2),
     )
     floor = sum(lv[0] for lv in levels)
     sigma = floor - min((lv[1] - lv[0] for lv in levels if len(lv) > 1), default=floor) / 16
-    shifted = diags([xbond, ybond, diag - sigma, ybond, xbond], offsets, format="csc")
+    shifted = ham.copy()
+    shifted.setdiag(diag - sigma)
     solver = splu(shifted, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     root_weight = np.sqrt(wx[:, None] * wy[None, :])
     vec = (root_weight * np.exp(-0.5 * g * (xx**2 + b * yy**2))).ravel()
