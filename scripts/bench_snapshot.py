@@ -7,7 +7,7 @@ For the checkout given, this runs its own ``perfbench/run.py`` on every
 workload at seeds 1-3 for 10 s each (``--trace 0``) and keeps each run's
 result and provenance lines.  It then times the checkout's grid oracle at
 several grid sizes in a fresh interpreter, through the checkout's own
-perfbench tracer: the sparse LU factorization (``oracle.fd.factor_s``), the
+perfbench tracer: the factorization (``oracle.fd.factor_s``), the
 oracle's time outside it, most of it the inverse-iteration solves
 (``oracle.fd_ground_state.self_s``), and the number of solves
 (``oracle.fd.iterations``).  Each time is the median over repeats, scaled

@@ -24,6 +24,13 @@ coupling term is nonnegative, so E_0 >= l_0(A_x) + l_0(A_y).  Taking a
 sixteenth of the smaller even-level gap l_1 - l_0 off that bound keeps the
 shifted operator positive definite; at mu = 0 it leaves each step an error
 contraction of 1/17.
+
+A symmetric positive definite band matrix needs neither pivoting nor a
+fill-reducing ordering, so H - sigma*I is factored as L L^T by banded
+Cholesky (Golub & Van Loan, Matrix Computations, sec. 4.3).  Its fill stays
+inside the band of half-width m_y, which LAPACK's lower band storage holds
+as an (m_y + 1) x (m_x*m_y) array: row k is the k-th subdiagonal, so row 0
+is the diagonal, row 1 the y bonds and row m_y the x bonds.
 """
 
 from __future__ import annotations
@@ -33,9 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .algebra import GradedPoly, integrate_to_T
 from .errors import ConvergenceFailure
@@ -287,6 +293,27 @@ def _lowest_levels(main, off, potential) -> np.ndarray:
     )
 
 
+class _BandCholesky:
+    """LL^T factor of a symmetric positive definite band matrix.
+
+    ``ab`` is in LAPACK lower band storage and is factored in place (LAPACK
+    ``pbtrf``); Fortran order spares f2py a copy of it on the factor call
+    and on every solve.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        self._factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return cho_solve_banded((self._factor, True), rhs, check_finite=False)
+
+
+# LL^T is the symmetric LU, so the factor seam keeps the name the benchmark
+# tracer and the tests wrap; renaming it waits for the tracer to read spans
+# instead of rebinding names.
+splu = _BandCholesky
+
+
 def _unfold(n: int):
     """Index into the half axis of every point of the full axis."""
     return np.abs(2 * np.arange(n) - (n - 1)) // 2
@@ -310,10 +337,11 @@ def fd_ground_state(
     solves with H - sigma*I, where sigma = l_0(A_x) + l_0(A_y) -
     min(gap_x, gap_y)/16 lies below the ground energy (module docstring;
     an axis of one point has no gap, and a box of one unknown takes the
-    bound itself for it).  The energy is the Rayleigh quotient and the
-    residual ||H v - E v|| of the unshifted H.  The residual bound is
-    loosened with grid size so it stays above the roundoff floor of the
-    stencil.  ``psi`` is unfolded back onto the full (n_x, n_y) grid.
+    bound itself for it).  That operator is positive definite, and it is
+    factored once as L L^T in lower band storage (module docstring).  The
+    energy is the Rayleigh quotient and the residual ||H v - E v|| of the
+    unshifted H.  The residual bound is loosened with grid size so it stays
+    above the roundoff floor of the stencil.  ``psi`` is unfolded back onto the full (n_x, n_y) grid.
     """
     g = float(g)
     b = float(b)
@@ -351,9 +379,13 @@ def fd_ground_state(
     )
     floor = sum(lv[0] for lv in levels)
     sigma = floor - min((lv[1] - lv[0] for lv in levels if len(lv) > 1), default=floor) / 16
-    shifted = ham.copy()
-    shifted.setdiag(diag - sigma)
-    solver = splu(shifted, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    # H - sigma*I in lower band storage; on a one-point y axis the x bonds
+    # overwrite the all-zero y bonds in row 1
+    ab = np.zeros((my + 1, mx * my), order="F")
+    ab[0] = diag - sigma
+    ab[1, :-1] = ybond
+    ab[my, :-my] = xbond
+    solver = splu(ab)
     root_weight = np.sqrt(wx[:, None] * wy[None, :])
     vec = (root_weight * np.exp(-0.5 * g * (xx**2 + b * yy**2))).ravel()
     vec /= np.linalg.norm(vec)

@@ -219,9 +219,20 @@ def test_grid_convergence_failure():
 def test_quarter_box_matches_full_box(n_x, n_y, b, mu):
     # Odd and even axes, square and not: the even-quarter solve must give the
     # full box's ground state, not only an eigenvalue near it.
+    _check_quarter_box(10.0, b, mu, n_x, n_y)
+
+
+@pytest.mark.parametrize("b, mu", [(1.0, 1.0), (1.0, 1e12), (1e-3, 1.0), (1e3, 1.0)])
+def test_quarter_box_matches_full_box_at_extremes(b, mu):
+    # A stiff well, a coupling that dominates it, and frequency ratios far
+    # from one, where the grid resolves the state along one axis only.
+    _check_quarter_box(1e4, b, mu, 41, 41)
+
+
+def _check_quarter_box(g, b, mu, n_x, n_y):
     grid = GridSpec(n_x, n_y)
-    est = fd_ground_state(10.0, b, mu, grid)
-    energy, psi = full_box_ground_state(10.0, float(b), mu, grid)
+    est = fd_ground_state(g, b, mu, grid)
+    energy, psi = full_box_ground_state(g, float(b), mu, grid)
     assert est.energy == pytest.approx(energy, rel=1e-12, abs=0)
     assert est.psi.shape == (n_x, n_y)
     assert float(np.abs(est.psi - psi).max()) <= 1e-10
@@ -307,6 +318,47 @@ def test_band_operator_equals_kron_assembly(monkeypatch, n_x, n_y):
     assert np.array_equal(ham.indptr, reference.indptr)
     assert np.array_equal(ham.indices, reference.indices)
     assert np.array_equal(ham.data, reference.data)
+
+
+@pytest.mark.parametrize(
+    "n_x, n_y", [(41, 41), (40, 40), (21, 30), (41, 44), (161, 161), (5, 1), (1, 2), (1, 1)]
+)
+def test_band_storage_is_shifted_operator(monkeypatch, n_x, n_y):
+    # The factor gets H - sigma*I in LAPACK lower band storage: row k holds
+    # the k-th subdiagonal, the x bonds in row 1 on a one-point y axis.
+    g, b, mu = 10.0, 5 / 3, 0.05
+    built, stored = [], []
+    band, factor = oracle.diags, oracle.splu
+
+    def recording_diags(*args, **kw):
+        built.append(band(*args, **kw))
+        return built[-1]
+
+    def recording_factor(ab, **kw):
+        stored.append(ab.copy())  # the factor overwrites its argument
+        return factor(ab, **kw)
+
+    monkeypatch.setattr(oracle, "diags", recording_diags)
+    monkeypatch.setattr(oracle, "splu", recording_factor)
+    grid = GridSpec(n_x, n_y)
+    fd_ground_state(g, b, mu, grid)
+    _, _, lx, ly = grid.resolved(g, b)
+    _, x, _, main_x, off_x = oracle._half_axis(n_x, lx)
+    _, y, _, main_y, off_y = oracle._half_axis(n_y, ly)
+    levels = [
+        oracle._lowest_levels(main_x, off_x, 0.5 * g * g * x**2),
+        oracle._lowest_levels(main_y, off_y, 0.5 * g * g * b * b * y**2),
+    ]
+    floor = sum(lv[0] for lv in levels)
+    gaps = [lv[1] - lv[0] for lv in levels if len(lv) > 1]
+    sigma = floor - (min(gaps) if gaps else floor) / 16
+    [ham], [ab] = built, stored
+    size = ham.shape[0]
+    assert ab.shape == (len(y) + 1, size)
+    below = diags([ab[k, : size - k] for k in range(1, len(ab))], range(-1, -len(ab), -1))
+    rebuilt = below + below.T + diags(ab[0])
+    # sparse, not dense: the 161-point grid has 6,561 unknowns
+    assert (rebuilt != ham - sigma * identity(size)).nnz == 0
 
 
 def test_extrapolation_sharpens_harmonic_energy():

@@ -30,3 +30,18 @@ def test_tracer_records_solver_entry_points(monkeypatch, capsys):
         "trajectory.invert_endpoint_constants",
     ):
         assert tracer.counts[f"{name}.calls"] >= 1, name
+
+
+def test_tracer_wraps_the_grid_factor(monkeypatch, capsys):
+    # `verify` solves on the requested grid and on its halved spacing.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        main(["verify", "--grid-n", "41"])
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["oracle.fd.factor.calls"] == 2
+    assert tracer.counts["oracle.fd.iterations"] > 0
