@@ -12,7 +12,10 @@ oracle's time outside it, most of it the inverse-iteration solves
 (``oracle.fd_ground_state.self_s``), and the number of solves
 (``oracle.fd.iterations``).  Each time is the median over repeats, scaled
 like perfbench's end-to-end times by its calibration probe to one reference
-speed of the host.  The snapshot is stored under
+speed of the host.  Last, it times a fresh interpreter importing the
+checkout's ``quadosc.cli`` and running three commands through the console
+script's ``main``, each the median over repeats, scaled the same way by the
+probes either side of it.  The snapshot is stored under
 ``--label`` in the ``--out`` file, next to the labels already there, so a
 parent run and a change run made in one session share one file.
 """
@@ -25,6 +28,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("series-deep", "agree-sweep", "verify-numeric")
@@ -33,6 +37,14 @@ SECONDS = 10.0
 FD_SIZES = (41, 83, 161, 323)
 FD_POINT = {"g": 10.0, "b": 1.0, "mu": 0.05}  # the paper's example at b = 1
 FD_REPEATS = 5
+# fresh-interpreter cold starts, each a `quadosc` command line; () imports quadosc.cli alone
+COLD_STARTS = (
+    (),
+    ("run", "--method", "hierarchy", "--order", "2"),
+    ("compare", "--order", "2"),
+    ("verify", "--grid-n", "41"),
+)
+COLD_REPEATS = 5
 
 
 def perfbench_runs(checkout: Path) -> list[dict]:
@@ -88,17 +100,45 @@ def fd_table(checkout: Path) -> dict:
     return {"point": FD_POINT, "repeats": FD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
+def cold_start_table(checkout: Path) -> dict:
+    """Wall time of fresh interpreters on the checkout's CLI, at the reference speed."""
+    sys.path.insert(0, str(checkout / "perfbench"))
+    import run as perfbench  # the checkout's perfbench/run.py
+
+    perfbench.pin_threads()
+    probe = perfbench.Probe()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    rows, probes = [], []
+    for args in COLD_STARTS:
+        code = "import sys; from quadosc.cli import main; sys.exit(main())" if args else "import quadosc.cli"
+        times = []
+        for i in range(COLD_REPEATS + 1):
+            probes.append(probe())
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code, *args], cwd=checkout, env=env, capture_output=True, check=True)
+            elapsed = time.perf_counter() - start
+            probes.append(probe())
+            if i:  # the first run warms the file cache and writes bytecode
+                times.append(elapsed * 2 * perfbench.PROBE_REF_S / (probes[-2] + probes[-1]))
+        rows.append({"command": " ".join(args) or "import quadosc.cli", "wall_s": statistics.median(times)})
+    return {"repeats": COLD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=Path("."), help="repository to measure")
     parser.add_argument("--label", help="key of this snapshot in the output file")
     parser.add_argument("--out", type=Path, help="JSON file to add the snapshot to")
     parser.add_argument("--fd-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--cold-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
 
     if args.fd_only:
         print(json.dumps(fd_table(checkout)))
+        return 0
+    if args.cold_only:
+        print(json.dumps(cold_start_table(checkout)))
         return 0
     if not args.label or not args.out:
         parser.error("--label and --out are required")
@@ -109,6 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=""),
     )
     snapshot["fd"] = json.loads(child.stdout.splitlines()[-1])
+    snapshot["cold_start"] = cold_start_table(checkout)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.label] = snapshot

@@ -19,6 +19,7 @@ from quadosc import extrapolated_ground_energy, fd_ground_state
 from quadosc.cli import (
     METHODS,
     build_solution,
+    check_ladder,
     comma_list,
     grid_points,
     grid_spec,
@@ -57,8 +58,11 @@ def main(argv: list[str] | None = None) -> int:
     g = args.g
     b = float(args.b)
     try:
-        # the coarse-grid rule of `quadosc verify --grid-n`
+        # the coarse- and fine-grid rules of `quadosc verify --grid-n`
         ladder = [grid_spec(n, g, args.b) for n in args.grids]
+        for n in args.grids:
+            check_ladder(n, 0)
+        check_ladder(None, args.levels)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -4,7 +4,8 @@ The potential g^2 (x^2 + b^2 y^2) / 2 + g^2 mu x^2 y^2 admits a semiclassical
 expansion of the ground state built from a single classical trajectory.  This
 package computes that expansion exactly, in several equivalent formulations,
 and verifies the results against an independent oscillator-basis recursion
-and a sparse finite-difference eigensolver.
+and a finite-difference eigensolver, inverse iteration on a banded Cholesky
+factor.
 """
 
 from .algebra import (

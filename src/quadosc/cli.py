@@ -424,6 +424,28 @@ def grid_spec(n: int, g: float, b) -> GridSpec:
     return grid
 
 
+# The most points per axis on the finest grid of a Richardson ladder.  The
+# quarter-box band factor holds about n^3/8 floats: 270 MB at 647 points,
+# criterion 9's finest grid (161 refined twice), and 1.1 GB at this bound.
+MAX_GRID_POINTS = 1023
+
+
+def check_ladder(n: int | None, levels: int) -> None:
+    """Refuse a ladder whose finest grid is over `MAX_GRID_POINTS` per axis.
+
+    From n points per axis (the 161 of `GridSpec` when None), each of the
+    ``levels`` halvings of the spacing gives 2n + 1, so the finest grid has
+    2**levels * (n + 1) - 1 points.  Too many levels fail before 2**levels
+    is formed.
+    """
+    n = GridSpec().n_x if n is None else n
+    if levels > MAX_GRID_POINTS.bit_length() or ((n + 1) << levels) - 1 > MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_n {n} with {levels} refinement levels: the finest grid"
+            f" exceeds {MAX_GRID_POINTS} points per axis"
+        )
+
+
 def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dict:
     """Series energy against the extrapolated grid energy at (g, mu)."""
     series = _series_energy(sol, cfg.g, cfg.mu)
@@ -439,6 +461,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     mus = args.mu_sweep
     grid = None if cfg.grid_n is None else grid_spec(cfg.grid_n, cfg.g, cfg.b)
+    check_ladder(cfg.grid_n, max(args.levels, 2) if mus else args.levels)
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order)
     b = float(cfg.b)
@@ -501,8 +524,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
     grid = None
-    if args.numeric and cfg.grid_n is not None:
-        grid = grid_spec(cfg.grid_n, cfg.g, cfg.b)
+    if args.numeric:
+        if cfg.grid_n is not None:
+            grid = grid_spec(cfg.grid_n, cfg.g, cfg.b)
+        check_ladder(cfg.grid_n, args.levels)
     sols = [build_solution(name, cfg.b, cfg.order) for name in names]
     report = compare_methods(sols, names=names)
     ref = sols[0]

@@ -31,6 +31,10 @@ Cholesky (Golub & Van Loan, Matrix Computations, sec. 4.3).  Its fill stays
 inside the band of half-width m_y, which LAPACK's lower band storage holds
 as an (m_y + 1) x (m_x*m_y) array: row k is the k-th subdiagonal, so row 0
 is the diagonal, row 1 the y bonds and row m_y the x bonds.
+
+Only the grid solve needs numpy and SciPy, so they are imported inside it
+and load on the first grid solve: the exact series, `rs_corrections` and
+`compare_methods` run without them.
 """
 
 from __future__ import annotations
@@ -38,10 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
-from scipy.sparse import diags
+from typing import TYPE_CHECKING
 
 from .algebra import GradedPoly, integrate_to_T
 from .errors import ConvergenceFailure
@@ -53,6 +54,9 @@ from .perturbation import (
     _series_inverse,
 )
 from .trajectory import gaussian_exponent, zero_point_energy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -271,6 +275,8 @@ def _half_axis(n: int, length: float):
     sqrt(2)/h^2 both ways once symmetrized; for even n the first point is
     its own mirror neighbour.
     """
+    import numpy as np
+
     h = 2 * length / (n + 1)
     half = (n + 1) // 2
     points = -length + h * np.arange(n - half + 1, n + 1)
@@ -287,6 +293,8 @@ def _half_axis(n: int, length: float):
 
 def _lowest_levels(main, off, potential) -> np.ndarray:
     """The lowest one or two eigenvalues of the axis operator -D/2 + potential."""
+    from scipy.linalg import eigh_tridiagonal
+
     top = min(1, len(main) - 1)
     return eigh_tridiagonal(
         -0.5 * main + potential, -0.5 * off, eigvals_only=True, select="i", select_range=(0, top)
@@ -302,10 +310,13 @@ class _BandCholesky:
     """
 
     def __init__(self, ab: np.ndarray):
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
         self._factor = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        self._cho_solve = cho_solve_banded
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, True), rhs, check_finite=False)
+        return self._cho_solve((self._factor, True), rhs, check_finite=False)
 
 
 # LL^T is the symmetric LU, so the factor seam keeps the name the benchmark
@@ -314,8 +325,21 @@ class _BandCholesky:
 splu = _BandCholesky
 
 
+def diags(*args, **kw):
+    """`scipy.sparse.diags`, imported when called.
+
+    A module-level name, so that the tests can wrap the operator build as
+    they wrap the factor seam above.
+    """
+    from scipy.sparse import diags
+
+    return diags(*args, **kw)
+
+
 def _unfold(n: int):
     """Index into the half axis of every point of the full axis."""
+    import numpy as np
+
     return np.abs(2 * np.arange(n) - (n - 1)) // 2
 
 
@@ -342,7 +366,15 @@ def fd_ground_state(
     energy is the Rayleigh quotient and the residual ||H v - E v|| of the
     unshifted H.  The residual bound is loosened with grid size so it stays
     above the roundoff floor of the stencil.  ``psi`` is unfolded back onto the full (n_x, n_y) grid.
+    The residual bounds the state's error only through the even gap, the
+    distance from E_0 to the next even level: the unit grid vector is good
+    to about residual / (even gap) in the 2-norm, and ``psi`` is that vector
+    over sqrt(h_x*h_y).  The energy's error is of order residual^2 / gap, so
+    at a small gap ``psi`` is much the looser of the two; at g = 10,
+    b = 1e-3 and mu = 0 the even gap is the y axis's 2gb = 0.02.
     """
+    import numpy as np
+
     g = float(g)
     b = float(b)
     mu = float(mu)

@@ -6,6 +6,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -21,9 +24,11 @@ from quadosc.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
     METHODS,
     build_parser,
     build_solution,
+    check_ladder,
     main,
     parse_rational,
     solution_from_doc,
@@ -229,6 +234,11 @@ def test_parser_is_built_once(monkeypatch, capsys):
         ["--min-order", "inf"],
         ["--levels", "0"],
         ["--mu-sweep="],
+        ["--levels", "9", "--grid-n", "41"],
+        ["--levels", "3"],
+        ["--levels", "99999999999999999999"],
+        ["--grid-n", "1025"],
+        ["--grid-n", "300", "--mu-sweep=0.02,0.04"],
     ],
 )
 def test_bad_coupling_flag_is_usage_error(capsys, flags):
@@ -772,6 +782,29 @@ def test_coarse_grid_is_usage_error(capsys, argv):
     assert "too coarse" in err
 
 
+@pytest.mark.parametrize("flags", ["--levels 3", "--grid-n 512"])
+def test_report_grid_finer_than_the_bound_is_usage_error(monkeypatch, capsys, flags):
+    # verify's cases are in test_bad_coupling_flag_is_usage_error, where
+    # --levels 9 --grid-n 41 used to end in a MemoryError and exit 4.
+    argv = f"report --numeric --methods hierarchy,rs {flags}"
+    calls = []
+    monkeypatch.setattr("quadosc.cli.extrapolated_ground_energy", lambda *a, **kw: calls.append(a))
+    assert main(argv.split()) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert_one_error_line(err)
+    assert f"exceeds {MAX_GRID_POINTS} points per axis" in err
+    assert calls == []
+
+
+def test_grid_bound_admits_the_ladders_in_use():
+    # criterion 9 and the grid-convergence script: 161 refined twice is 647
+    for n, levels in ((None, 2), (161, 2), (41, 2), (511, 1), (MAX_GRID_POINTS, 0), (3, 8)):
+        check_ladder(n, levels)
+    for n, levels in ((None, 3), (512, 1), (MAX_GRID_POINTS + 2, 0), (3, 9), (3, 10**30)):
+        with pytest.raises(ValueError):
+            check_ladder(n, levels)
+
+
 def test_grid_as_fine_as_the_gaussian_is_admitted(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(2))
     grids = []
@@ -873,3 +906,54 @@ def test_report_with_numeric_block(monkeypatch, capsys):
     assert code == EXIT_OK
     assert doc["numeric"]["pass"] is True
     assert doc["numeric"]["rel_gap"] == pytest.approx(0.0, abs=1e-15)
+
+
+# ----- cold start ----------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs one statement in a fresh interpreter, with stdout captured, then
+# reports `exit_code` and the numpy and SciPy modules then loaded.
+COLD_START = """
+import contextlib, io, json, sys
+exit_code = None
+with contextlib.redirect_stdout(io.StringIO()):
+    {statement}
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+print(json.dumps({{"exit": exit_code, "loaded": loaded}}))
+"""
+
+
+def cold_start(statement: str) -> dict:
+    # Not in-process: this interpreter already holds numpy from the helpers.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START.format(statement=statement)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main_statement(argv: str) -> str:
+    return f"from quadosc.cli import main; exit_code = main({argv.split()!r})"
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import quadosc",
+        "import quadosc.cli",
+        *map(main_statement, ["run --method hierarchy --order 2", "compare --order 2", "report"]),
+    ],
+)
+def test_exact_series_load_neither_numpy_nor_scipy(statement):
+    result = cold_start(statement)
+    assert result["exit"] in (None, EXIT_OK)
+    assert result["loaded"] == []
+
+
+def test_grid_solve_loads_numpy_and_scipy():
+    result = cold_start(main_statement("verify --grid-n 21"))
+    assert result["exit"] == EXIT_OK
+    assert {"numpy", "scipy.linalg", "scipy.sparse"} <= set(result["loaded"])

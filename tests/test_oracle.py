@@ -243,6 +243,30 @@ def _check_quarter_box(g, b, mu, n_x, n_y):
     assert float(np.sum(est.psi**2) * cell) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_state_at_small_even_gap_is_good_to_residual_over_gap():
+    # At b = 1e-3 the y axis's even gap is about 2gb = 0.02: the energies still
+    # agree to 1e-12, but each solve's unit vector only to its residual over
+    # that gap, which at mu = 0 is the smaller of the axes' even-level gaps.
+    g, b, n = 10.0, 1e-3, 41
+    grid = GridSpec(n, n)
+    est = fd_ground_state(g, b, 0.0, grid)
+    energy, psi = full_box_ground_state(g, b, 0.0, grid)
+    assert est.energy == pytest.approx(energy, rel=1e-12, abs=0)
+    _, _, lx, ly = est.grid
+    hx, x, _, main_x, off_x = oracle._half_axis(n, lx)
+    hy, y, _, main_y, off_y = oracle._half_axis(n, ly)
+    gap = min(
+        lv[1] - lv[0]
+        for lv in (
+            oracle._lowest_levels(main_x, off_x, 0.5 * g * g * x**2),
+            oracle._lowest_levels(main_y, off_y, 0.5 * g * g * b * b * y**2),
+        )
+    )
+    # the full-box reference stops at a residual of at most 1e-10 on this grid
+    bound = (est.residual + 1e-10) / gap / np.sqrt(hx * hy)
+    assert float(np.abs(est.psi - psi).max()) <= bound
+
+
 @pytest.mark.parametrize("b", [0.5, 5 / 3])
 @pytest.mark.parametrize("n_x, n_y", [(41, 41), (40, 40), (41, 44), (21, 30)])
 def test_harmonic_energy_is_the_separable_floor(n_x, n_y, b):

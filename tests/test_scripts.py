@@ -1,5 +1,6 @@
 """Smoke tests for the scripts: the two sweeps in-process through ``main``,
-the benchmark snapshot's grid-oracle table in a fresh interpreter."""
+the benchmark snapshot's grid-oracle and cold-start tables in a fresh
+interpreter."""
 
 from __future__ import annotations
 
@@ -58,6 +59,20 @@ def test_bench_snapshot_fd_table_runs():
     assert table["probe_s.median"] > 0
 
 
+def test_bench_snapshot_cold_start_table_runs():
+    argv = [sys.executable, str(SCRIPTS / "bench_snapshot.py"), "--checkout", str(ROOT), "--cold-only"]
+    proc = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
+    table = json.loads(proc.stdout.splitlines()[-1])
+    assert [row["command"] for row in table["rows"]] == [
+        "import quadosc.cli",
+        "run --method hierarchy --order 2",
+        "compare --order 2",
+        "verify --grid-n 41",
+    ]
+    assert all(row["wall_s"] > 0 for row in table["rows"])
+    assert table["probe_s.median"] > 0
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -74,6 +89,8 @@ def test_bench_snapshot_fd_table_runs():
         ("grid_convergence", ["--mus", "0,0.02"]),
         ("grid_convergence", ["--grids", "2"]),
         ("grid_convergence", ["--grids", "41,5"]),
+        ("grid_convergence", ["--grids", "41,1025"]),
+        ("grid_convergence", ["--levels", "3"]),
     ],
     ids=str,
 )
