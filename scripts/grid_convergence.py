@@ -19,7 +19,6 @@ from quadosc import extrapolated_ground_energy, fd_ground_state
 from quadosc.cli import (
     METHODS,
     build_solution,
-    check_ladder,
     comma_list,
     grid_points,
     grid_spec,
@@ -58,11 +57,9 @@ def main(argv: list[str] | None = None) -> int:
     g = args.g
     b = float(args.b)
     try:
-        # the coarse- and fine-grid rules of `quadosc verify --grid-n`
-        ladder = [grid_spec(n, g, args.b) for n in args.grids]
-        for n in args.grids:
-            check_ladder(n, 0)
-        check_ladder(None, args.levels)
+        # the coarse- and fine-grid rules of `quadosc verify`
+        ladder = [grid_spec(n, g, args.b, 0) for n in args.grids]
+        sweep_grid = grid_spec(None, g, args.b, args.levels)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -74,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     residuals = []
     for mu in mus:
         series = sol.physical_energy(g, mu)
-        grid = extrapolated_ground_energy(g, b, mu, levels=args.levels)
+        grid = extrapolated_ground_energy(g, b, mu, sweep_grid, args.levels)
         residuals.append(abs(series - grid))
         print(f"{mu:g},{series!r},{grid!r},{residuals[-1]:.6e}")
     if len(mus) >= 2:

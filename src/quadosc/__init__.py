@@ -8,11 +8,7 @@ and a finite-difference eigensolver, inverse iteration on a banded Cholesky
 factor.
 """
 
-from .algebra import (
-    GradedPoly,
-    grad_dot,
-    laplacian,
-)
+from .algebra import GradedPoly, laplacian
 from .errors import (
     ConvergenceFailure,
     OddParity,
@@ -24,8 +20,6 @@ from .greens import (
     OperatorSolution,
     apply_flow_inverse,
     collapse_constant,
-    collapse_constant_pure_x,
-    collapse_constant_pure_y,
     diffusion_step,
     gamma_coefficient,
     resolvent_sum,
@@ -33,7 +27,6 @@ from .greens import (
 )
 from .hierarchy import (
     SeriesSolution,
-    assemble_wavefunction,
     default_depth,
     pde_residual,
     solve_levels,
@@ -41,7 +34,6 @@ from .hierarchy import (
 from .oracle import (
     ComparisonReport,
     GridSpec,
-    OscBasisIndex,
     RSCorrections,
     SpectralEstimate,
     compare_methods,
@@ -55,9 +47,7 @@ from .perturbation import (
     DEFAULT_WINDOW,
     NormalForm,
     canonical_window,
-    exp_to_poly,
     normal_form_diff,
-    normalize_grading,
     solve_exponential,
     solve_polynomial,
 )
@@ -83,7 +73,6 @@ __all__ = [
     "NormalForm",
     "OddParity",
     "OperatorSolution",
-    "OscBasisIndex",
     "PotentialSpec",
     "QuadoscError",
     "RSCorrections",
@@ -94,25 +83,19 @@ __all__ = [
     "Trajectory",
     "action_integral",
     "apply_flow_inverse",
-    "assemble_wavefunction",
     "canonical_window",
     "collapse_constant",
-    "collapse_constant_pure_x",
-    "collapse_constant_pure_y",
     "compare_methods",
     "default_depth",
     "diffusion_step",
     "energy_conservation_residual",
-    "exp_to_poly",
     "extrapolated_ground_energy",
     "fd_ground_state",
     "flow_equation_residual",
     "gamma_coefficient",
-    "grad_dot",
     "invert_endpoint_constants",
     "laplacian",
     "normal_form_diff",
-    "normalize_grading",
     "oscillator_matrix_element",
     "pde_residual",
     "resolvent_sum",

@@ -254,12 +254,6 @@ class GradedPoly:
                 out[(e, g, 0, 0)] = n
         return GradedPoly._reduced(out, self.den)
 
-    def max_ep(self) -> int:
-        return max((k[0] for k in self.num), default=0)
-
-    def degree(self) -> int:
-        return max((k[2] + k[3] for k in self.num), default=0)
-
     def subs(
         self,
         px: "GradedPoly",
@@ -348,11 +342,6 @@ def dot(u, v, max_ep: int | None = None) -> GradedPoly:
 def laplacian(p: GradedPoly) -> GradedPoly:
     """Sum of the second x and y derivatives."""
     return divergence(gradient(p))
-
-
-def grad_dot(p: GradedPoly, q: GradedPoly, max_ep: int | None = None) -> GradedPoly:
-    """Dot product of the two gradients, optionally truncated above ``max_ep``."""
-    return dot(gradient(p), gradient(q), max_ep)
 
 
 def _accumulate(out: dict, items) -> None:

@@ -404,13 +404,25 @@ def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
         raise ValueError(f"series energy overflows at g={g:g}, mu={mu:g}") from None
 
 
-def grid_spec(n: int, g: float, b) -> GridSpec:
-    """The n-by-n grid of --grid-n, checked against the state at (g, b).
+# The most points per axis on the finest grid of a Richardson ladder.  The
+# quarter-box band factor holds about n^3/8 floats: 270 MB at 647 points,
+# criterion 9's finest grid (161 refined twice), and 1.1 GB at this bound.
+MAX_GRID_POINTS = 1023
+
+
+def grid_spec(n: int | None, g: float, b, levels: int) -> GridSpec:
+    """The n-by-n grid (`GridSpec`'s default when None), checked for a
+    ladder of ``levels`` refinements at (g, b).
 
     A base spacing wider than the narrowest harmonic gaussian cannot
-    resolve the state, and its energy would read as a disagreement.
+    resolve the state, and its energy would read as a disagreement.  Each
+    of the ``levels`` halvings of the spacing turns n points into 2n + 1,
+    so the finest grid has 2**levels * (n + 1) - 1 points per axis, which
+    may not exceed `MAX_GRID_POINTS`; too many levels fail before
+    2**levels is formed.
     """
-    grid = GridSpec(n, n)
+    grid = GridSpec() if n is None else GridSpec(n, n)
+    n = grid.n_x
     b = float(b)
     _, _, lx, ly = grid.resolved(g, b)
     spacing = 2 * max(lx, ly) / (n + 1)
@@ -421,29 +433,12 @@ def grid_spec(n: int, g: float, b) -> GridSpec:
             f"grid_n {n} is too coarse: spacing {spacing:.3g}"
             f" exceeds the gaussian width {width:.3g}"
         )
-    return grid
-
-
-# The most points per axis on the finest grid of a Richardson ladder.  The
-# quarter-box band factor holds about n^3/8 floats: 270 MB at 647 points,
-# criterion 9's finest grid (161 refined twice), and 1.1 GB at this bound.
-MAX_GRID_POINTS = 1023
-
-
-def check_ladder(n: int | None, levels: int) -> None:
-    """Refuse a ladder whose finest grid is over `MAX_GRID_POINTS` per axis.
-
-    From n points per axis (the 161 of `GridSpec` when None), each of the
-    ``levels`` halvings of the spacing gives 2n + 1, so the finest grid has
-    2**levels * (n + 1) - 1 points.  Too many levels fail before 2**levels
-    is formed.
-    """
-    n = GridSpec().n_x if n is None else n
     if levels > MAX_GRID_POINTS.bit_length() or ((n + 1) << levels) - 1 > MAX_GRID_POINTS:
         raise ValueError(
             f"grid_n {n} with {levels} refinement levels: the finest grid"
             f" exceeds {MAX_GRID_POINTS} points per axis"
         )
+    return grid
 
 
 def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dict:
@@ -460,8 +455,7 @@ def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dic
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     mus = args.mu_sweep
-    grid = None if cfg.grid_n is None else grid_spec(cfg.grid_n, cfg.g, cfg.b)
-    check_ladder(cfg.grid_n, max(args.levels, 2) if mus else args.levels)
+    grid = grid_spec(cfg.grid_n, cfg.g, cfg.b, max(args.levels, 2) if mus else args.levels)
     method = cfg.method
     sol = build_solution(method, cfg.b, cfg.order)
     b = float(cfg.b)
@@ -523,11 +517,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     names = args.methods
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
-    grid = None
-    if args.numeric:
-        if cfg.grid_n is not None:
-            grid = grid_spec(cfg.grid_n, cfg.g, cfg.b)
-        check_ladder(cfg.grid_n, args.levels)
+    grid = grid_spec(cfg.grid_n, cfg.g, cfg.b, args.levels) if args.numeric else None
     sols = [build_solution(name, cfg.b, cfg.order) for name in names]
     report = compare_methods(sols, names=names)
     ref = sols[0]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .algebra import GradedPoly, integrate_to_T, laplacian
 from .errors import OddParity
@@ -63,20 +62,6 @@ def collapse_constant(l: int, m: int, b: Fraction) -> GradedPoly:
         raise ValueError("negative half-degrees")
     mono = GradedPoly.mono(1, i=2 * l, j=2 * m)
     return resolvent_sum(mono, b).constant_part()
-
-
-def _odd_double_factorial(n: int) -> int:
-    return prod(range(1, 2 * n, 2))
-
-
-def collapse_constant_pure_x(l: int) -> GradedPoly:
-    """Closed form (2l-1)!! / (2g)^l for a pure x^(2l) chain."""
-    return GradedPoly.mono(Fraction(_odd_double_factorial(l), 2**l), gp=-l)
-
-
-def collapse_constant_pure_y(m: int, b: Fraction) -> GradedPoly:
-    """Closed form (2m-1)!! / (2gb)^m for a pure y^(2m) chain."""
-    return GradedPoly.mono(Fraction(_odd_double_factorial(m)) / (2 * Fraction(b)) ** m, gp=-m)
 
 
 def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPoly:

@@ -152,19 +152,6 @@ def classical_run(spec: PotentialSpec, order: int) -> tuple[Trajectory, GradedPo
     return traj, action_integral(traj)
 
 
-def assemble_wavefunction(sol: SeriesSolution) -> tuple[GradedPoly, GradedPoly]:
-    """Exponent of the state and the energy series, ready for evaluation.
-
-    The state is exp(-(g S_0 + S_1 + S_2/g + ...)); the returned exponent
-    carries every level with its implicit g power made explicit and the
-    overall sign folded in, so the state is exp(exponent).  The energy
-    series comes back as a pure graded number.
-    """
-    if sol.kind != "exp":
-        raise ValueError("prefactor solutions have no single-exponent form")
-    return -fold_levels(sol.terms, 1), sol.energies
-
-
 def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly:
     """Polynomial residual of the level-n transport equation.
 

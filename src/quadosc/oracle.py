@@ -16,14 +16,17 @@ eigenvalue of the full box, at about a quarter of the unknowns.
 
 On the quarter grid, unknown (i, j) sits at i*m_y + j, so the operator is
 five bands: the diagonal, the y bonds at offsets +-1 (zero across the end
-of each row) and the x bonds at offsets +-m_y.  The iteration is shifted
-by a lower bound on the ground energy.  The operator splits as
-H = A_x (+) A_y + g^2 mu x^2 y^2, with A_x = -D_xx/2 + g^2 x^2/2 and
-A_y = -D_yy/2 + g^2 b^2 y^2/2 the tridiagonal half-axis operators, and the
-coupling term is nonnegative, so E_0 >= l_0(A_x) + l_0(A_y).  Taking a
-sixteenth of the smaller even-level gap l_1 - l_0 off that bound keeps the
-shifted operator positive definite; at mu = 0 it leaves each step an error
-contraction of 1/17.
+of each row) and the x bonds at offsets +-m_y.  Those three arrays are the
+operator's only form: H v adds shifted slices of them, and H - sigma*I is
+copied from them into the factor's band storage.
+
+The iteration is shifted by a lower bound on the ground energy.  The
+operator splits as H = A_x (+) A_y + g^2 mu x^2 y^2, with
+A_x = -D_xx/2 + g^2 x^2/2 and A_y = -D_yy/2 + g^2 b^2 y^2/2 the tridiagonal
+half-axis operators, and the coupling term is nonnegative, so
+E_0 >= l_0(A_x) + l_0(A_y).  Taking a sixteenth of the smaller even-level
+gap l_1 - l_0 off that bound keeps the shifted operator positive definite;
+at mu = 0 it leaves each step an error contraction of 1/17.
 
 A symmetric positive definite band matrix needs neither pivoting nor a
 fill-reducing ordering, so H - sigma*I is factored as L L^T by banded
@@ -57,26 +60,6 @@ from .trajectory import gaussian_exponent, zero_point_energy
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass(frozen=True)
-class OscBasisIndex:
-    """Product-basis index pair.
-
-    The squared-coordinate coupling preserves parity in each direction, so
-    only even quantum numbers ever appear in the ground-state corrections.
-    """
-
-    m: int
-    n: int
-
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0 or self.m % 2 or self.n % 2:
-            raise ValueError("basis indices must be even and nonnegative")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.m, self.n)
 
 
 def oscillator_matrix_element(m: int, n: int, omega) -> float:
@@ -177,11 +160,6 @@ class RSCorrections:
     def coefficient(self, k: int, m: int, n: int) -> Fraction:
         return self.tables[k].get((m, n), Fraction(0))
 
-    def amplitude(self, k: int, m: int, n: int) -> float:
-        """Normalized-basis amplitude at order k (grade g^(-3k) implied)."""
-        c = self.coefficient(k, m, n)
-        return float(c) * math.sqrt(2 ** (m + n) * math.factorial(m) * math.factorial(n))
-
 
 def rs_corrections(b, order: int = 2) -> RSCorrections:
     """Textbook perturbation series for the ground state, exact in g.
@@ -253,15 +231,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Converged grid eigenpair, together with the inputs it certifies."""
+    """Converged grid eigenpair on the resolved (n_x, n_y, l_x, l_y) grid."""
 
     energy: float
     grid: tuple[int, int, float, float]
     residual: float
     psi: np.ndarray
-    g: float
-    b: float
-    mu: float
 
 
 def _half_axis(n: int, length: float):
@@ -325,15 +300,23 @@ class _BandCholesky:
 splu = _BandCholesky
 
 
-def diags(*args, **kw):
-    """`scipy.sparse.diags`, imported when called.
+def _band_matvec(diag, ybond, xbond, vec) -> np.ndarray:
+    """H v on the five bands of the module docstring.
 
-    A module-level name, so that the tests can wrap the operator build as
-    they wrap the factor seam above.
+    Each row sums its terms from zero in column order, i - m_y, i - 1, i,
+    i + 1, i + m_y, as a compressed-column sparse product does, so the
+    result is that product's to the bit.
     """
-    from scipy.sparse import diags
+    import numpy as np
 
-    return diags(*args, **kw)
+    my = len(diag) - len(xbond)
+    hv = np.zeros_like(vec)
+    hv[my:] += xbond * vec[:-my]
+    hv[1:] += ybond * vec[:-1]
+    hv += diag * vec
+    hv[:-1] += ybond * vec[1:]
+    hv[:-my] += xbond * vec[my:]
+    return hv
 
 
 def _unfold(n: int):
@@ -396,15 +379,10 @@ def fd_ground_state(
         # the factorization would fail, or inverse iteration spin on NaNs
         raise ConvergenceFailure(f"grid potential is not finite at g={g:g}, mu={mu:g}")
     # the five bands of the module docstring; no y bond across a row's end,
-    # and none at all on a one-point y axis, whose x bonds sit at +-1
+    # so all y bonds are zero on a one-point y axis, whose x bonds sit at +-1
     xbond = -0.5 * np.repeat(offx, my)
     ybond = -0.5 * np.tile(np.append(offy, 0.0), mx)[:-1]
     diag = -0.5 * np.repeat(mainx, my) - 0.5 * np.tile(mainy, mx) + pot.ravel()
-    bands = [xbond, ybond, diag, ybond, xbond]
-    offsets = [-my, -1, 0, 1, my]
-    if my == 1:
-        bands, offsets = bands[::2], offsets[::2]
-    ham = diags(bands, offsets, format="csc")
     levels = (
         _lowest_levels(mainx, offx, 0.5 * g * g * x**2),
         _lowest_levels(mainy, offy, 0.5 * g * g * b * b * y**2),
@@ -427,7 +405,7 @@ def fd_ground_state(
     for _ in range(max_iter):
         vec = solver.solve(vec)
         vec /= np.linalg.norm(vec)
-        hv = ham @ vec
+        hv = _band_matvec(diag, ybond, xbond, vec)
         energy = float(vec @ hv)
         residual = float(np.linalg.norm(hv - energy * vec))
         if residual <= tol_eff:
@@ -451,9 +429,6 @@ def fd_ground_state(
         grid=(nx, ny, lx, ly),
         residual=residual,
         psi=psi,
-        g=g,
-        b=b,
-        mu=mu,
     )
 
 
@@ -510,20 +485,17 @@ class ComparisonReport:
     names: tuple[str, ...]
     window: tuple[int, int]
     diffs: dict[str, list[str]]
-    numeric: dict[str, float] | None
 
 
 def compare_methods(
     solutions,
-    estimate: SpectralEstimate | None = None,
     names=None,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> ComparisonReport:
     """Compare runs after flattening them onto the canonical window.
 
     The first run is the reference; the report lists every differing slot
-    keyed by run name.  With a grid estimate, the reference energy series
-    is evaluated at the estimate's parameters and the gap recorded.
+    keyed by run name.
     """
     sols = list(solutions)
     if not sols:
@@ -539,14 +511,9 @@ def compare_methods(
         d = normal_form_diff(forms[0], form)
         if d:
             diffs[name] = d
-    numeric = None
-    if estimate is not None:
-        series = sols[0].physical_energy(estimate.g, estimate.mu)
-        numeric = energy_gap(series, estimate.energy)
     return ComparisonReport(
         agree=not diffs,
         names=tuple(names),
         window=window,
         diffs=diffs,
-        numeric=numeric,
     )

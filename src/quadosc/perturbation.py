@@ -9,12 +9,9 @@ one lambda unit g^1, so the insertion lands two levels or one level down.
 
 Solutions come in two shapes: exponent levels ("exp") and prefactor levels
 ("poly", the state being exp of the harmonic exponent times a graded
-polynomial).  `exp_to_poly` maps the first shape onto the second by
-expanding the exponential of the deep levels.  `normalize_grading`
-re-expresses a solution of either shape in another flavor's grading, moving
-terms between levels so different flavors compare level by level.
-`canonical_window` flattens a solution to a single window-truncated
-polynomial where all methods can be compared slot by slot.
+polynomial).  `canonical_window` flattens a solution of either shape and
+any flavor to a single window-truncated polynomial in the eps grading,
+where all methods can be compared slot by slot.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GradedPoly, _G_SHIFT, divergence, dot, gradient
+from .algebra import GradedPoly, divergence, dot, gradient
 from .hierarchy import (
     SeriesSolution,
     _transport_source,
@@ -31,7 +28,6 @@ from .hierarchy import (
     default_depth,
     fold_levels,
     quadrature_level,
-    slice_level,
     solve_levels,
 )
 from .trajectory import PotentialSpec, gaussian_exponent
@@ -138,39 +134,6 @@ def _series_inverse(p: GradedPoly, order: int) -> GradedPoly:
     return _power_series(p - 1, lambda k: (-1) ** k, order)
 
 
-def _series_log(p: GradedPoly, order: int) -> GradedPoly:
-    """log p for p = 1 + (parameter order >= 1 remainder)."""
-    return _power_series(p - 1, lambda k: Fraction((-1) ** (k + 1), k) if k else 0, order)
-
-
-def exp_to_poly(sol: SeriesSolution) -> SeriesSolution:
-    """Fold exponent levels below the first into prefactor levels.
-
-    exp(-(S2/g + S3/g^2 + ...)) is expanded and collected by total g depth.
-    Only meaningful when the flow is harmonic, i.e. for deferred flavors;
-    the mu flavor keeps coupling terms in S0 and must go through
-    `normalize_grading` instead.
-    """
-    if sol.kind != "exp":
-        raise ValueError("expected an exponent-level solution")
-    if sol.flavor == "mu":
-        raise ValueError("mu-flavor exponents do not fold level by level")
-    depth = sol.depth
-    gen = -fold_levels(sol.terms[2:], -1)
-    gen = _truncate_g_depth(gen.truncate_ep(sol.order), depth)
-    folded = _exp_series(gen, sol.order, depth)
-    chis = [slice_level(folded, -n) for n in range(depth + 1)]
-    return SeriesSolution(
-        kind="poly",
-        flavor=sol.flavor,
-        b=sol.b,
-        order=sol.order,
-        terms=tuple(chis),
-        energies=sol.energies,
-        base=(sol.terms[0], sol.terms[1]),
-    )
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Window-truncated canonical prefactor plus energy slots.
@@ -187,69 +150,6 @@ class NormalForm:
     g_depth: int
     chi: GradedPoly
     energies: GradedPoly
-
-
-def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolution:
-    """Re-express a solution in the grading of another coupling flavor.
-
-    One eps unit of the coupling is worth g^2 mu units and one lambda unit
-    is worth g mu units, so a flavor change moves every coefficient's g
-    power by a multiple of its parameter order.  Levels carry implicit g
-    powers (g^(1-n) for exponent levels, g^(-n) for prefactor levels), so
-    moved terms migrate between levels: the levels are folded into a single
-    total-grade object, regraded and sliced back into levels of the target
-    convention.  Prefactor solutions additionally renormalize the
-    exponent/prefactor split (exponent terms pushed below the harmonic
-    levels are expanded into the prefactor and the prefactor is rescaled so
-    its depth-zero slice stays 1), which makes the result agree level by
-    level with a native run of the target flavor.
-
-    The mu flavor keeps the coupling inside the classical flow and has no
-    prefactor form, so prefactor solutions cannot be regraded to it.
-    """
-    if target not in _G_SHIFT:
-        raise ValueError(f"unknown flavor {target!r}")
-    if target == sol.flavor:
-        return sol
-
-    energies = sol.energies.regrade(sol.flavor, target)
-    if sol.kind == "exp":
-        folded = fold_levels(sol.terms, 1).regrade(sol.flavor, target)
-        if any(gp > 1 for (_, gp, _, _) in folded.num):
-            raise ValueError("terms would land above the leading level")
-        last = max((1 - gp for (_, gp, _, _) in folded.num), default=1)
-        last = max(last, 1)
-        terms = tuple(slice_level(folded, 1 - n) for n in range(last + 1))
-        base: tuple[GradedPoly, ...] = ()
-    else:
-        if target == "mu":
-            raise ValueError("the mu flavor has no prefactor form")
-        exponent = fold_levels(sol.base, 1).regrade(sol.flavor, target)
-        if any(gp > 1 for (_, gp, _, _) in exponent.num):
-            raise ValueError("terms would land above the leading level")
-        deep = GradedPoly._reduced(
-            {k: n for k, n in exponent.num.items() if k[1] < 0}, exponent.den
-        )
-        pf = fold_levels(sol.terms, 0).regrade(sol.flavor, target)
-        if any(gp > 0 for (_, gp, _, _) in pf.num):
-            raise ValueError("prefactor terms would land above depth zero")
-        pf = pf.mul(_exp_series(-deep, sol.order), sol.order)
-        head = slice_level(pf, 0)
-        s1 = slice_level(exponent, 0) - _series_log(head, sol.order)
-        pf = pf.mul(_series_inverse(head, sol.order), sol.order)
-        depth = max((-gp for (_, gp, _, _) in pf.num), default=0)
-        terms = tuple(slice_level(pf, -n) for n in range(depth + 1))
-        base = (slice_level(exponent, 1), s1)
-
-    return SeriesSolution(
-        kind=sol.kind,
-        flavor=target,
-        b=sol.b,
-        order=sol.order,
-        terms=terms,
-        energies=energies,
-        base=base,
-    )
 
 
 def canonical_window(

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadosc import GradedPoly, SingularInverse, grad_dot, laplacian
-from quadosc.algebra import extend_powers, flow_derivative, integrate_to_T
+from quadosc import GradedPoly, SingularInverse, laplacian
+from quadosc.algebra import dot, extend_powers, flow_derivative, gradient, integrate_to_T
 from quadosc.hierarchy import slice_level
-from quadosc.perturbation import _exp_series, _series_inverse, _series_log, _truncate_g_depth
+from quadosc.perturbation import _exp_series, _series_inverse, _truncate_g_depth
+
+from helpers import series_log
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -93,20 +95,20 @@ def test_laplacian_is_sum_of_second_derivatives(p):
 
 @given(polys, polys)
 def test_gradient_dot_symmetry(p, q):
-    assert grad_dot(p, q) == grad_dot(q, p)
+    assert dot(gradient(p), gradient(q)) == dot(gradient(q), gradient(p))
 
 
 @given(polys)
 def test_constant_split_partitions(p):
     assert p.constant_part() + p.drop_constant() == p
-    assert p.constant_part().degree() == 0
+    assert all(i == j == 0 for (_, _, i, j) in p.constant_part().num)
 
 
 @given(polys, st.integers(0, 2))
 def test_truncation_idempotent(p, cap):
     t = p.truncate_ep(cap)
     assert t.truncate_ep(cap) == t
-    assert t.max_ep() <= cap
+    assert all(ep <= cap for (ep, _, _, _) in t.num)
 
 
 @given(polys)
@@ -156,7 +158,7 @@ unit_tails = st.dictionaries(
 def test_series_inverse_and_log_invert(q, order):
     p = q + 1
     assert p.mul(_series_inverse(p, order), order) == GradedPoly.const(1)
-    assert _exp_series(_series_log(p, order), order) == p.truncate_ep(order)
+    assert _exp_series(series_log(p, order), order) == p.truncate_ep(order)
 
 
 def test_series_argument_must_carry_the_parameter():

@@ -28,7 +28,7 @@ from quadosc.cli import (
     METHODS,
     build_parser,
     build_solution,
-    check_ladder,
+    grid_spec,
     main,
     parse_rational,
     solution_from_doc,
@@ -772,6 +772,11 @@ def test_unmapped_exception_exits_internal(monkeypatch, capsys):
         "verify --method hierarchy --grid-n 3 --mu-sweep=0.02,0.04",
         "report --numeric --methods hierarchy,rs --grid-n 3",
         "verify --method hierarchy --b 2 --grid-n 15",
+        # the default 161-point grid is held to the same rule
+        "verify --b 1/200 --format text",
+        "verify --b 200 --mu-sweep=0.02,0.04",
+        "report --numeric --b 1/200",
+        "report --numeric --b 1/200 --format text",
     ],
 )
 def test_coarse_grid_is_usage_error(capsys, argv):
@@ -797,12 +802,14 @@ def test_report_grid_finer_than_the_bound_is_usage_error(monkeypatch, capsys, fl
 
 
 def test_grid_bound_admits_the_ladders_in_use():
-    # criterion 9 and the grid-convergence script: 161 refined twice is 647
-    for n, levels in ((None, 2), (161, 2), (41, 2), (511, 1), (MAX_GRID_POINTS, 0), (3, 8)):
-        check_ladder(n, levels)
-    for n, levels in ((None, 3), (512, 1), (MAX_GRID_POINTS + 2, 0), (3, 9), (3, 10**30)):
-        with pytest.raises(ValueError):
-            check_ladder(n, levels)
+    # criterion 9 and the grid-convergence script: 161 refined twice is 647;
+    # 15 points refined six times is 1023, the bound itself
+    for n, levels in ((None, 2), (161, 2), (41, 2), (511, 1), (MAX_GRID_POINTS, 0), (15, 6)):
+        expected = GridSpec() if n is None else GridSpec(n, n)
+        assert grid_spec(n, 10.0, 1, levels) == expected
+    for n, levels in ((None, 3), (512, 1), (MAX_GRID_POINTS + 2, 0), (15, 7), (15, 10**30)):
+        with pytest.raises(ValueError, match=f"exceeds {MAX_GRID_POINTS} points per axis"):
+            grid_spec(n, 10.0, 1, levels)
 
 
 def test_grid_as_fine_as_the_gaussian_is_admitted(monkeypatch, capsys):
@@ -954,6 +961,8 @@ def test_exact_series_load_neither_numpy_nor_scipy(statement):
 
 
 def test_grid_solve_loads_numpy_and_scipy():
+    # the grid operator is three band arrays, so its solve needs no scipy.sparse
     result = cold_start(main_statement("verify --grid-n 21"))
     assert result["exit"] == EXIT_OK
-    assert {"numpy", "scipy.linalg", "scipy.sparse"} <= set(result["loaded"])
+    assert {"numpy", "scipy.linalg"} <= set(result["loaded"])
+    assert "scipy.sparse" not in result["loaded"]

@@ -15,8 +15,6 @@ from quadosc import (
     SingularInverse,
     apply_flow_inverse,
     collapse_constant,
-    collapse_constant_pure_x,
-    collapse_constant_pure_y,
     diffusion_step,
     gamma_coefficient,
     resolvent_sum,
@@ -128,11 +126,9 @@ def test_pure_chain_closed_forms(b):
     for l in range(1, 5):
         expected_x = mono(Fraction(odd_double_factorial(l), 2**l), gp=-l)
         assert gamma_coefficient("x_full", l, b) == expected_x
-        assert collapse_constant_pure_x(l) == expected_x
         assert collapse_constant(l, 0, b) == expected_x
         expected_y = mono(odd_double_factorial(l) / (2 * b) ** l, gp=-l)
         assert gamma_coefficient("y_full", l, b) == expected_y
-        assert collapse_constant_pure_y(l, b) == expected_y
         assert collapse_constant(0, l, b) == expected_y
 
 

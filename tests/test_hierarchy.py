@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from quadosc import (
     GradedPoly,
-    assemble_wavefunction,
-    grad_dot,
     laplacian,
     pde_residual,
     solve_exponential,
     standard_spec,
 )
+
+from quadosc.algebra import dot, gradient
+from quadosc.hierarchy import fold_levels
 
 from helpers import B_VALUES, mu_energy_slots, mu_levels
 
@@ -81,7 +82,7 @@ def test_energy_equals_origin_value_of_source(b, solution):
         for i in range(1, n + 1):
             j = n + 1 - i
             if j < len(solution.terms):
-                rhs = rhs - grad_dot(solution.terms[i], solution.terms[j]) * half
+                rhs = rhs - dot(gradient(solution.terms[i]), gradient(solution.terms[j])) * half
         rhs = rhs.truncate_ep(solution.order)
         origin = {
             (ep, gp): c for (ep, gp, i, j), c in rhs.constant_part().terms.items()
@@ -93,18 +94,18 @@ def test_energy_equals_origin_value_of_source(b, solution):
 
 
 def test_assembled_exponent_folds_levels(b, solution):
-    exponent, energy = assemble_wavefunction(solution)
+    # the state is exp(-(g S_0 + S_1 + S_2/g + ...)): one total-grade exponent
     rebuilt = GradedPoly.zero()
     for n, level in enumerate(solution.terms):
-        rebuilt = rebuilt - level.shift(gp=1 - n)
-    assert exponent == rebuilt
-    assert energy == solution.energies == mu_energy_slots(b)
+        rebuilt = rebuilt + level.shift(gp=1 - n)
+    assert fold_levels(solution.terms, 1) == rebuilt
+    assert solution.energies == mu_energy_slots(b)
 
 
-def test_assembly_rejects_prefactor_solutions(solution):
+def test_residual_rejects_prefactor_solutions(b, solution):
     fake = dataclasses.replace(solution, kind="poly")
     with pytest.raises(ValueError):
-        assemble_wavefunction(fake)
+        pde_residual(fake, standard_spec(b), 0)
 
 
 def test_physical_energy_exact_sample():

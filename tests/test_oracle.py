@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,7 +17,6 @@ from quadosc import (
     ConvergenceFailure,
     GradedPoly,
     GridSpec,
-    OscBasisIndex,
     canonical_window,
     compare_methods,
     extrapolated_ground_energy,
@@ -28,7 +29,7 @@ from quadosc import (
     standard_spec,
 )
 import quadosc.oracle as oracle
-from quadosc.cli import METHODS, build_solution
+from quadosc.cli import METHODS, _grid_check, build_solution
 
 from helpers import (
     B_VALUES,
@@ -54,18 +55,7 @@ def b(request):
     return request.param
 
 
-# ----- basis bookkeeping ------------------------------------------------------
-
-
-def test_basis_index_accepts_even_pairs():
-    assert OscBasisIndex(0, 0).pair == (0, 0)
-    assert OscBasisIndex(2, 4).pair == (2, 4)
-
-
-@pytest.mark.parametrize("pair", [(1, 2), (-2, 0), (0, 3), (-1, -1)])
-def test_basis_index_rejects_odd_or_negative(pair):
-    with pytest.raises(ValueError):
-        OscBasisIndex(*pair)
+# ----- basis matrix elements ----------------------------------------------------
 
 
 def test_square_matrix_elements():
@@ -129,7 +119,9 @@ def test_second_order_amplitudes(b):
     expected = basis_second_order_amplitudes(b)
     assert set(rs.tables[2]) == set(expected)
     for (m, n), amp in expected.items():
-        assert rs.amplitude(2, m, n) == pytest.approx(amp, abs=1e-12)
+        # the raw basis state |m> has squared norm 2^m m!
+        norm = math.sqrt(2 ** (m + n) * math.factorial(m) * math.factorial(n))
+        assert float(rs.coefficient(2, m, n)) * norm == pytest.approx(amp, abs=1e-12)
 
 
 def test_normalized_prefactor_starts_at_one(b):
@@ -311,25 +303,11 @@ def test_shifted_iteration_needs_few_solves(monkeypatch, mu, n):
     assert 0 < len(solves) <= 10
 
 
-@pytest.mark.parametrize(
-    "n_x, n_y", [(41, 41), (40, 40), (21, 30), (41, 44), (161, 161), (5, 1), (1, 2)]
-)
-def test_band_operator_equals_kron_assembly(monkeypatch, n_x, n_y):
-    # The five-band build must give the Kronecker-sum operator bit for bit.
-    g, b, mu = 10.0, 5 / 3, 0.05
-    built = []
-    band = oracle.diags
-
-    def recording_diags(*args, **kw):
-        built.append(band(*args, **kw))
-        return built[-1]
-
-    monkeypatch.setattr(oracle, "diags", recording_diags)
-    grid = GridSpec(n_x, n_y)
-    fd_ground_state(g, b, mu, grid)
+def _kron_operator(g, b, mu, grid):
+    """The quarter-box H assembled as a Kronecker sum, and its shift sigma."""
     _, _, lx, ly = grid.resolved(g, b)
-    _, x, _, main_x, off_x = oracle._half_axis(n_x, lx)
-    _, y, _, main_y, off_y = oracle._half_axis(n_y, ly)
+    _, x, _, main_x, off_x = oracle._half_axis(grid.n_x, lx)
+    _, y, _, main_y, off_y = oracle._half_axis(grid.n_y, ly)
     xx = x[:, None]
     yy = y[None, :]
     pot = g * g * (0.5 * (xx**2 + b * b * yy**2) + mu * xx**2 * yy**2)
@@ -338,51 +316,63 @@ def test_band_operator_equals_kron_assembly(monkeypatch, n_x, n_y):
         - 0.5 * kron(identity(len(x)), diags([off_y, main_y, off_y], [-1, 0, 1]))
         + diags(pot.ravel())
     ).tocsc()
-    [ham] = built
-    assert np.array_equal(ham.indptr, reference.indptr)
-    assert np.array_equal(ham.indices, reference.indices)
-    assert np.array_equal(ham.data, reference.data)
-
-
-@pytest.mark.parametrize(
-    "n_x, n_y", [(41, 41), (40, 40), (21, 30), (41, 44), (161, 161), (5, 1), (1, 2), (1, 1)]
-)
-def test_band_storage_is_shifted_operator(monkeypatch, n_x, n_y):
-    # The factor gets H - sigma*I in LAPACK lower band storage: row k holds
-    # the k-th subdiagonal, the x bonds in row 1 on a one-point y axis.
-    g, b, mu = 10.0, 5 / 3, 0.05
-    built, stored = [], []
-    band, factor = oracle.diags, oracle.splu
-
-    def recording_diags(*args, **kw):
-        built.append(band(*args, **kw))
-        return built[-1]
-
-    def recording_factor(ab, **kw):
-        stored.append(ab.copy())  # the factor overwrites its argument
-        return factor(ab, **kw)
-
-    monkeypatch.setattr(oracle, "diags", recording_diags)
-    monkeypatch.setattr(oracle, "splu", recording_factor)
-    grid = GridSpec(n_x, n_y)
-    fd_ground_state(g, b, mu, grid)
-    _, _, lx, ly = grid.resolved(g, b)
-    _, x, _, main_x, off_x = oracle._half_axis(n_x, lx)
-    _, y, _, main_y, off_y = oracle._half_axis(n_y, ly)
     levels = [
         oracle._lowest_levels(main_x, off_x, 0.5 * g * g * x**2),
         oracle._lowest_levels(main_y, off_y, 0.5 * g * g * b * b * y**2),
     ]
     floor = sum(lv[0] for lv in levels)
     gaps = [lv[1] - lv[0] for lv in levels if len(lv) > 1]
-    sigma = floor - (min(gaps) if gaps else floor) / 16
-    [ham], [ab] = built, stored
-    size = ham.shape[0]
-    assert ab.shape == (len(y) + 1, size)
-    below = diags([ab[k, : size - k] for k in range(1, len(ab))], range(-1, -len(ab), -1))
-    rebuilt = below + below.T + diags(ab[0])
-    # sparse, not dense: the 161-point grid has 6,561 unknowns
-    assert (rebuilt != ham - sigma * identity(size)).nnz == 0
+    return reference, floor - (min(gaps) if gaps else floor) / 16
+
+
+BAND_SHAPES = [(41, 41), (40, 40), (21, 30), (41, 44), (161, 161), (5, 1), (1, 2), (1, 1)]
+
+
+@pytest.mark.parametrize("n_x, n_y", BAND_SHAPES)
+def test_band_operator_equals_kron_assembly(monkeypatch, n_x, n_y):
+    # H v from the three band arrays must be the Kronecker-sum operator's
+    # sparse product bit for bit: on every vector the solve multiplies, and
+    # on random ones.
+    g, b, mu = 10.0, 5 / 3, 0.05
+    calls = []
+    matvec = oracle._band_matvec
+    monkeypatch.setattr(oracle, "_band_matvec", lambda *args: calls.append(args) or matvec(*args))
+    grid = GridSpec(n_x, n_y)
+    fd_ground_state(g, b, mu, grid)
+    reference, _ = _kron_operator(g, b, mu, grid)
+    rng = np.random.default_rng(n_x * 1000 + n_y)
+    bands = calls[0][:3]
+    vectors = [args[3] for args in calls] + [rng.standard_normal(len(bands[0])) for _ in range(3)]
+    for vec in vectors:
+        assert np.array_equal(matvec(*bands, vec), reference @ vec)
+
+
+@pytest.mark.parametrize("n_x, n_y", BAND_SHAPES)
+def test_band_storage_is_shifted_operator(monkeypatch, n_x, n_y):
+    # The factor gets H - sigma*I in LAPACK lower band storage: row k holds
+    # the k-th subdiagonal, the x bonds in row 1 on a one-point y axis.
+    g, b, mu = 10.0, 5 / 3, 0.05
+    stored = []
+    factor = oracle.splu
+
+    def recording_factor(ab, **kw):
+        stored.append(ab.copy())  # the factor overwrites its argument
+        return factor(ab, **kw)
+
+    monkeypatch.setattr(oracle, "splu", recording_factor)
+    grid = GridSpec(n_x, n_y)
+    fd_ground_state(g, b, mu, grid)
+    reference, sigma = _kron_operator(g, b, mu, grid)
+    shifted = reference - sigma * identity(reference.shape[0])
+    [ab] = stored
+    size = reference.shape[0]
+    assert ab.shape == ((n_y + 1) // 2 + 1, size)
+    for k in range(len(ab)):
+        assert np.array_equal(ab[k, : size - k], shifted.diagonal(-k))
+        assert not ab[k, size - k :].any()
+    # the band holds every entry of the symmetric operator
+    in_band = sum(np.count_nonzero(shifted.diagonal(k)) for k in range(1 - len(ab), len(ab)))
+    assert shifted.nnz == in_band
 
 
 def test_extrapolation_sharpens_harmonic_energy():
@@ -414,7 +404,6 @@ def test_compare_agreement_and_names():
     assert report.names == ("direct", "deferred")
     assert report.window == (2, 5)
     assert report.diffs == {}
-    assert report.numeric is None
 
 
 def _check_all_methods_agree(b: Fraction, order: int) -> None:
@@ -459,17 +448,15 @@ def test_compare_guards():
 
 
 def test_compare_numeric_block():
+    # the numeric block of verify and report --numeric: the one place that
+    # sets a series energy against the grid's
     sol = solve_exponential(standard_spec(Fraction(1)), 2)
-    est = fd_ground_state(10.0, 1.0, 0.05)
-    report = compare_methods([sol], estimate=est)
-    assert report.numeric is not None
-    assert set(report.numeric) == {
-        "series_energy",
-        "grid_energy",
-        "abs_gap",
-        "rel_gap",
-    }
-    assert report.numeric["series_energy"] == pytest.approx(
-        sol.physical_energy(10.0, 0.05)
-    )
-    assert report.numeric["rel_gap"] < 1e-3
+    cfg = argparse.Namespace(g=10.0, mu=0.05, b=Fraction(1))
+    args = argparse.Namespace(levels=1, tol=1e-3)
+    doc = _grid_check(sol, cfg, GridSpec(81, 81), args)
+    assert set(doc) == {"series_energy", "grid_energy", "abs_gap", "rel_gap", "pass"}
+    assert doc["series_energy"] == sol.physical_energy(10.0, 0.05)
+    assert doc["grid_energy"] == extrapolated_ground_energy(10.0, 1.0, 0.05, GridSpec(81, 81), 1)
+    assert doc["abs_gap"] == abs(doc["series_energy"] - doc["grid_energy"])
+    assert doc["rel_gap"] < 1e-3
+    assert doc["pass"] is True

@@ -14,9 +14,7 @@ from quadosc import (
     GradedPoly,
     canonical_window,
     default_depth,
-    exp_to_poly,
     normal_form_diff,
-    normalize_grading,
     solve_exponential,
     solve_polynomial,
     standard_spec,
@@ -29,9 +27,11 @@ from helpers import (
     eps_energy_slots,
     eps_exponent_levels,
     eps_prefactor_levels,
+    exp_to_poly,
     gaussian_exponent,
     lambda_energy_slots,
     lambda_exponent_levels,
+    normalize_grading,
 )
 
 

@@ -91,6 +91,8 @@ def test_bench_snapshot_cold_start_table_runs():
         ("grid_convergence", ["--grids", "41,5"]),
         ("grid_convergence", ["--grids", "41,1025"]),
         ("grid_convergence", ["--levels", "3"]),
+        # the sweep's default grid, under a ladder fine enough for b = 1/200
+        ("grid_convergence", ["--b", "1/200", "--grids", "171"]),
     ],
     ids=str,
 )
