@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from quadosc import compare_methods
+from quadosc import DEFAULT_WINDOW, compare_methods
 from quadosc.cli import (
     METHODS,
     build_solution,
@@ -47,6 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     ratios, methods = args.ratios, args.methods
     if not methods:
         parser.error("--methods names no method")
+    if args.order < DEFAULT_WINDOW[0]:
+        # the runs have no terms at the window's top order: a false disagreement
+        parser.error(f"--order must be at least the window order {DEFAULT_WINDOW[0]}")
 
     rows = []
     all_agree = True

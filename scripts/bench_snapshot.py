@@ -12,10 +12,14 @@ oracle's time outside it, most of it the inverse-iteration solves
 (``oracle.fd_ground_state.self_s``), and the number of solves
 (``oracle.fd.iterations``).  Each time is the median over repeats, scaled
 like perfbench's end-to-end times by its calibration probe to one reference
-speed of the host.  Last, it times a fresh interpreter importing the
-checkout's ``quadosc.cli`` and running three commands through the console
-script's ``main``, each the median over repeats, scaled the same way by the
-probes either side of it.  The snapshot is stored under
+speed of the host.  It times the checkout's ``hierarchy`` build at b = 1/2
+for orders 8 to 24 in a fresh interpreter, one build per order scaled by
+the probes either side of it, with the levels' term count and the largest
+numerator or denominator bit length of the levels and of the energies.
+Last, it times a fresh interpreter importing the checkout's ``quadosc.cli``
+and running three commands through the console script's ``main``, each the
+median over repeats, scaled the same way by the probes either side of it.
+The snapshot is stored under
 ``--label`` in the ``--out`` file, next to the labels already there, so a
 parent run and a change run made in one session share one file.
 """
@@ -29,6 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 WORKLOADS = ("series-deep", "agree-sweep", "verify-numeric")
@@ -45,6 +50,8 @@ COLD_STARTS = (
     ("verify", "--grid-n", "41"),
 )
 COLD_REPEATS = 5
+HIERARCHY_B = "1/2"
+HIERARCHY_ORDERS = (8, 12, 16, 20, 24)
 
 
 def perfbench_runs(checkout: Path) -> list[dict]:
@@ -100,6 +107,33 @@ def fd_table(checkout: Path) -> dict:
     return {"point": FD_POINT, "repeats": FD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
+def hierarchy_table(checkout: Path) -> dict:
+    """Build time and size of the checkout's `hierarchy` series, in this interpreter."""
+    sys.path[:0] = [str(checkout / "perfbench"), str(checkout / "src")]
+    import run as perfbench  # the checkout's perfbench/run.py
+    from tracing import poly_size
+
+    from quadosc.cli import build_solution
+
+    probe = perfbench.Probe()
+    rows, probes = [], []
+    for order in HIERARCHY_ORDERS:
+        probes.append(probe())
+        start = time.perf_counter()
+        sol = build_solution("hierarchy", Fraction(HIERARCHY_B), order)
+        elapsed = time.perf_counter() - start
+        probes.append(probe())
+        terms, bits = poly_size(sol.terms)
+        rows.append({
+            "order": order,
+            "build_s": elapsed * 2 * perfbench.PROBE_REF_S / (probes[-2] + probes[-1]),
+            "level_terms": terms,
+            "level_max_bits": bits,
+            "energy_max_bits": poly_size((sol.energies,))[1],
+        })
+    return {"b": HIERARCHY_B, "probe_s.median": statistics.median(probes), "rows": rows}
+
+
 def cold_start_table(checkout: Path) -> dict:
     """Wall time of fresh interpreters on the checkout's CLI, at the reference speed."""
     sys.path.insert(0, str(checkout / "perfbench"))
@@ -131,11 +165,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, help="JSON file to add the snapshot to")
     parser.add_argument("--fd-only", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--cold-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--hierarchy-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
 
     if args.fd_only:
         print(json.dumps(fd_table(checkout)))
+        return 0
+    if args.hierarchy_only:
+        print(json.dumps(hierarchy_table(checkout)))
         return 0
     if args.cold_only:
         print(json.dumps(cold_start_table(checkout)))
@@ -143,12 +181,13 @@ def main(argv: list[str] | None = None) -> int:
     if not args.label or not args.out:
         parser.error("--label and --out are required")
     snapshot = {"perfbench": perfbench_runs(checkout)}
-    # A fresh interpreter, so that this checkout's quadosc is the one imported.
-    child = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--checkout", str(checkout), "--fd-only"],
-        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=""),
-    )
-    snapshot["fd"] = json.loads(child.stdout.splitlines()[-1])
+    # Fresh interpreters, so that this checkout's quadosc is the one imported.
+    for key, flag in (("fd", "--fd-only"), ("hierarchy", "--hierarchy-only")):
+        child = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--checkout", str(checkout), flag],
+            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=""),
+        )
+        snapshot[key] = json.loads(child.stdout.splitlines()[-1])
     snapshot["cold_start"] = cold_start_table(checkout)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}

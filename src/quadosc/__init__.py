@@ -53,12 +53,8 @@ from .perturbation import (
 )
 from .trajectory import (
     PotentialSpec,
-    Trajectory,
-    action_integral,
     energy_conservation_residual,
     flow_equation_residual,
-    invert_endpoint_constants,
-    solve_classical_trajectory,
     standard_spec,
 )
 
@@ -80,8 +76,6 @@ __all__ = [
     "SeriesSolution",
     "SingularInverse",
     "SpectralEstimate",
-    "Trajectory",
-    "action_integral",
     "apply_flow_inverse",
     "canonical_window",
     "collapse_constant",
@@ -93,7 +87,6 @@ __all__ = [
     "fd_ground_state",
     "flow_equation_residual",
     "gamma_coefficient",
-    "invert_endpoint_constants",
     "laplacian",
     "normal_form_diff",
     "oscillator_matrix_element",
@@ -101,7 +94,6 @@ __all__ = [
     "resolvent_sum",
     "rs_corrections",
     "rs_series",
-    "solve_classical_trajectory",
     "solve_exponential",
     "solve_green",
     "solve_levels",

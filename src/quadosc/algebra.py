@@ -11,8 +11,13 @@ amplitudes X = cx e^t and Y = cy e^(bt): a monomial X^p Y^q is then the
 exponential cx^p cy^q e^((p + q*b) t) in the flow time t.
 
 In the amplitudes, d/dt is the flow operator x d/dx + b y d/dy, which scales
-each monomial by its eigenvalue i + j*b.  `integrate_to_T` is its inverse;
-both the trajectory quadrature and the operator inversion of `greens` use it.
+each monomial by its eigenvalue i + j*b.  `integrate_to_T` is its inverse:
+integrating along the flow from t = -inf is dividing each monomial by
+i + j*b, so the transport levels of `hierarchy` are solved by it in the
+plane, and the operator inversion of `greens` uses it too.  The
+substitutions into the trajectory (`GradedPoly.subs`,
+`restrict_to_trajectory`, `evaluate_at_endpoint`) serve the paper's
+trajectory route, kept in `trajectory` as the reference.
 
 Values are immutable by convention; every operation returns a new value.
 A polynomial is stored as integer numerators over one denominator (FLINT's

@@ -340,15 +340,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _window_within(window: tuple[int, int], order: int, run: str) -> None:
+    """Refuse a window that reaches above a compared run's order: the run has
+    no terms there, so the comparison would report a false disagreement."""
+    if window[0] > order:
+        raise InputError(f"window order {window[0]} is above the order {order} of {run}")
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     window = args.window
+    _window_within(window, cfg.order, "the run")
     sols, labels = [], []
     if args.golden:
         doc = _load_json(args.golden)
         golden = solution_from_doc(doc)
         if golden.b != cfg.b:
             raise ValueError(f"golden file has b={golden.b}, but the request has b={cfg.b}")
+        _window_within(window, golden.order, "the golden file")
         sols.append(golden)
         labels.append(f"golden:{doc.get('method', '?')}")
     for name in args.methods:
@@ -517,6 +526,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     names = args.methods
     if len(names) < 2:
         raise ValueError("a report needs at least two methods")
+    _window_within(DEFAULT_WINDOW, cfg.order, "the run")
     grid = grid_spec(cfg.grid_n, cfg.g, cfg.b, args.levels) if args.numeric else None
     sols = [build_solution(name, cfg.b, cfg.order) for name in names]
     report = compare_methods(sols, names=names)

@@ -1,18 +1,24 @@
-"""Level-by-level quadrature for the exponent of the ground state.
+"""Level-by-level solution of the transport equations for the exponent.
 
 Writing the state as exp of a graded sum of polynomials S_0, S_1, ... the
-stationary equation splits into one linear transport equation per level,
+stationary equation splits into the eikonal equation (1/2)|grad S_0|^2 = V
+and one linear transport equation per level,
 
     grad(S_0) . grad(S_{n+1}) = (1/2) lap(S_n)
                                 - (1/2) sum_{i+j=n+1, i,j>=1} grad(S_i).grad(S_j)
-                                - E_n  (+ coupling insertion at one level),
+                                - E_n  (+ coupling insertion at one level).
 
-and the left side is the time derivative of S_{n+1} along the classical
-flow.  So each level is solved in four polynomial steps: substitute the
-trajectory, a polynomial in the amplitudes X = cx e^t and Y = cy e^(bt);
-move the flat part into the energy coefficient E_n; integrate in flow time,
-which divides each amplitude monomial X^p Y^q by p + q*b; and substitute the
-endpoint series for the amplitudes.
+The characteristics of the left side are the classical flow x' = grad(S_0),
+and the paper solves each level by quadrature along one trajectory
+(`trajectory` keeps that route as the reference construction).  Read
+backwards, the quadrature is a solve in the plane: the parameter-free part
+of grad(S_0) . grad is the flow operator x d/dx + b y d/dy, and integrating
+along the flow from t = -infinity divides each monomial x^i y^j by i + j*b
+(`integrate_to_T`).  A level is solved one parameter order at a time: the
+known orders of grad(S_0) . grad(S_{n+1}) move to the right side, the flat
+part of what is left joins E_n, and the rest is divided.  On the harmonic
+flow of the eps and lambda flavors S_0 is the bare gaussian, and one
+division solves a level.
 """
 
 from __future__ import annotations
@@ -20,23 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    _G_SHIFT,
-    GradedPoly,
-    divergence,
-    dot,
-    evaluate_at_endpoint,
-    gradient,
-    integrate_to_T,
-    restrict_to_trajectory,
-)
-from .trajectory import (
-    PotentialSpec,
-    Trajectory,
-    action_integral,
-    invert_endpoint_constants,
-    solve_classical_trajectory,
-)
+from .algebra import _G_SHIFT, GradedPoly, divergence, dot, gradient, integrate_to_T
+from .trajectory import PotentialSpec, gaussian_exponent
 
 
 @dataclass(frozen=True)
@@ -90,41 +81,75 @@ def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
     )
 
 
-def quadrature_level(rhs: GradedPoly, traj: Trajectory) -> tuple[GradedPoly, GradedPoly]:
-    """Solve grad(S_0) . grad(S_next) = rhs - E along the flow.
+@dataclass(frozen=True)
+class _Flow:
+    """The flow grad(S_0) of one run: the well, the truncation order, and
+    the gradients of the parameter orders of S_0 above the gaussian,
+    ``slices[j - 1]`` at order j.  A harmonic flow has none."""
 
-    Returns (E, S_next) with E the flat part of the restricted right side
-    and S_next the endpoint value of the time integral of the remainder,
-    both truncated above ``traj.order``.
+    spec: PotentialSpec
+    order: int
+    slices: tuple = ()
+
+    @property
+    def b(self) -> Fraction:
+        return self.spec.b
+
+
+def _ep_slice(p: GradedPoly, k: int) -> GradedPoly:
+    """The terms of ``p`` at parameter order ``k``."""
+    return GradedPoly._reduced({key: n for key, n in p.num.items() if key[0] == k}, p.den)
+
+
+def quadrature_level(rhs: GradedPoly, flow: _Flow) -> tuple[GradedPoly, GradedPoly]:
+    """Solve grad(S_0) . grad(S_next) = rhs - E in the plane.
+
+    ``rhs`` comes truncated above ``flow.order``.  Returns (E, S_next): E
+    collects the flat parts of the right side and S_next is the solution
+    with no flat part.  At parameter order k the known terms
+    grad(S_0)^(j) . grad(S_next)^(k-j), j >= 1, move to the right side and
+    the flow operator is inverted on the rest.
     """
-    restricted = restrict_to_trajectory(rhs, traj)
-    remainder = integrate_to_T(restricted.drop_constant(), traj.b)
-    return restricted.constant_part(), evaluate_at_endpoint(remainder, traj)
+    energy = rhs.constant_part()
+    source = rhs.drop_constant()
+    if not flow.slices:
+        return energy, integrate_to_T(source, flow.b)
+    level = GradedPoly.zero()
+    grads = []
+    for k in range(flow.order + 1):
+        part = _ep_slice(source, k)
+        for j in range(1, k + 1):
+            part = part - dot(flow.slices[j - 1], grads[k - j])
+        energy = energy + part.constant_part()
+        s_k = integrate_to_T(part.drop_constant(), flow.b)
+        level = level + s_k
+        grads.append(gradient(s_k))
+    return energy, level
 
 
-def solve_levels(s0: GradedPoly, traj: Trajectory) -> SeriesSolution:
-    """Run the level hierarchy down to the default depth of ``traj``.
+def solve_levels(s0: GradedPoly, flow: _Flow) -> SeriesSolution:
+    """Run the level hierarchy down to the default depth of ``flow``.
 
     Levels S_1 .. S_{depth+1} are produced; the energy of one extra level is
     extracted (it needs no new unknown).  The truncation order and the
-    coupling flavor, and so the depth, are those of ``traj``.
+    coupling flavor, and so the depth, are those of ``flow``.
     """
-    depth = default_depth(traj.spec.flavor, traj.order)
+    depth = default_depth(flow.spec.flavor, flow.order)
     terms = [s0]
     grads = [gradient(s0)]
     energies = GradedPoly.zero()
     for n in range(depth + 2):
-        rhs = _transport_source(traj.spec, grads, n, traj.order)
-        energy, s_next = quadrature_level(rhs, traj)
+        rhs = _transport_source(flow.spec, grads, n, flow.order)
+        energy, s_next = quadrature_level(rhs, flow)
         energies = energies + energy.shift(gp=1 - n)
         if n <= depth:
             terms.append(s_next)
             grads.append(gradient(s_next))
     return SeriesSolution(
         kind="exp",
-        flavor=traj.spec.flavor,
-        b=traj.b,
-        order=traj.order,
+        flavor=flow.spec.flavor,
+        b=flow.b,
+        order=flow.order,
         terms=tuple(terms),
         energies=energies,
     )
@@ -146,10 +171,28 @@ def _transport_source(spec: PotentialSpec, grads, n: int, max_ep: int) -> Graded
     return rhs.truncate_ep(max_ep)
 
 
-def classical_run(spec: PotentialSpec, order: int) -> tuple[Trajectory, GradedPoly]:
-    """Inverted classical trajectory of ``spec`` and its action S_0."""
-    traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
-    return traj, action_integral(traj)
+def classical_run(spec: PotentialSpec, order: int) -> tuple[_Flow, GradedPoly]:
+    """The classical flow of ``spec`` cut above ``order``, and its exponent S_0.
+
+    For the mu flavor S_0 solves the eikonal equation (1/2)|grad S_0|^2 = V
+    one parameter order at a time; above the gaussian, order k is
+    integrate_to_T(V^(k) - (1/2) sum_{i=1}^{k-1} grad S_0^(i) . grad S_0^(k-i)).
+    """
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    s0 = gaussian_exponent(spec.b)
+    if spec.flavor != "mu":
+        return _Flow(spec, order), s0
+    potential = spec.potential()
+    slices = []
+    for k in range(1, order + 1):
+        source = _ep_slice(potential, k)
+        for i in range(1, k):
+            source = source - dot(slices[i - 1], slices[k - i - 1]) * Fraction(1, 2)
+        s_k = integrate_to_T(source, spec.b)
+        s0 = s0 + s_k
+        slices.append(gradient(s_k))
+    return _Flow(spec, order, tuple(slices)), s0
 
 
 def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly:

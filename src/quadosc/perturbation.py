@@ -39,8 +39,8 @@ DEFAULT_WINDOW = (2, 5)
 def solve_exponential(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     """Exponent levels for any flavor: the direct hierarchy for "mu", a
     coupling insertion at one level for the deferred flavors."""
-    traj, s0 = classical_run(spec, order)
-    return solve_levels(s0, traj)
+    flow, s0 = classical_run(spec, order)
+    return solve_levels(s0, flow)
 
 
 def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
@@ -52,16 +52,16 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
                                - P chi_{n-1} + sum_j E_j chi_{n-j} + E_n,
 
     with P = (1/2)[lap(S1) - grad(S1)^2] plus the coupling for the eps
-    flavor (for lambda the coupling is already inside S1).  Solved by the
-    same flow quadrature as the exponent levels; E_n is fixed by decay of
-    the integrand.
+    flavor (for lambda the coupling is already inside S1).  Solved like the
+    exponent levels, by inverting the flow operator; E_n is fixed by the
+    flat part of the right side.
     """
     if spec.flavor == "mu":
         raise ValueError("prefactor recursion needs a deferred-coupling flavor")
     depth = default_depth(spec.flavor, order)
-    traj, s0 = classical_run(spec, order)
+    flow, s0 = classical_run(spec, order)
 
-    e0, s1 = quadrature_level(_transport_source(spec, [gradient(s0)], 0, order), traj)
+    e0, s1 = quadrature_level(_transport_source(spec, [gradient(s0)], 0, order), flow)
     energies = e0.shift(gp=1)
 
     grad_s1 = gradient(s1)
@@ -81,7 +81,7 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
         for j in range(1, n):
             rhs = rhs + level_energies[j - 1].mul(chis[n - j], order)
         rhs = rhs.truncate_ep(order)
-        flat, chi_n = quadrature_level(rhs, traj)
+        flat, chi_n = quadrature_level(rhs, flow)
         e_n = -flat
         level_energies.append(e_n)
         energies = energies + e_n.shift(gp=1 - n)

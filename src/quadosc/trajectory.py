@@ -1,8 +1,11 @@
-"""Classical escape trajectory of the inverted potential.
+"""The potential, and the classical escape trajectory of the inverted one.
 
-The ground-state exponent is built from the trajectory that leaves the
-origin at t = -infinity with zero energy and reaches a given endpoint at
-time T.  In scaled coordinates the flow is
+In the paper the ground-state exponent is built from the trajectory that
+leaves the origin at t = -infinity with zero energy and reaches a given
+endpoint at time T.  The program solves the same equations in the plane
+(`hierarchy`); the trajectory route is kept here as the reference
+construction those solves are checked against.  In scaled coordinates the
+flow is
 
     x'' = x + mu * dU/dx,    y'' = b^2 y + mu * dU/dy
 

@@ -6,6 +6,7 @@ than per-b literals.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,21 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
-from quadosc import GradedPoly, SeriesSolution
-from quadosc.algebra import _G_SHIFT
+from quadosc import GradedPoly, SeriesSolution, hierarchy, perturbation
+from quadosc.algebra import (
+    _G_SHIFT,
+    evaluate_at_endpoint,
+    integrate_to_T,
+    restrict_to_trajectory,
+)
 from quadosc.hierarchy import fold_levels, slice_level
 from quadosc.perturbation import _exp_series, _power_series, _series_inverse, _truncate_g_depth
+from quadosc.trajectory import (
+    Trajectory,
+    action_integral,
+    invert_endpoint_constants,
+    solve_classical_trajectory,
+)
 
 B_VALUES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
@@ -453,3 +465,42 @@ def normalize_grading(sol: SeriesSolution, target: str = "eps") -> SeriesSolutio
         energies=energies,
         base=base,
     )
+
+
+# ------------------------------------------------ the trajectory route
+# The paper's construction: S_0 is the action of the inverted classical
+# trajectory, and each level is the time integral of its right side along
+# that trajectory, evaluated at the endpoint.  The program solves the same
+# equations in the plane; these are the reference it is checked against.
+
+
+def trajectory_run(spec, order: int) -> tuple[Trajectory, GradedPoly]:
+    """Inverted classical trajectory of ``spec`` and its action S_0."""
+    traj = invert_endpoint_constants(solve_classical_trajectory(spec, order))
+    return traj, action_integral(traj)
+
+
+def trajectory_level(rhs: GradedPoly, traj: Trajectory) -> tuple[GradedPoly, GradedPoly]:
+    """Solve grad(S_0) . grad(S_next) = rhs - E along the flow.
+
+    Returns (E, S_next) with E the flat part of the restricted right side
+    and S_next the endpoint value of the time integral of the remainder,
+    both truncated above ``traj.order``.
+    """
+    restricted = restrict_to_trajectory(rhs, traj)
+    remainder = integrate_to_T(restricted.drop_constant(), traj.b)
+    return restricted.constant_part(), evaluate_at_endpoint(remainder, traj)
+
+
+@contextmanager
+def trajectory_route():
+    """Run the solvers through the trajectory route while the block lasts."""
+    swaps = {"classical_run": trajectory_run, "quadrature_level": trajectory_level}
+    saved = [(mod, name, getattr(mod, name)) for mod in (hierarchy, perturbation) for name in swaps]
+    try:
+        for mod, name, _ in saved:
+            setattr(mod, name, swaps[name])
+        yield
+    finally:
+        for mod, name, original in saved:
+            setattr(mod, name, original)

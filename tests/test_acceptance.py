@@ -22,13 +22,13 @@ from quadosc import (
     normal_form_diff,
     rs_corrections,
     rs_series,
-    solve_classical_trajectory,
     solve_exponential,
     solve_green,
     solve_polynomial,
     standard_spec,
 )
 from quadosc.cli import loglog_slope, main as cli_main
+from quadosc.trajectory import solve_classical_trajectory
 
 from helpers import (
     B_VALUES,

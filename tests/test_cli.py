@@ -65,6 +65,11 @@ def test_unknown_method_is_usage_error(capsys):
         "verify --levels x",
         "compare --methods",
         "compare --methods hierarchy,bogus",
+        # a window above the run order has no terms to compare, and report
+        # compares on the fixed DEFAULT_WINDOW; exit 1 means "methods disagree"
+        "compare --b 1 --order 1",
+        "compare --b 1 --order 2 --window 3,5",
+        "report --methods hierarchy,green,rs --b 1 --order 1",
     ],
 )
 def test_parser_rejection_is_one_error_line(capsys, argv):
@@ -638,6 +643,15 @@ def test_compare_window_flag(tmp_path, capsys):
         assert main([*argv, window]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_window_above_the_golden_order_is_usage_error(tmp_path, capsys):
+    golden = tmp_path / "golden.json"
+    assert main(["run", "--b", "1", "--order", "1", "--out", str(golden)]) == EXIT_OK
+    argv = ["compare", "--methods", "hierarchy", "--golden", str(golden), "--b", "1"]
+    assert main(argv) == EXIT_USAGE
+    assert_one_error_line(capsys.readouterr().err)
+    assert main([*argv, "--order", "1", "--window", "1,5"]) == EXIT_OK
 
 
 # ----- verify ---------------------------------------------------------------------

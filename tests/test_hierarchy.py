@@ -18,9 +18,10 @@ from quadosc import (
 )
 
 from quadosc.algebra import dot, gradient
+from quadosc.cli import PIPELINES, build_solution
 from quadosc.hierarchy import fold_levels
 
-from helpers import B_VALUES, mu_energy_slots, mu_levels
+from helpers import B_VALUES, mu_energy_slots, mu_levels, trajectory_route
 
 
 @pytest.fixture(params=B_VALUES, ids=str)
@@ -139,3 +140,28 @@ def test_energy_swap_symmetry(b):
 def test_energy_swap_symmetry_random_ratio(ratio):
     for order in (2, 4):
         _check_swap_symmetry(ratio, order)
+
+
+# ----- the plane solve is the paper's trajectory quadrature -------------------
+
+
+def _check_plane_solve_is_the_quadrature(b: Fraction, order: int) -> None:
+    for method in PIPELINES:
+        plane = build_solution(method, b, order)
+        with trajectory_route():
+            reference = build_solution(method, b, order)
+        assert plane.terms == reference.terms, method
+        assert plane.base == reference.base, method
+        assert plane.energies == reference.energies, method
+        # `evaluate` sums the energy terms in insertion order
+        assert list(plane.energies.num) == list(reference.energies.num), method
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 6))
+def test_plane_solve_is_the_trajectory_quadrature(p, q, order):
+    _check_plane_solve_is_the_quadrature(Fraction(p, q), order)
+
+
+def test_plane_solve_is_the_trajectory_quadrature_at_order_16():
+    _check_plane_solve_is_the_quadrature(Fraction(1, 2), 16)

@@ -420,6 +420,10 @@ def test_all_methods_agree_past_second_order(order):
     _check_all_methods_agree(Fraction(5, 3), order)
 
 
+def test_all_methods_agree_at_order_12():
+    _check_all_methods_agree(Fraction(1, 2), 12)
+
+
 @settings(deadline=None, max_examples=8)
 @given(st.integers(1, 9), st.integers(1, 9))
 def test_all_methods_agree_past_second_order_random_ratio(p, q):

@@ -1,6 +1,6 @@
 """Smoke tests for the scripts: the two sweeps in-process through ``main``,
-the benchmark snapshot's grid-oracle and cold-start tables in a fresh
-interpreter."""
+the benchmark snapshot's hierarchy table in-process, and its grid-oracle and
+cold-start tables in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -59,6 +59,19 @@ def test_bench_snapshot_fd_table_runs():
     assert table["probe_s.median"] > 0
 
 
+def test_bench_snapshot_hierarchy_table_runs(monkeypatch):
+    # In-process at the lowest order of the table: no tracer is installed.
+    script = load_script("bench_snapshot")
+    monkeypatch.setattr(script, "HIERARCHY_ORDERS", (8,))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    table = script.hierarchy_table(ROOT)
+    assert table["b"] == "1/2"
+    [row] = table["rows"]
+    assert row["build_s"] > 0
+    assert (row["order"], row["level_terms"], row["level_max_bits"], row["energy_max_bits"]) == (8, 194, 107, 60)
+    assert table["probe_s.median"] > 0
+
+
 def test_bench_snapshot_cold_start_table_runs():
     argv = [sys.executable, str(SCRIPTS / "bench_snapshot.py"), "--checkout", str(ROOT), "--cold-only"]
     proc = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120)
@@ -79,6 +92,7 @@ def test_bench_snapshot_cold_start_table_runs():
         ("agreement_sweep", ["--ratios", "0"]),
         ("agreement_sweep", ["--ratios", "1/2,x"]),
         ("agreement_sweep", ["--order", "0"]),
+        ("agreement_sweep", ["--order", "1"]),
         ("agreement_sweep", ["--methods", "hierarchy,bogus"]),
         ("agreement_sweep", ["--methods", ""]),
         ("grid_convergence", ["--b", "-1"]),

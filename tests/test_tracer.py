@@ -27,9 +27,16 @@ def test_tracer_records_solver_entry_points(monkeypatch, capsys):
     for name in (
         "perturbation.solve_exponential",
         "hierarchy.solve_levels",
-        "trajectory.invert_endpoint_constants",
+        "hierarchy.quadrature_level",
     ):
         assert tracer.counts[f"{name}.calls"] >= 1, name
+    # the levels are solved in the plane; the trajectory route is not run
+    for name in (
+        "trajectory.solve_classical_trajectory",
+        "trajectory.invert_endpoint_constants",
+        "trajectory.action_integral",
+    ):
+        assert tracer.counts[f"{name}.calls"] == 0, name
 
 
 def test_tracer_wraps_the_grid_factor(monkeypatch, capsys):

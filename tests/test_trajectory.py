@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from quadosc import (
     GradedPoly,
     PotentialSpec,
-    action_integral,
     energy_conservation_residual,
     flow_equation_residual,
-    invert_endpoint_constants,
-    solve_classical_trajectory,
     standard_spec,
 )
 from quadosc.algebra import evaluate_at_endpoint, restrict_to_trajectory
 from quadosc.errors import ResonantDenominator
+from quadosc.trajectory import (
+    action_integral,
+    invert_endpoint_constants,
+    solve_classical_trajectory,
+)
 
 from helpers import B_VALUES, F, classical_exponent
 
