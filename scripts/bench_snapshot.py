@@ -16,6 +16,9 @@ speed of the host.  It times the checkout's ``hierarchy`` build at b = 1/2
 for orders 8 to 24 in a fresh interpreter, one build per order scaled by
 the probes either side of it, with the levels' term count and the largest
 numerator or denominator bit length of the levels and of the energies.
+Likewise it times each of the seven methods at b = 1/2 and orders 8 and 12:
+the build and the JSON rendering of its ``run`` output, both scaled by the
+probes either side of the pair.
 Last, it times a fresh interpreter importing the checkout's ``quadosc.cli``
 and running three commands through the console script's ``main``, each the
 median over repeats, scaled the same way by the probes either side of it.
@@ -50,8 +53,9 @@ COLD_STARTS = (
     ("verify", "--grid-n", "41"),
 )
 COLD_REPEATS = 5
-HIERARCHY_B = "1/2"
+SERIES_B = "1/2"
 HIERARCHY_ORDERS = (8, 12, 16, 20, 24)
+METHOD_ORDERS = (8, 12)
 
 
 def perfbench_runs(checkout: Path) -> list[dict]:
@@ -107,6 +111,21 @@ def fd_table(checkout: Path) -> dict:
     return {"point": FD_POINT, "repeats": FD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
+def _probed(probe, ref_s: float, probes: list, *steps) -> tuple[list, list]:
+    """Run ``steps`` in turn between two calls of ``probe``, each step given
+    the result of the one before; their results, and their wall times scaled
+    by the probes' mean to the probe time ``ref_s``."""
+    probes.append(probe())
+    results, times = [], []
+    for step in steps:
+        start = time.perf_counter()
+        results.append(step(*results[-1:]))
+        times.append(time.perf_counter() - start)
+    probes.append(probe())
+    scale = 2 * ref_s / (probes[-2] + probes[-1])
+    return results, [t * scale for t in times]
+
+
 def hierarchy_table(checkout: Path) -> dict:
     """Build time and size of the checkout's `hierarchy` series, in this interpreter."""
     sys.path[:0] = [str(checkout / "perfbench"), str(checkout / "src")]
@@ -118,20 +137,39 @@ def hierarchy_table(checkout: Path) -> dict:
     probe = perfbench.Probe()
     rows, probes = [], []
     for order in HIERARCHY_ORDERS:
-        probes.append(probe())
-        start = time.perf_counter()
-        sol = build_solution("hierarchy", Fraction(HIERARCHY_B), order)
-        elapsed = time.perf_counter() - start
-        probes.append(probe())
+        [sol], [build_s] = _probed(
+            probe, perfbench.PROBE_REF_S, probes,
+            lambda: build_solution("hierarchy", Fraction(SERIES_B), order),
+        )
         terms, bits = poly_size(sol.terms)
         rows.append({
             "order": order,
-            "build_s": elapsed * 2 * perfbench.PROBE_REF_S / (probes[-2] + probes[-1]),
+            "build_s": build_s,
             "level_terms": terms,
             "level_max_bits": bits,
             "energy_max_bits": poly_size((sol.energies,))[1],
         })
-    return {"b": HIERARCHY_B, "probe_s.median": statistics.median(probes), "rows": rows}
+    return {"b": SERIES_B, "probe_s.median": statistics.median(probes), "rows": rows}
+
+
+def methods_table(checkout: Path) -> dict:
+    """Build and JSON render time of each of the checkout's methods, in this interpreter."""
+    sys.path[:0] = [str(checkout / "perfbench"), str(checkout / "src")]
+    import run as perfbench  # the checkout's perfbench/run.py
+
+    from quadosc.cli import METHODS, build_solution, render_solution
+
+    probe = perfbench.Probe()
+    rows, probes = [], []
+    for order in METHOD_ORDERS:
+        for method in METHODS:
+            _, (build_s, render_s) = _probed(
+                probe, perfbench.PROBE_REF_S, probes,
+                lambda: build_solution(method, Fraction(SERIES_B), order),
+                lambda sol: render_solution(sol, method, "json"),
+            )
+            rows.append({"method": method, "order": order, "build_s": build_s, "render_s": render_s})
+    return {"b": SERIES_B, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
 def cold_start_table(checkout: Path) -> dict:
@@ -166,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fd-only", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--cold-only", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--hierarchy-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--methods-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
 
@@ -175,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.hierarchy_only:
         print(json.dumps(hierarchy_table(checkout)))
         return 0
+    if args.methods_only:
+        print(json.dumps(methods_table(checkout)))
+        return 0
     if args.cold_only:
         print(json.dumps(cold_start_table(checkout)))
         return 0
@@ -182,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--label and --out are required")
     snapshot = {"perfbench": perfbench_runs(checkout)}
     # Fresh interpreters, so that this checkout's quadosc is the one imported.
-    for key, flag in (("fd", "--fd-only"), ("hierarchy", "--hierarchy-only")):
+    for key, flag in (("fd", "--fd-only"), ("hierarchy", "--hierarchy-only"), ("methods", "--methods-only")):
         child = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--checkout", str(checkout), flag],
             capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=""),

@@ -8,7 +8,7 @@ and a finite-difference eigensolver, inverse iteration on a banded Cholesky
 factor.
 """
 
-from .algebra import GradedPoly, laplacian
+from .algebra import GradedPoly
 from .errors import (
     ConvergenceFailure,
     OddParity,
@@ -87,7 +87,6 @@ __all__ = [
     "fd_ground_state",
     "flow_equation_residual",
     "gamma_coefficient",
-    "laplacian",
     "normal_form_diff",
     "oscillator_matrix_element",
     "pde_residual",

@@ -3,6 +3,8 @@
 Output is deterministic.  Terms are emitted in canonical sorted order and
 exact rationals as "p/q" strings, so identical configurations produce
 byte-identical output.  Floats appear only in numeric verification blocks.
+JSON is ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline; a
+run's document is written directly in that layout, byte for byte.
 
 Each input rule has one converter: a flag's argparse ``type``, and the check
 after the JSON-type check of a --config value or a --golden field.  It and
@@ -173,11 +175,66 @@ def build_solution(method: str, b: Fraction, order: int = 2) -> SeriesSolution:
 # ------------------------------------------------------------- serialization
 
 
-def _poly_doc(p: GradedPoly) -> list[dict]:
-    return [
-        {"ep": ep, "gp": gp, "i": i, "j": j, "c": str(c)}
-        for (ep, gp, i, j), c in p.sorted_terms()
+def _coefficient_text(n: int, den: int) -> str:
+    """``str(Fraction(n, den))``, without building the Fraction."""
+    common = math.gcd(n, den)
+    return str(n // common) if den == common else f"{n // common}/{den // common}"
+
+
+# A level's term and an energy slot, as json.dumps(indent=2, sort_keys=True)
+# lays them out at their depth in a run's document.
+_TERM_ROW = (
+    '      {\n        "c": "%s",\n        "ep": %d,\n        "gp": %d,\n'
+    '        "i": %d,\n        "j": %d\n      }'
+)
+_ENERGY_ROW = '    {\n      "c": "%s",\n      "ep": %d,\n      "gp": %d\n    }'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already indented items, closed at ``indent``."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _levels_json(levels) -> str:
+    """A list of polynomials, each a list of its terms in sorted key order."""
+    out = []
+    for p in levels:
+        den = p.den
+        rows = [
+            _TERM_ROW % (_coefficient_text(n, den), ep, gp, i, j)
+            for (ep, gp, i, j), n in sorted(p.num.items())
+        ]
+        out.append("    " + _json_list(rows, "    "))
+    return _json_list(out, "  ")
+
+
+def solution_to_json(sol: SeriesSolution, method: str) -> str:
+    """A run's JSON document, byte for byte what
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` makes of it.
+
+    The document has the keys b, base, depth, energies, flavor, kind,
+    levels, method and order; a level's term is the row {c, ep, gp, i, j},
+    an energy slot the row {c, ep, gp}, each coefficient an exact "p/q"
+    string.  Written directly: with ``indent`` set, `json.dumps` runs the
+    pure-Python encoder, which cost more than building the series.
+    """
+    energies = sol.energies
+    den = energies.den
+    slots = [
+        _ENERGY_ROW % (_coefficient_text(n, den), ep, gp)
+        for gp, ep, n in sorted((gp, ep, n) for (ep, gp, _, _), n in energies.num.items())
     ]
+    return (
+        f'{{\n  "b": {json.dumps(str(sol.b))},\n'
+        f'  "base": {_levels_json(sol.base)},\n'
+        f'  "depth": {sol.depth},\n'
+        f'  "energies": {_json_list(slots, "  ")},\n'
+        f'  "flavor": {json.dumps(sol.flavor)},\n'
+        f'  "kind": {json.dumps(sol.kind)},\n'
+        f'  "levels": {_levels_json(sol.terms)},\n'
+        f'  "method": {json.dumps(method)},\n'
+        f'  "order": {sol.order}\n}}\n'
+    )
 
 
 def _energy_slots(energies: GradedPoly) -> list[tuple[int, int, Fraction]]:
@@ -195,24 +252,8 @@ def _poly_from_doc(rows, monomial: bool = True) -> GradedPoly:
     return GradedPoly(terms)
 
 
-def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
-    return {
-        "method": method,
-        "kind": sol.kind,
-        "flavor": sol.flavor,
-        "b": str(sol.b),
-        "order": sol.order,
-        "depth": sol.depth,
-        "levels": [_poly_doc(t) for t in sol.terms],
-        "base": [_poly_doc(t) for t in sol.base],
-        "energies": [
-            {"gp": gp, "ep": ep, "c": str(c)} for gp, ep, c in _energy_slots(sol.energies)
-        ],
-    }
-
-
 def solution_from_doc(doc) -> SeriesSolution:
-    """Read back a `solution_to_doc` document; a malformed field raises `InputError`."""
+    """Read back a `solution_to_json` document; a malformed field raises `InputError`."""
     sol = SeriesSolution(
         kind=_get(doc, "kind", _STRING, one_of(("exp", "poly"))),
         flavor=_get(doc, "flavor", _STRING, one_of(tuple(_EXP_FLAVORS.values()))),
@@ -268,7 +309,7 @@ def solution_to_text(sol: SeriesSolution, method: str) -> str:
 
 def render_solution(sol: SeriesSolution, method: str, fmt: str) -> str:
     if fmt == "json":
-        return doc_to_json(solution_to_doc(sol, method))
+        return solution_to_json(sol, method)
     if fmt == "csv":
         return solution_to_csv(sol, method)
     if fmt == "text":

@@ -19,6 +19,9 @@ known orders of grad(S_0) . grad(S_{n+1}) move to the right side, the flat
 part of what is left joins E_n, and the rest is divided.  On the harmonic
 flow of the eps and lambda flavors S_0 is the bare gaussian, and one
 division solves a level.
+
+The pair sum on the right is symmetric in i and j, so it is built as twice
+the sum over i < j plus the square grad(S_m) . grad(S_m) when n + 1 = 2m.
 """
 
 from __future__ import annotations
@@ -159,13 +162,19 @@ def _transport_source(spec: PotentialSpec, grads, n: int, max_ep: int) -> Graded
     """Level-n right side built from the gradients of the known levels,
     before E_n, truncated above parameter order ``max_ep``.
 
-    The coupling insertion of a deferred flavor is added at its level.
+    The pair sum over i + j = n + 1 is symmetric, so each unordered pair
+    i < j is formed once and doubled, the square i = j added once when
+    n + 1 is even, and the 1/2 applied once to the whole.  The coupling
+    insertion of a deferred flavor is added at its level.
     """
-    rhs = divergence(grads[n]) * Fraction(1, 2) if n < len(grads) else GradedPoly.zero()
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        if 1 <= j < len(grads) and i < len(grads):
-            rhs = rhs - dot(grads[i], grads[j], max_ep) * Fraction(1, 2)
+    total = n + 1
+    acc = divergence(grads[n]) if n < len(grads) else GradedPoly.zero()
+    for i in range(1, total // 2 + 1):
+        j = total - i
+        if j < len(grads):
+            pair = dot(grads[i], grads[j], max_ep)
+            acc = acc - (pair if i == j else pair * 2)
+    rhs = acc * Fraction(1, 2)
     if n == insertion_level_for(spec.flavor):
         rhs = rhs + spec.coupling_term()
     return rhs.truncate_ep(max_ep)

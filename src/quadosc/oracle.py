@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import GradedPoly, integrate_to_T
+from .algebra import GradedPoly, _accumulate, integrate_to_T
 from .errors import ConvergenceFailure
 from .hierarchy import SeriesSolution
 from .perturbation import (
@@ -123,16 +123,27 @@ def _hermite_table(max_m: int, axis: str, b: Fraction) -> dict[int, GradedPoly]:
 
 
 def _chi_from_tables(tables: list[GradedPoly], b: Fraction, order: int) -> GradedPoly:
-    """Divide the corrected state by the bare gaussian and normalize at 0."""
+    """Divide the corrected state by the bare gaussian and normalize at 0.
+
+    Table entry (m, n) stands for H_m(x) H_n(y).  The entries of one m are
+    summed into the row sum_n v H_n(y) first, over one denominator of the
+    H_n(y), so each table takes one product per m.
+    """
     max_m = max((k[2] for t in tables for k in t.num), default=0)
     max_n = max((k[3] for t in tables for k in t.num), default=0)
     hx = _hermite_table(max_m, "x", b)
     hy = _hermite_table(max_n, "y", b)
+    common = math.lcm(*(h.den for h in hy.values()))
     chi = GradedPoly.zero()
     for k, table in enumerate(tables):
-        state = GradedPoly.zero()
+        rows: dict[int, dict] = {}
         for (_, _, m, n), v in table.num.items():
-            state = state + hx[m].mul(hy[n]) * v
+            h = hy[n]
+            v *= common // h.den
+            _accumulate(rows.setdefault(m, {}), ((key, v * c) for key, c in h.num.items()))
+        state = GradedPoly.zero()
+        for m, row in rows.items():
+            state = state + hx[m].mul(GradedPoly._reduced(row, common))
         chi = chi + (state / table.den).shift(ep=k, gp=-3 * k)
     head = chi.constant_part()
     return chi.mul(_series_inverse(head, order), order)

@@ -14,14 +14,16 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
-from quadosc import GradedPoly, SeriesSolution, hierarchy, perturbation
+from quadosc import GradedPoly, SeriesSolution, hierarchy, oracle, perturbation
 from quadosc.algebra import (
     _G_SHIFT,
+    divergence,
+    dot,
     evaluate_at_endpoint,
     integrate_to_T,
     restrict_to_trajectory,
 )
-from quadosc.hierarchy import fold_levels, slice_level
+from quadosc.hierarchy import fold_levels, insertion_level_for, slice_level
 from quadosc.perturbation import _exp_series, _power_series, _series_inverse, _truncate_g_depth
 from quadosc.trajectory import (
     Trajectory,
@@ -493,10 +495,10 @@ def trajectory_level(rhs: GradedPoly, traj: Trajectory) -> tuple[GradedPoly, Gra
 
 
 @contextmanager
-def trajectory_route():
-    """Run the solvers through the trajectory route while the block lasts."""
-    swaps = {"classical_run": trajectory_run, "quadrature_level": trajectory_level}
-    saved = [(mod, name, getattr(mod, name)) for mod in (hierarchy, perturbation) for name in swaps]
+def swapped(modules, **swaps):
+    """Bind each of ``swaps`` by name in every one of ``modules`` while the
+    block lasts."""
+    saved = [(mod, name, getattr(mod, name)) for mod in modules for name in swaps]
     try:
         for mod, name, _ in saved:
             setattr(mod, name, swaps[name])
@@ -504,3 +506,72 @@ def trajectory_route():
     finally:
         for mod, name, original in saved:
             setattr(mod, name, original)
+
+
+def trajectory_route():
+    """Run the solvers through the trajectory route while the block lasts."""
+    return swapped(
+        (hierarchy, perturbation),
+        classical_run=trajectory_run,
+        quadrature_level=trajectory_level,
+    )
+
+
+# ------------------------------------------------ the loops the solvers replaced
+# Each builds the same exact value as the program's faster form, the way the
+# equations are written; the tests check values and term order against them.
+
+
+def pairwise_transport_source(spec, grads, n: int, max_ep: int) -> GradedPoly:
+    """`hierarchy._transport_source` by the ordered pair loop: every
+    (i, j) with i + j = n + 1 formed and halved on its own."""
+    rhs = divergence(grads[n]) * Fraction(1, 2) if n < len(grads) else GradedPoly.zero()
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        if 1 <= j < len(grads) and i < len(grads):
+            rhs = rhs - dot(grads[i], grads[j], max_ep) * Fraction(1, 2)
+    if n == insertion_level_for(spec.flavor):
+        rhs = rhs + spec.coupling_term()
+    return rhs.truncate_ep(max_ep)
+
+
+def entrywise_chi_from_tables(tables, b, order: int) -> GradedPoly:
+    """`oracle._chi_from_tables` with one Hermite product per table entry."""
+    max_m = max((k[2] for t in tables for k in t.num), default=0)
+    max_n = max((k[3] for t in tables for k in t.num), default=0)
+    hx = oracle._hermite_table(max_m, "x", b)
+    hy = oracle._hermite_table(max_n, "y", b)
+    chi = GradedPoly.zero()
+    for k, table in enumerate(tables):
+        state = GradedPoly.zero()
+        for (_, _, m, n), v in table.num.items():
+            state = state + hx[m].mul(hy[n]) * v
+        chi = chi + (state / table.den).shift(ep=k, gp=-3 * k)
+    head = chi.constant_part()
+    return chi.mul(_series_inverse(head, order), order)
+
+
+def solution_to_doc(sol: SeriesSolution, method: str) -> dict:
+    """A run's JSON document as the dict `json.dumps` would be given: the
+    reference for `cli.render_solution`'s JSON."""
+
+    def rows(p: GradedPoly) -> list[dict]:
+        return [
+            {"ep": ep, "gp": gp, "i": i, "j": j, "c": str(c)}
+            for (ep, gp, i, j), c in p.sorted_terms()
+        ]
+
+    return {
+        "method": method,
+        "kind": sol.kind,
+        "flavor": sol.flavor,
+        "b": str(sol.b),
+        "order": sol.order,
+        "depth": sol.depth,
+        "levels": [rows(t) for t in sol.terms],
+        "base": [rows(t) for t in sol.base],
+        "energies": [
+            {"gp": gp, "ep": ep, "c": str(c)}
+            for gp, ep, c in sorted((gp, ep, c) for (ep, gp, _, _), c in sol.energies.terms.items())
+        ],
+    }

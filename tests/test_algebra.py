@@ -7,8 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadosc import GradedPoly, SingularInverse, laplacian
-from quadosc.algebra import dot, extend_powers, flow_derivative, gradient, integrate_to_T
+from quadosc import GradedPoly, SingularInverse
+from quadosc.algebra import (
+    dot,
+    extend_powers,
+    flow_derivative,
+    gradient,
+    integrate_to_T,
+    laplacian,
+)
 from quadosc.hierarchy import slice_level
 from quadosc.perturbation import _exp_series, _series_inverse, _truncate_g_depth
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadosc import ConvergenceFailure, GridSpec
+from quadosc import ConvergenceFailure, GradedPoly, GridSpec
 from quadosc.cli import (
     EXIT_DISAGREE,
     EXIT_INTERNAL,
@@ -31,9 +32,11 @@ from quadosc.cli import (
     grid_spec,
     main,
     parse_rational,
+    render_solution,
     solution_from_doc,
-    solution_to_doc,
 )
+
+from helpers import solution_to_doc
 
 
 def run_json(capsys, argv):
@@ -283,6 +286,36 @@ def test_run_output_is_deterministic(tmp_path):
 def test_json_round_trip(method):
     sol = build_solution(method, Fraction(2))
     assert solution_from_doc(solution_to_doc(sol, method)) == sol
+
+
+def assert_json_is_the_reference(sol, method):
+    text = render_solution(sol, method, "json")
+    assert text == json.dumps(solution_to_doc(sol, method), indent=2, sort_keys=True) + "\n"
+    assert solution_from_doc(json.loads(text)) == sol
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.sampled_from(METHODS),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.integers(1, 4),
+)
+def test_json_writer_is_json_dumps(method, p, q, order):
+    assert_json_is_the_reference(build_solution(method, Fraction(p, q), order), method)
+
+
+def test_json_writer_is_json_dumps_at_order_8():
+    assert_json_is_the_reference(build_solution("exp-lambda", Fraction(7, 3), 8), "exp-lambda")
+
+
+def test_json_writer_lays_out_empty_lists():
+    zero_level = build_solution("exp-eps", Fraction(1, 2))
+    assert not zero_level.terms[1] and zero_level.base == ()
+    assert_json_is_the_reference(zero_level, "exp-eps")
+    bare = dataclasses.replace(zero_level, terms=(GradedPoly.zero(),) * 3, energies=GradedPoly.zero())
+    assert_json_is_the_reference(bare, "exp-eps")
+    assert '"energies": [],' in render_solution(bare, "exp-eps", "json")
 
 
 def test_run_energy_slots_as_rational_strings(capsys):

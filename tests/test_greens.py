@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadosc import (
@@ -22,6 +22,7 @@ from quadosc import (
     solve_polynomial,
     standard_spec,
 )
+from quadosc.algebra import laplacian
 
 from helpers import (
     B_VALUES,
@@ -97,6 +98,32 @@ def test_diffusion_step_quartic_samples(b):
         1 / (2 * (1 + b)), j=2, gp=-1
     )
     assert diffusion_step(mono(1, i=2, j=2), b) == expected
+
+
+even_keys = st.tuples(
+    st.integers(0, 2), st.integers(-2, 1), st.sampled_from((0, 2, 4, 6)), st.sampled_from((0, 2, 4, 6))
+).filter(lambda k: k[2] or k[3])
+even_polys = st.dictionaries(
+    even_keys, st.fractions(min_value=-6, max_value=6, max_denominator=8).filter(bool), max_size=8
+).map(GradedPoly)
+
+
+@settings(deadline=None, max_examples=60)
+@given(even_polys, st.integers(1, 9), st.integers(1, 9))
+@example(mono(1, i=2) - mono(1, j=2) + mono(3, i=2, j=2, ep=1), 1, 1)  # x^2 - y^2 cancels
+def test_diffusion_step_is_half_laplacian_of_inverse(p, top, q):
+    b = Fraction(top, q)
+    step = diffusion_step(p, b)
+    reference = laplacian(apply_flow_inverse(p, b)) * Fraction(1, 2)
+    assert step == reference
+    assert list(step.terms.items()) == list(reference.terms.items())
+
+
+def test_diffusion_step_rejects_odd_and_flat_terms():
+    with pytest.raises(OddParity):
+        diffusion_step(mono(1) + mono(1, i=1, j=2), Fraction(1))
+    with pytest.raises(SingularInverse):
+        diffusion_step(mono(1, i=2) + mono(1), Fraction(1))
 
 
 # ----- resolvent (geometric) sum ---------------------------------------------

@@ -6,22 +6,30 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadosc import (
     GradedPoly,
-    laplacian,
+    hierarchy,
     pde_residual,
+    perturbation,
     solve_exponential,
     standard_spec,
 )
 
-from quadosc.algebra import dot, gradient
+from quadosc.algebra import dot, gradient, laplacian
 from quadosc.cli import PIPELINES, build_solution
 from quadosc.hierarchy import fold_levels
 
-from helpers import B_VALUES, mu_energy_slots, mu_levels, trajectory_route
+from helpers import (
+    B_VALUES,
+    mu_energy_slots,
+    mu_levels,
+    pairwise_transport_source,
+    swapped,
+    trajectory_route,
+)
 
 
 @pytest.fixture(params=B_VALUES, ids=str)
@@ -165,3 +173,19 @@ def test_plane_solve_is_the_trajectory_quadrature(p, q, order):
 
 def test_plane_solve_is_the_trajectory_quadrature_at_order_16():
     _check_plane_solve_is_the_quadrature(Fraction(1, 2), 16)
+
+
+# ----- each unordered pair of the transport source once -----------------------
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.sampled_from(PIPELINES), st.integers(1, 9), st.integers(1, 9), st.integers(1, 5))
+@example("hierarchy", 1, 2, 8)
+def test_pair_sum_is_the_ordered_pair_loop(method, p, q, order):
+    b = Fraction(p, q)
+    paired = build_solution(method, b, order)
+    with swapped((hierarchy, perturbation), _transport_source=pairwise_transport_source):
+        reference = build_solution(method, b, order)
+    assert paired == reference
+    # `evaluate` sums the energy terms in insertion order
+    assert list(paired.energies.num) == list(reference.energies.num)

@@ -37,11 +37,13 @@ from helpers import (
     basis_first_order_table,
     basis_second_order_amplitudes,
     energy_poly,
+    entrywise_chi_from_tables,
     eps_energy_slots,
     full_box_ground_state,
     origin_constant_first_order,
     shift_first_order,
     shift_second_order,
+    swapped,
 )
 
 
@@ -127,6 +129,17 @@ def test_second_order_amplitudes(b):
 def test_normalized_prefactor_starts_at_one(b):
     chi = rs_run(b).chi
     assert chi.constant_part() == GradedPoly.const(Fraction(1))
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5))
+def test_hermite_rows_are_the_entrywise_sum(p, q, order):
+    b = Fraction(p, q)
+    rows = rs_corrections(b, order)
+    with swapped((oracle,), _chi_from_tables=entrywise_chi_from_tables):
+        reference = rs_corrections(b, order)
+    assert rows == reference
+    assert list(rows.energies.num) == list(reference.energies.num)
 
 
 def test_perturbative_guards():

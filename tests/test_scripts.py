@@ -1,6 +1,6 @@
 """Smoke tests for the scripts: the two sweeps in-process through ``main``,
-the benchmark snapshot's hierarchy table in-process, and its grid-oracle and
-cold-start tables in a fresh interpreter."""
+the benchmark snapshot's hierarchy and method tables in-process, and its
+grid-oracle and cold-start tables in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -69,6 +69,21 @@ def test_bench_snapshot_hierarchy_table_runs(monkeypatch):
     [row] = table["rows"]
     assert row["build_s"] > 0
     assert (row["order"], row["level_terms"], row["level_max_bits"], row["energy_max_bits"]) == (8, 194, 107, 60)
+    assert table["probe_s.median"] > 0
+
+
+def test_bench_snapshot_methods_table_runs(monkeypatch):
+    # In-process at order 2: no tracer is installed.
+    script = load_script("bench_snapshot")
+    monkeypatch.setattr(script, "METHOD_ORDERS", (2,))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    table = script.methods_table(ROOT)
+    assert table["b"] == "1/2"
+    assert [(row["method"], row["order"]) for row in table["rows"]] == [
+        ("hierarchy", 2), ("exp-eps", 2), ("exp-lambda", 2), ("poly-eps", 2),
+        ("poly-lambda", 2), ("green", 2), ("rs", 2),
+    ]
+    assert all(row["build_s"] > 0 and row["render_s"] > 0 for row in table["rows"])
     assert table["probe_s.median"] > 0
 
 
