@@ -94,10 +94,15 @@ def test_perturbative_energy_shifts(b):
     })
 
 
+def _table(rs, k):
+    """Order k's coefficients keyed by (m, n)."""
+    return {(m, n): c for (_, _, m, n), c in rs.tables[k].terms.items()}
+
+
 def test_first_order_basis_table(b):
     rs = rs_run(b)
-    assert rs.tables[1] == basis_first_order_table(b)
-    assert rs.tables[0] == {(0, 0): Fraction(1)}
+    assert _table(rs, 1) == basis_first_order_table(b)
+    assert _table(rs, 0) == {(0, 0): Fraction(1)}
 
 
 def test_corrections_keep_no_ground_component(b):
@@ -119,7 +124,7 @@ def test_first_order_origin_constant(b):
 def test_second_order_amplitudes(b):
     rs = rs_run(b)
     expected = basis_second_order_amplitudes(b)
-    assert set(rs.tables[2]) == set(expected)
+    assert set(_table(rs, 2)) == set(expected)
     for (m, n), amp in expected.items():
         # the raw basis state |m> has squared norm 2^m m!
         norm = math.sqrt(2 ** (m + n) * math.factorial(m) * math.factorial(n))
@@ -275,8 +280,8 @@ def test_state_at_small_even_gap_is_good_to_residual_over_gap():
 @pytest.mark.parametrize("b", [0.5, 5 / 3])
 @pytest.mark.parametrize("n_x, n_y", [(41, 41), (40, 40), (41, 44), (21, 30)])
 def test_harmonic_energy_is_the_separable_floor(n_x, n_y, b):
-    # At mu = 0 the energy is the sum of the two full axes' levels, the bound
-    # the shift sits a sixteenth of a gap below, where it is closest to E_0.
+    # At mu = 0 the energy is the sum of the two full axes' levels: the floor
+    # itself, the lower bound the shift's floor rule starts from.
     est = fd_ground_state(10.0, b, 0.0, GridSpec(n_x, n_y))
     _, _, lx, ly = est.grid
     floor = axis_ground_level(n_x, lx, 10.0) + axis_ground_level(n_y, ly, 10.0 * b)
@@ -313,14 +318,34 @@ def test_shifted_iteration_needs_few_solves(monkeypatch, mu, n):
     monkeypatch.setattr(oracle, "splu", counting_splu)
     fd_ground_state(10.0, 1.0, mu, GridSpec(n, n))
     assert len(factors) == 1
-    assert 0 < len(solves) <= 10
+    assert 0 < len(solves) <= 3
+
+
+def _axis_levels(g, b, grid):
+    """Both half axes' lowest levels, and the axes' points and weights."""
+    _, _, lx, ly = grid.resolved(g, b)
+    _, x, w_x, main_x, off_x = oracle._half_axis(grid.n_x, lx)
+    _, y, w_y, main_y, off_y = oracle._half_axis(grid.n_y, ly)
+    levels = [
+        oracle._lowest_levels(main_x, off_x, 0.5 * g * g * x**2),
+        oracle._lowest_levels(main_y, off_y, 0.5 * g * g * b * b * y**2),
+    ]
+    return levels, (x, w_x, main_x, off_x), (y, w_y, main_y, off_y)
+
+
+def _floor_rule(levels):
+    floor = sum(lv[0] for lv in levels)
+    gaps = [lv[1] - lv[0] for lv in levels if len(lv) > 1]
+    return floor - (min(gaps) if gaps else floor) / 16
 
 
 def _kron_operator(g, b, mu, grid):
-    """The quarter-box H assembled as a Kronecker sum, and its shift sigma."""
-    _, _, lx, ly = grid.resolved(g, b)
-    _, x, _, main_x, off_x = oracle._half_axis(grid.n_x, lx)
-    _, y, _, main_y, off_y = oracle._half_axis(grid.n_y, ly)
+    """The quarter-box H assembled as a Kronecker sum, and its shift sigma.
+
+    sigma is the larger of the floor rule and the Temple bound on the
+    gaussian start vector, both computed from the assembled matrix.
+    """
+    levels, (x, w_x, main_x, off_x), (y, w_y, main_y, off_y) = _axis_levels(g, b, grid)
     xx = x[:, None]
     yy = y[None, :]
     pot = g * g * (0.5 * (xx**2 + b * b * yy**2) + mu * xx**2 * yy**2)
@@ -329,13 +354,64 @@ def _kron_operator(g, b, mu, grid):
         - 0.5 * kron(identity(len(x)), diags([off_y, main_y, off_y], [-1, 0, 1]))
         + diags(pot.ravel())
     ).tocsc()
-    levels = [
-        oracle._lowest_levels(main_x, off_x, 0.5 * g * g * x**2),
-        oracle._lowest_levels(main_y, off_y, 0.5 * g * g * b * b * y**2),
-    ]
-    floor = sum(lv[0] for lv in levels)
+    sigma = _floor_rule(levels)
     gaps = [lv[1] - lv[0] for lv in levels if len(lv) > 1]
-    return reference, floor - (min(gaps) if gaps else floor) / 16
+    if not gaps:
+        return reference, sigma
+    beta = sum(lv[0] for lv in levels) + min(gaps)
+    vec = (np.sqrt(w_x[:, None] * w_y[None, :]) * np.exp(-0.5 * g * (xx**2 + b * yy**2))).ravel()
+    vec /= np.linalg.norm(vec)
+    hv = reference @ vec
+    rho = float(vec @ hv)
+    eps2 = float(np.linalg.norm(hv - rho * vec)) ** 2
+    if not rho < beta:
+        return reference, sigma
+    size = reference.shape[0]
+    delta = size * 2.0**-53 * float((abs(reference) @ np.ones(size)).max())
+    return reference, max(sigma, rho - 2 * eps2 / (beta - rho) - delta)
+
+
+@pytest.mark.parametrize(
+    "g, b, mu, n, tightened",
+    [
+        # the verify-numeric points on its two smallest grids
+        *(
+            (g, b, mu, n, True)
+            for g in (10.0, 20.0)
+            for mu in (0.02, 0.03, 0.05)
+            for b in (0.5, 1.0, 5 / 3, 2.0)
+            for n in (41, 83)
+        ),
+        # a coupling that dominates the well, frequency ratios far from one,
+        # and strong couplings: the gaussian start's rho is at or above beta
+        (1e4, 1.0, 1e12, 41, False),
+        (1e4, 1e-3, 1.0, 41, False),
+        (1e4, 1e3, 1.0, 41, False),
+        (10.0, 1.0, 10.0, 41, False),
+        (10.0, 1.0, 100.0, 41, False),
+        # eps^2 overflows
+        (10.0, 1.0, 1e300, 21, False),
+        # one unknown: no gap
+        (10.0, 1.0, 0.05, 1, False),
+    ],
+)
+def test_shift_is_below_the_ground_energy(monkeypatch, g, b, mu, n, tightened):
+    # The converged energy E has an eigenvalue within its residual, which is
+    # E_0 since the residual is far below the even gap, so sigma < E - residual
+    # puts sigma below E_0.  Where the Temple bound does not apply or does not
+    # tighten, sigma is the floor rule to the bit.
+    shifts = []
+    shift = oracle._shift
+    monkeypatch.setattr(oracle, "_shift", lambda *args: shifts.append(shift(*args)) or shifts[-1])
+    grid = GridSpec(n, n)
+    est = fd_ground_state(g, b, mu, grid)
+    [sigma] = shifts
+    assert sigma < est.energy - est.residual
+    floor_rule = _floor_rule(_axis_levels(g, b, grid)[0])
+    if tightened:
+        assert sigma > floor_rule
+    else:
+        assert sigma == floor_rule
 
 
 BAND_SHAPES = [(41, 41), (40, 40), (21, 30), (41, 44), (161, 161), (5, 1), (1, 2), (1, 1)]
