@@ -22,7 +22,9 @@ probes either side of the pair.
 Last, it times a fresh interpreter importing the checkout's ``quadosc.cli``
 and running three commands through the console script's ``main``, each the
 median over repeats, scaled the same way by the probes either side of it.
-The snapshot is stored under
+The snapshot records the checkout's commit and whether its tracked files
+differ from it (``checkout``: ``commit``, ``dirty``), so a run made before
+committing is told apart from the parent's.  It is stored under
 ``--label`` in the ``--out`` file, next to the labels already there, so a
 parent run and a change run made in one session share one file.
 """
@@ -56,6 +58,21 @@ COLD_REPEATS = 5
 SERIES_B = "1/2"
 HIERARCHY_ORDERS = (8, 12, 16, 20, 24)
 METHOD_ORDERS = (8, 12)
+
+
+def checkout_state(checkout: Path) -> dict:
+    """The commit a checkout is at and whether its tracked files differ from
+    it; both None when the checkout is no git work tree."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(checkout.parent))
+
+    def git(*args: str) -> str | None:
+        proc = subprocess.run(["git", *args], cwd=checkout, env=env, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    if commit is None:
+        return {"commit": None, "dirty": None}
+    return {"commit": commit, "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
 def perfbench_runs(checkout: Path) -> list[dict]:
@@ -222,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.label or not args.out:
         parser.error("--label and --out are required")
-    snapshot = {"perfbench": perfbench_runs(checkout)}
+    snapshot = {"checkout": checkout_state(checkout), "perfbench": perfbench_runs(checkout)}
     # Fresh interpreters, so that this checkout's quadosc is the one imported.
     for key, flag in (("fd", "--fd-only"), ("hierarchy", "--hierarchy-only"), ("methods", "--methods-only")):
         child = subprocess.run(

@@ -17,7 +17,6 @@ from .errors import (
     SingularInverse,
 )
 from .greens import (
-    OperatorSolution,
     apply_flow_inverse,
     collapse_constant,
     diffusion_step,
@@ -32,7 +31,6 @@ from .hierarchy import (
     solve_levels,
 )
 from .oracle import (
-    ComparisonReport,
     GridSpec,
     RSCorrections,
     SpectralEstimate,
@@ -51,24 +49,17 @@ from .perturbation import (
     solve_exponential,
     solve_polynomial,
 )
-from .trajectory import (
-    PotentialSpec,
-    energy_conservation_residual,
-    flow_equation_residual,
-    standard_spec,
-)
+from .trajectory import PotentialSpec, standard_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonReport",
     "ConvergenceFailure",
     "DEFAULT_WINDOW",
     "GradedPoly",
     "GridSpec",
     "NormalForm",
     "OddParity",
-    "OperatorSolution",
     "PotentialSpec",
     "QuadoscError",
     "RSCorrections",
@@ -82,10 +73,8 @@ __all__ = [
     "compare_methods",
     "default_depth",
     "diffusion_step",
-    "energy_conservation_residual",
     "extrapolated_ground_energy",
     "fd_ground_state",
-    "flow_equation_residual",
     "gamma_coefficient",
     "normal_form_diff",
     "oscillator_matrix_element",

@@ -166,7 +166,7 @@ def build_solution(method: str, b: Fraction, order: int = 2) -> SeriesSolution:
         flavor = method.split("-", 1)[1]
         return solve_polynomial(standard_spec(b, flavor), order=order)
     if method == "green":
-        return solve_green(standard_spec(b, "eps"), order=order)[1]
+        return solve_green(standard_spec(b, "eps"), order=order)
     if method == "rs":
         return rs_series(b, order=order)
     raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -406,15 +406,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         labels.append(name)
     if len(sols) < 2:
         raise ValueError("compare needs at least two runs (or one plus --golden)")
-    report = compare_methods(sols, names=labels, window=window)
+    diffs = compare_methods(sols, names=labels, window=window)
     doc = {
         "b": str(cfg.b),
         "order": cfg.order,
         "window": {"ep": window[0], "g_depth": window[1]},
         "reference": labels[0],
         "methods": labels,
-        "agree": report.agree,
-        "diffs": {name: list(d) for name, d in sorted(report.diffs.items())},
+        "agree": not diffs,
+        "diffs": diffs,
     }
     if cfg.format == "json":
         _emit(doc_to_json(doc), cfg.out)
@@ -424,14 +424,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f" window=({window[0]},{window[1]}) reference={labels[0]}"
         ]
         for name in labels[1:]:
-            if name in report.diffs:
+            if name in diffs:
                 lines.append(f"{name}: DIFFERS")
-                lines.extend(f"  {d}" for d in report.diffs[name])
+                lines.extend(f"  {d}" for d in diffs[name])
             else:
                 lines.append(f"{name}: agrees")
-        lines.append("AGREE" if report.agree else "DISAGREE")
+        lines.append("DISAGREE" if diffs else "AGREE")
         _emit("\n".join(lines) + "\n", cfg.out)
-    return EXIT_OK if report.agree else EXIT_DISAGREE
+    return EXIT_DISAGREE if diffs else EXIT_OK
 
 
 def loglog_slope(xs: list[float], ys: list[float]) -> float:
@@ -570,20 +570,20 @@ def cmd_report(args: argparse.Namespace) -> int:
     _window_within(DEFAULT_WINDOW, cfg.order, "the run")
     grid = grid_spec(cfg.grid_n, cfg.g, cfg.b, args.levels) if args.numeric else None
     sols = [build_solution(name, cfg.b, cfg.order) for name in names]
-    report = compare_methods(sols, names=names)
+    diffs = compare_methods(sols, names=names)
     ref = sols[0]
     doc: dict = {
         "b": str(cfg.b),
         "order": cfg.order,
         "methods": list(names),
         "reference": names[0],
-        "agree": report.agree,
-        "diffs": {name: list(d) for name, d in sorted(report.diffs.items())},
+        "agree": not diffs,
+        "diffs": diffs,
         "energy_series": [
             {"gp": gp, "ep": ep, "c": str(c)} for gp, ep, c in _energy_slots(ref.energies)
         ],
     }
-    ok = report.agree
+    ok = not diffs
     if args.numeric:
         doc["numeric"] = {
             "g": cfg.g,
@@ -596,8 +596,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         _emit(doc_to_json(doc), cfg.out)
     else:
         lines = [f"report b={cfg.b} order={cfg.order} reference={names[0]}"]
-        lines.append("agreement: " + ("yes" if report.agree else "NO"))
-        for name, d in sorted(report.diffs.items()):
+        lines.append("agreement: " + ("NO" if diffs else "yes"))
+        for name, d in sorted(diffs.items()):
             lines.append(f"{name}: DIFFERS")
             lines.extend(f"  {s}" for s in d)
         lines.append("energy series (reference):")

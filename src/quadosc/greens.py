@@ -18,7 +18,6 @@ differentiated twice at once, with no intermediate polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -143,45 +142,7 @@ def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPo
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class OperatorSolution:
-    """Per-coupling-order prefactors and energy shifts from the inversion.
-
-    ``chi[k]`` is the full prefactor correction of coupling order k (with
-    its explicit g grading); ``delta[k]`` the matching flat energy shift.
-    """
-
-    spec: PotentialSpec
-    order: int
-    chi: tuple[GradedPoly, ...]
-    delta: tuple[GradedPoly, ...]
-
-    def coefficient(self, k: int, i: int, j: int) -> GradedPoly:
-        """Coupling-order-k coefficient of x^i y^j, grading included."""
-        return self.chi[k].coefficient(i, j)
-
-    def to_series(self) -> SeriesSolution:
-        """Rebook by g depth so the solution can be window-compared."""
-        total = GradedPoly.zero()
-        for part in self.chi:
-            total = total + part
-        depth = -min((gp for (_, gp, _, _) in total.num), default=0)
-        terms = tuple(slice_level(total, -n) for n in range(depth + 1))
-        energies = zero_point_energy(self.spec.b)
-        for shift in self.delta:
-            energies = energies + shift
-        return SeriesSolution(
-            kind="poly",
-            flavor="eps",
-            b=self.spec.b,
-            order=self.order,
-            terms=terms,
-            energies=energies,
-            base=(gaussian_exponent(self.spec.b), GradedPoly.zero()),
-        )
-
-
-def solve_green(spec: PotentialSpec, order: int = 2) -> tuple[OperatorSolution, SeriesSolution]:
+def solve_green(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     """Iterate the inversion to the requested coupling order.
 
     At order k the source is the coupling times the previous prefactor plus
@@ -189,7 +150,8 @@ def solve_green(spec: PotentialSpec, order: int = 2) -> tuple[OperatorSolution, 
     flat remnant of the resolved source and the inverse scaling of what is
     left is the new prefactor.
 
-    Returns the raw per-order solution and its level-sliced rebooking.
+    Returns the summed prefactor sliced by g depth, with the shifts on top
+    of the zero-point energy: the shape `solve_polynomial` gives.
     """
     if spec.flavor != "eps":
         raise ValueError("operator inversion uses the eps flavor")
@@ -199,6 +161,8 @@ def solve_green(spec: PotentialSpec, order: int = 2) -> tuple[OperatorSolution, 
     coupling = spec.coupling_term()
     chi = [GradedPoly.const(1)]
     delta: list[GradedPoly] = [GradedPoly.zero()]
+    total = chi[0]
+    energies = zero_point_energy(b)
     for k in range(1, order + 1):
         source = -coupling.mul(chi[k - 1])
         for j in range(1, k):
@@ -207,5 +171,15 @@ def solve_green(spec: PotentialSpec, order: int = 2) -> tuple[OperatorSolution, 
         shift = -resolved.constant_part()
         delta.append(shift)
         chi.append(apply_flow_inverse(resolved.drop_constant(), b))
-    ansatz = OperatorSolution(spec=spec, order=order, chi=tuple(chi), delta=tuple(delta))
-    return ansatz, ansatz.to_series()
+        total = total + chi[k]
+        energies = energies + shift
+    depth = -min(gp for (_, gp, _, _) in total.num)
+    return SeriesSolution(
+        kind="poly",
+        flavor="eps",
+        b=b,
+        order=order,
+        terms=tuple(slice_level(total, -n) for n in range(depth + 1)),
+        energies=energies,
+        base=(gaussian_exponent(b), GradedPoly.zero()),
+    )

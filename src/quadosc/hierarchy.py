@@ -61,9 +61,6 @@ class SeriesSolution:
         past it (S_0 .. S_{depth+1}), prefactor runs do not."""
         return len(self.terms) - (2 if self.kind == "exp" else 1)
 
-    def term(self, n: int) -> GradedPoly:
-        return self.terms[n]
-
     def physical_energy(self, g: float, mu: float) -> float:
         """Energy series at overall coupling g and quartic coupling mu."""
         return self.energies.evaluate(g, mu * g ** _G_SHIFT[self.flavor])

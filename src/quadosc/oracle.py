@@ -532,25 +532,15 @@ def energy_gap(series: float, grid: float) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Slot-by-slot agreement of method runs on the comparison window."""
-
-    agree: bool
-    names: tuple[str, ...]
-    window: tuple[int, int]
-    diffs: dict[str, list[str]]
-
-
 def compare_methods(
     solutions,
     names=None,
     window: tuple[int, int] = DEFAULT_WINDOW,
-) -> ComparisonReport:
+) -> dict[str, list[str]]:
     """Compare runs after flattening them onto the canonical window.
 
-    The first run is the reference; the report lists every differing slot
-    keyed by run name.
+    The first run is the reference.  Returns every differing slot keyed by
+    run name; an empty dict means the runs agree.
     """
     sols = list(solutions)
     if not sols:
@@ -566,9 +556,4 @@ def compare_methods(
         d = normal_form_diff(forms[0], form)
         if d:
             diffs[name] = d
-    return ComparisonReport(
-        agree=not diffs,
-        names=tuple(names),
-        window=window,
-        diffs=diffs,
-    )
+    return diffs

@@ -140,11 +140,10 @@ class NormalForm:
 
     ``chi`` is the full state divided by the bare harmonic gaussian,
     expanded to parameter order ``ep_max`` and g depth ``g_depth`` in the
-    ``flavor`` grading.  Two methods agree on the window exactly when their
-    normal forms compare equal.
+    eps grading.  Two methods agree on the window exactly when their normal
+    forms compare equal.
     """
 
-    flavor: str
     b: Fraction
     ep_max: int
     g_depth: int
@@ -181,7 +180,6 @@ def canonical_window(
 
     energies = sol.energies.regrade(sol.flavor, target).truncate_ep(ep_max)
     return NormalForm(
-        flavor=target,
         b=sol.b,
         ep_max=ep_max,
         g_depth=g_depth,
@@ -193,7 +191,7 @@ def canonical_window(
 def normal_form_diff(left: NormalForm, right: NormalForm) -> list[str]:
     """Human-readable slot differences, empty when the forms agree."""
     diffs = []
-    if left.b != right.b or left.flavor != right.flavor:
+    if left.b != right.b:
         diffs.append("incompatible comparison frames")
         return diffs
     # energy slots are listed in (g power, parameter power) order

@@ -260,6 +260,21 @@ def operator_second_order(b) -> dict:
     }
 
 
+def green_orders(series: SeriesSolution) -> tuple[list, list]:
+    """The operator inversion's prefactor corrections and energies by
+    coupling order k = 0 .. order: the parameter-order slices of the folded
+    prefactor and of the energy series.  Order 0 holds 1 and the zero-point
+    energy."""
+
+    def by_order(p: GradedPoly) -> list:
+        return [
+            GradedPoly({key: c for key, c in p.terms.items() if key[0] == k})
+            for k in range(series.order + 1)
+        ]
+
+    return by_order(fold_levels(series.terms, 0)), by_order(series.energies)
+
+
 def odd_double_factorial(n: int) -> int:
     out = 1
     for k in range(1, 2 * n, 2):

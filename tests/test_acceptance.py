@@ -15,7 +15,6 @@ from quadosc import (
     GridSpec,
     canonical_window,
     compare_methods,
-    energy_conservation_residual,
     extrapolated_ground_energy,
     fd_ground_state,
     gamma_coefficient,
@@ -28,7 +27,7 @@ from quadosc import (
     standard_spec,
 )
 from quadosc.cli import loglog_slope, main as cli_main
-from quadosc.trajectory import solve_classical_trajectory
+from quadosc.trajectory import energy_conservation_residual, solve_classical_trajectory
 
 from helpers import (
     B_VALUES,
@@ -36,6 +35,7 @@ from helpers import (
     eps_energy_slots,
     eps_exponent_levels,
     eps_prefactor_levels,
+    green_orders,
     mu_energy_slots,
     mu_levels,
     odd_double_factorial,
@@ -94,19 +94,19 @@ def test_criterion_2_deferred_expansions_closed_forms():
 
 def test_criterion_3_operator_inversion_closed_forms():
     for b in B_VALUES:
-        op, _ = solve_green(standard_spec(b, "eps"), order=2)
+        chi, delta = green_orders(solve_green(standard_spec(b, "eps"), order=2))
         first = GradedPoly(
             {(1, gp, i, j): c for (i, j), (gp, c) in operator_first_order(b).items()},
         )
         second = GradedPoly(
             {(2, gp, i, j): c for (i, j), (gp, c) in operator_second_order(b).items()},
         )
-        assert op.chi[1] == first, f"first-order prefactor at b={b}"
-        assert op.chi[2] == second, f"second-order prefactor at b={b}"
-        assert op.delta[1] == GradedPoly(
+        assert chi[1] == first, f"first-order prefactor at b={b}"
+        assert chi[2] == second, f"second-order prefactor at b={b}"
+        assert delta[1] == GradedPoly(
             {(1, -2, 0, 0): shift_first_order(b)}
         ), f"first shift at b={b}"
-        assert op.delta[2] == GradedPoly(
+        assert delta[2] == GradedPoly(
             {(2, -5, 0, 0): shift_second_order(b)}
         ), f"second shift at b={b}"
     print(
@@ -163,8 +163,8 @@ def test_criterion_5_textbook_series_agreement():
 
 def test_criterion_6_five_pipelines_agree():
     for b in B_VALUES:
-        report = compare_methods(pipeline_runs(b), names=PIPE_NAMES)
-        assert report.agree, f"disagreement at b={b}: {report.diffs}"
+        diffs = compare_methods(pipeline_runs(b), names=PIPE_NAMES)
+        assert diffs == {}, f"disagreement at b={b}: {diffs}"
         assert cli_main(["compare", "--b", str(b)]) == 0
     print(
         "CRITERION 6: PASS — all five symbolic pipelines agree term-by-term"

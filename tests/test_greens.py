@@ -23,10 +23,13 @@ from quadosc import (
     standard_spec,
 )
 from quadosc.algebra import laplacian
+from quadosc.hierarchy import fold_levels
+from quadosc.trajectory import zero_point_energy
 
 from helpers import (
     B_VALUES,
     F,
+    green_orders,
     odd_double_factorial,
     operator_first_order,
     operator_second_order,
@@ -220,53 +223,53 @@ def test_chain_coefficient_guards():
 
 
 def test_order_zero_and_one_slices(b):
-    op, _ = green_run(b)
-    assert op.chi[0] == GradedPoly.const(Fraction(1))
-    assert op.delta[0] == GradedPoly.zero()
-    for k in (1, 2):
-        assert all(ep == k for (ep, _, _, _) in op.chi[k].terms)
-        assert all(ep == k for (ep, _, _, _) in op.delta[k].terms)
+    series = green_run(b)
+    chi, delta = green_orders(series)
+    assert chi[0] == GradedPoly.const(Fraction(1))
+    assert delta[0] == zero_point_energy(b)
+    # no term lies outside coupling orders 0 .. order
+    assert sum(chi, GradedPoly.zero()) == fold_levels(series.terms, 0)
+    assert sum(delta, GradedPoly.zero()) == series.energies
 
 
 def test_first_order_prefactor_and_shift(b):
-    op, _ = green_run(b)
+    chi, delta = green_orders(green_run(b))
     expected = GradedPoly(
         {
             (1, gp, i, j): c
             for (i, j), (gp, c) in operator_first_order(b).items()
         }
     )
-    assert op.chi[1] == expected
-    assert len(op.chi[1].terms) == 3
-    assert op.delta[1] == GradedPoly({(1, -2, 0, 0): shift_first_order(b)})
+    assert chi[1] == expected
+    assert len(chi[1].terms) == 3
+    assert delta[1] == GradedPoly({(1, -2, 0, 0): shift_first_order(b)})
 
 
 def test_second_order_prefactor_and_shift(b):
-    op, _ = green_run(b)
+    chi, delta = green_orders(green_run(b))
     expected = GradedPoly(
         {
             (2, gp, i, j): c
             for (i, j), (gp, c) in operator_second_order(b).items()
         }
     )
-    assert op.chi[2] == expected
-    assert len(op.chi[2].terms) == 8
-    assert op.delta[2] == GradedPoly({(2, -5, 0, 0): shift_second_order(b)})
+    assert chi[2] == expected
+    assert len(chi[2].terms) == 8
+    assert delta[2] == GradedPoly({(2, -5, 0, 0): shift_second_order(b)})
 
 
 def test_coefficient_accessor(b):
-    op, _ = green_run(b)
-    assert op.coefficient(1, 2, 2) == GradedPoly(
+    folded = fold_levels(green_run(b).terms, 0)
+    assert folded.coefficient(2, 2, ep=1) == GradedPoly(
         {(1, -1, 0, 0): -1 / (2 * (1 + b))}
     )
     gp, c = operator_second_order(b)[(4, 4)]
-    assert op.coefficient(2, 4, 4) == GradedPoly({(2, gp, 0, 0): c})
-    assert op.coefficient(1, 1, 1) == GradedPoly.zero()
+    assert folded.coefficient(4, 4, ep=2) == GradedPoly({(2, gp, 0, 0): c})
+    assert folded.coefficient(1, 1, ep=1) == GradedPoly.zero()
 
 
 def test_series_rebooking_matches_prefactor_recursion(b):
-    _, series = green_run(b)
-    assert series == solve_polynomial(standard_spec(b, "eps"), order=2)
+    assert green_run(b) == solve_polynomial(standard_spec(b, "eps"), order=2)
 
 
 def test_run_guards():

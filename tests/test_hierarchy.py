@@ -52,11 +52,6 @@ def test_levels_match_closed_form(b, solution):
     assert solution.terms == mu_levels(b)
 
 
-def test_term_accessor(solution):
-    for n, level in enumerate(solution.terms):
-        assert solution.term(n) == level
-
-
 def test_energy_slots_match_closed_form(b, solution):
     assert solution.energies == mu_energy_slots(b)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -482,26 +483,21 @@ def test_refinement_halving_quarters_the_error():
 
 def test_compare_agreement_and_names():
     b = Fraction(2)
-    report = compare_methods(
-        [
-            solve_exponential(standard_spec(b), 2),
-            solve_exponential(standard_spec(b, "eps"), 2),
-        ],
-        names=["direct", "deferred"],
-    )
-    assert report.agree
-    assert report.names == ("direct", "deferred")
-    assert report.window == (2, 5)
-    assert report.diffs == {}
+    direct = solve_exponential(standard_spec(b), 2)
+    deferred = solve_exponential(standard_spec(b, "eps"), 2)
+    assert compare_methods([direct, deferred], names=["direct", "deferred"]) == {}
+    # a differing run is keyed by its name
+    shifted = deferred.energies + GradedPoly.mono(1, gp=-1, ep=2)
+    off = dataclasses.replace(deferred, energies=shifted)
+    assert set(compare_methods([direct, off], names=["direct", "deferred"])) == {"deferred"}
 
 
 def _check_all_methods_agree(b: Fraction, order: int) -> None:
     window = (order, 3 * order + 2)
-    report = compare_methods(
+    diffs = compare_methods(
         [build_solution(m, b, order) for m in METHODS], names=METHODS, window=window
     )
-    assert report.diffs == {}
-    assert report.agree
+    assert diffs == {}
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
@@ -520,16 +516,13 @@ def test_all_methods_agree_past_second_order_random_ratio(p, q):
 
 
 def test_compare_reports_disagreements():
-    import dataclasses
-
     b = Fraction(1)
     good = solve_exponential(standard_spec(b), 2)
     bad_energies = good.energies + GradedPoly.mono(Fraction(1, 3), gp=-1, ep=2)
     bad = dataclasses.replace(good, energies=bad_energies)
-    report = compare_methods([good, bad])
-    assert not report.agree
-    assert set(report.diffs) == {"run1"}
-    assert any("energy slot" in line for line in report.diffs["run1"])
+    diffs = compare_methods([good, bad])
+    assert set(diffs) == {"run1"}
+    assert any("energy slot" in line for line in diffs["run1"])
 
 
 def test_compare_guards():

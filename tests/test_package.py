@@ -16,8 +16,6 @@ KEPT = {
     "gamma_coefficient": "the paper's printed chain coefficients are pinned through it",
     "oscillator_matrix_element": "the planned spectral oracle assembles its basis matrix from it",
     "pde_residual": "the planned per-run certificate against the transport equations",
-    "energy_conservation_residual": "the planned per-run certificate of the classical flow",
-    "flow_equation_residual": "the planned per-run certificate of the classical flow",
 }
 
 

@@ -101,6 +101,28 @@ def test_bench_snapshot_cold_start_table_runs():
     assert table["probe_s.median"] > 0
 
 
+def test_bench_snapshot_records_checkout_state(tmp_path):
+    script = load_script("bench_snapshot")
+    assert script.checkout_state(tmp_path) == {"commit": None, "dirty": None}
+
+    def git(*args):
+        out = subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+            cwd=tmp_path, capture_output=True, text=True, check=True,
+        )
+        return out.stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "first")
+    head = git("rev-parse", "HEAD")
+    (tmp_path / "untracked.txt").write_text("scratch\n")  # not part of the checkout's source
+    assert script.checkout_state(tmp_path) == {"commit": head, "dirty": False}
+    (tmp_path / "tracked.txt").write_text("two\n")
+    assert script.checkout_state(tmp_path) == {"commit": head, "dirty": True}
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [

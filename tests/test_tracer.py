@@ -39,6 +39,29 @@ def test_tracer_records_solver_entry_points(monkeypatch, capsys):
         assert tracer.counts[f"{name}.calls"] == 0, name
 
 
+def test_tracer_records_compare_entry_points(monkeypatch, capsys):
+    # The tracer swaps module-level bindings only, so the program must reach
+    # each solver through a module-level name: a solver called through a
+    # dict or other container escapes its span and its metrics read 0.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(["compare", "--methods", "hierarchy,green,rs"]) == 0
+    finally:
+        tracer.uninstall()
+    for name in (
+        "greens.solve_green",
+        "greens.resolvent_sum",
+        "oracle.rs_corrections",
+        "oracle.compare_methods",
+        "perturbation.canonical_window",
+    ):
+        assert tracer.counts[f"{name}.calls"] >= 1, name
+
+
 def test_tracer_wraps_the_grid_factor(monkeypatch, capsys):
     # `verify` solves on the requested grid and on its halved spacing.
     monkeypatch.syspath_prepend(str(PERFBENCH))

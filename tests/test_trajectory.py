@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadosc import (
-    GradedPoly,
-    PotentialSpec,
-    energy_conservation_residual,
-    flow_equation_residual,
-    standard_spec,
-)
+from quadosc import GradedPoly, PotentialSpec, standard_spec
 from quadosc.algebra import evaluate_at_endpoint, restrict_to_trajectory
 from quadosc.errors import ResonantDenominator
 from quadosc.trajectory import (
     action_integral,
+    energy_conservation_residual,
+    flow_equation_residual,
     invert_endpoint_constants,
     solve_classical_trajectory,
 )
