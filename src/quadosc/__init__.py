@@ -18,9 +18,7 @@ from .errors import (
 )
 from .greens import (
     apply_flow_inverse,
-    collapse_constant,
     diffusion_step,
-    gamma_coefficient,
     resolvent_sum,
     solve_green,
 )
@@ -32,7 +30,6 @@ from .hierarchy import (
 )
 from .oracle import (
     GridSpec,
-    RSCorrections,
     SpectralEstimate,
     compare_methods,
     extrapolated_ground_energy,
@@ -62,20 +59,17 @@ __all__ = [
     "OddParity",
     "PotentialSpec",
     "QuadoscError",
-    "RSCorrections",
     "ResonantDenominator",
     "SeriesSolution",
     "SingularInverse",
     "SpectralEstimate",
     "apply_flow_inverse",
     "canonical_window",
-    "collapse_constant",
     "compare_methods",
     "default_depth",
     "diffusion_step",
     "extrapolated_ground_energy",
     "fd_ground_state",
-    "gamma_coefficient",
     "normal_form_diff",
     "oscillator_matrix_element",
     "pde_residual",

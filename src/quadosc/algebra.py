@@ -16,8 +16,9 @@ integrating along the flow from t = -inf is dividing each monomial by
 i + j*b, so the transport levels of `hierarchy` are solved by it in the
 plane, and the operator inversion of `greens` uses it too.  The
 substitutions into the trajectory (`GradedPoly.subs`,
-`restrict_to_trajectory`, `evaluate_at_endpoint`) serve the paper's
-trajectory route, kept in `trajectory` as the reference.
+`restrict_to_trajectory`, `evaluate_at_endpoint`) serve only the paper's
+trajectory route, kept in `trajectory` as the reference; no workload runs
+it, so each call builds the powers it needs and nothing is cached.
 
 Values are immutable by convention; every operation returns a new value.
 A polynomial is stored as integer numerators over one denominator (FLINT's
@@ -251,32 +252,21 @@ class GradedPoly:
             {k: n for k, n in self.num.items() if k[2] != 0 or k[3] != 0}, self.den
         )
 
-    def coefficient(self, i: int, j: int, gp: int | None = None, ep: int | None = None):
-        """Collect terms at monomial (i, j), optionally pinned to one grade."""
-        out = {}
-        for (e, g, ii, jj), n in self.num.items():
-            if ii == i and jj == j and (gp is None or g == gp) and (ep is None or e == ep):
-                out[(e, g, 0, 0)] = n
-        return GradedPoly._reduced(out, self.den)
-
-    def subs(
-        self,
-        px: "GradedPoly",
-        py: "GradedPoly",
-        max_ep: int | None = None,
-        *,
-        _powers: tuple[list, list] | None = None,
-    ) -> "GradedPoly":
+    def subs(self, px: "GradedPoly", py: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
         """Substitute polynomials for x and y, keeping the grading factors.
 
-        ``_powers`` is private to `_substitute`, which passes the power
-        lists a trajectory keeps for exactly this pair, truncated at its
-        order, which is ``max_ep``.  All terms are summed over one common
-        denominator.
+        The powers of ``px`` and ``py`` are built for this call, truncated
+        above ``max_ep``.  All terms are summed over one common denominator.
         """
-        xs, ys = _powers if _powers is not None else ([], [])
-        extend_powers(xs, px, max((k[2] for k in self.num), default=0), max_ep)
-        extend_powers(ys, py, max((k[3] for k in self.num), default=0), max_ep)
+
+        def powers(p: "GradedPoly", n: int) -> list:
+            out = [GradedPoly._raw({(0, 0, 0, 0): 1}, 1)]
+            for _ in range(n):
+                out.append(out[-1].mul(p, max_ep))
+            return out
+
+        xs = powers(px, max((k[2] for k in self.num), default=0))
+        ys = powers(py, max((k[3] for k in self.num), default=0))
         live = self.num.items()
         if max_ep is not None:
             live = [(k, n) for k, n in live if k[0] <= max_ep]
@@ -344,11 +334,6 @@ def dot(u, v, max_ep: int | None = None) -> GradedPoly:
     return u[0].mul(v[0], max_ep) + u[1].mul(v[1], max_ep)
 
 
-def laplacian(p: GradedPoly) -> GradedPoly:
-    """Sum of the second x and y derivatives."""
-    return divergence(gradient(p))
-
-
 def _accumulate(out: dict, items) -> None:
     """Add (key, nonzero number) pairs with distinct keys into ``out``.
 
@@ -399,15 +384,6 @@ def _scale_terms(p: GradedPoly, factors: dict) -> GradedPoly:
     )
 
 
-def extend_powers(powers: list, p: GradedPoly, n: int, max_ep: int | None) -> list:
-    """Grow ``powers`` in place to p^0 .. p^n, each truncated above ``max_ep``."""
-    if not powers:
-        powers.append(GradedPoly._raw({(0, 0, 0, 0): 1}, 1))
-    while len(powers) <= n:
-        powers.append(powers[-1].mul(p, max_ep=max_ep))
-    return powers
-
-
 def flow_derivative(p: GradedPoly, b) -> GradedPoly:
     """Apply the flow operator x d/dx + b y d/dy.
 
@@ -442,25 +418,11 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
     return _scale_terms(p, factors)
 
 
-def _substitute(p: GradedPoly, traj: "Trajectory", pair: str) -> GradedPoly:
-    """Substitute the trajectory's "flow" pair (x, y) or "endpoint" pair
-    (cx, cy) into ``p``, truncating above ``traj.order``.
-
-    The powers of the pair are kept on the trajectory, one table per pair,
-    and grown by `GradedPoly.subs`; choosing the pair and its table here
-    keeps the two from disagreeing.  The trajectory fixes the truncation
-    order, so a table never serves another one.
-    """
-    px, py = (traj.x, traj.y) if pair == "flow" else (traj.cx, traj.cy)
-    table = traj._powers.setdefault(pair, ([], []))
-    return p.subs(px, py, max_ep=traj.order, _powers=table)
-
-
 def restrict_to_trajectory(p: GradedPoly, traj: "Trajectory") -> GradedPoly:
     """Substitute the trajectory for (x, y), truncating above ``traj.order``
     in the perturbation parameter.  The result is a polynomial in the
     trajectory amplitudes X and Y."""
-    return _substitute(p, traj, "flow")
+    return p.subs(traj.x, traj.y, traj.order)
 
 
 def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory") -> GradedPoly:
@@ -473,4 +435,4 @@ def evaluate_at_endpoint(p: GradedPoly, traj: "Trajectory") -> GradedPoly:
     """
     if traj.cx is None or traj.cy is None:
         raise ValueError("trajectory endpoint constants not solved")
-    return _substitute(p, traj, "endpoint")
+    return p.subs(traj.cx, traj.cy, traj.order)

@@ -89,59 +89,6 @@ def resolvent_sum(p: GradedPoly, b: Fraction) -> GradedPoly:
     return acc
 
 
-def collapse_constant(l: int, m: int, b: Fraction) -> GradedPoly:
-    """Flat remnant of the full chain applied to x^(2l) y^(2m)."""
-    if l < 0 or m < 0:
-        raise ValueError("negative half-degrees")
-    mono = GradedPoly.mono(1, i=2 * l, j=2 * m)
-    return resolvent_sum(mono, b).constant_part()
-
-
-def gamma_coefficient(kind: str, indices, b: Fraction = Fraction(1)) -> GradedPoly:
-    """Named coefficients of iterated diffusion-step chains on one monomial.
-
-    Computed by composing the operator steps and reading off the requested
-    slot; the result is a pure g-graded rational.  A full chain is the
-    `collapse_constant` of its monomial: each step lowers the degree by
-    exactly two, so only the last iterate is flat.
-
-    kinds (``indices`` is an int or a tuple as noted):
-      - "x_full", l >= 1: flat remnant after l steps on x^(2l)
-      - "y_full", m >= 1: flat remnant after m steps on y^(2m)
-      - "x_partial", (l, n) with 0 <= n < l: coefficient of x^(2(l-n)) in
-        the inverse scaling of n steps on x^(2l)
-      - "y_partial", (m, n) likewise in y
-      - "xy_full", (l, m) with l, m >= 1: flat remnant after l+m steps on
-        x^(2l) y^(2m)
-    """
-    b = Fraction(b)
-    idx = (indices,) if isinstance(indices, int) else tuple(indices)
-
-    if kind == "x_full" or kind == "y_full":
-        (l,) = idx
-        if l < 1:
-            raise IndexError("chain needs a positive half-degree")
-        return collapse_constant(l, 0, b) if kind == "x_full" else collapse_constant(0, l, b)
-    if kind == "x_partial" or kind == "y_partial":
-        l, n = idx
-        if not 0 <= n < l:
-            raise IndexError("partial chain needs 0 <= steps < half-degree")
-        i, j = (2 * l, 0) if kind == "x_partial" else (0, 2 * l)
-        p = GradedPoly.mono(1, i=i, j=j)
-        for _ in range(n):
-            p = diffusion_step(p, b)
-        p = apply_flow_inverse(p, b)
-        keep = 2 * (l - n)
-        i, j = (keep, 0) if kind == "x_partial" else (0, keep)
-        return p.coefficient(i, j)
-    if kind == "xy_full":
-        l, m = idx
-        if l < 1 or m < 1:
-            raise IndexError("mixed chain needs both half-degrees positive")
-        return collapse_constant(l, m, b)
-    raise ValueError(f"unknown coefficient kind {kind!r}")
-
-
 def solve_green(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     """Iterate the inversion to the requested coupling order.
 

@@ -162,37 +162,19 @@ def _chi_from_tables(tables: list[GradedPoly], b: Fraction, order: int) -> Grade
     return chi.mul(_series_inverse(head, order), order)
 
 
-@dataclass(frozen=True)
-class RSCorrections:
-    """Order-by-order corrections in the raw product basis.
-
-    ``tables[k]`` holds the exact raw-basis coefficient of even (m, n) at
-    coupling order k at the monomial x^m y^n, which `coefficient` reads; the
-    whole table carries an implicit grade g^(-3k)
-    (two inverse frequencies per coupling action, one per energy
-    denominator).  ``energies`` is the flat energy series of the shifts, in
-    the eps grading, as in `SeriesSolution`.  ``chi`` is the
-    origin-normalized prefactor of the state divided by the bare gaussian,
-    all grading explicit.
-    """
-
-    b: Fraction
-    order: int
-    tables: tuple[GradedPoly, ...]
-    energies: GradedPoly
-    chi: GradedPoly
-
-    def coefficient(self, k: int, m: int, n: int) -> Fraction:
-        table = self.tables[k]
-        return Fraction(table.num.get((0, 0, m, n), 0), table.den)
-
-
-def rs_corrections(b, order: int = 2) -> RSCorrections:
-    """Textbook perturbation series for the ground state, exact in g.
+def rs_corrections(b, order: int = 2) -> SeriesSolution:
+    """Textbook perturbation series for the ground state, exact in g,
+    packaged like a method run for comparison.
 
     Solved in the raw product basis with the usual intermediate
     normalization (the corrections keep no raw ground-state component).
-    Selection rules keep every table finite, so the sums are exact.
+    Table k holds the raw-basis coefficient of even (m, n) at coupling
+    order k at the monomial x^m y^n, with an implicit grade g^(-3k) (two
+    inverse frequencies per coupling action, one per energy denominator).
+    Selection rules keep every table finite, so the sums are exact.  The
+    series' one level is the origin-normalized prefactor of the state
+    divided by the bare gaussian, and its energies are the shifts on top of
+    the zero-point energy, in the eps grading.
     """
     b = Fraction(b)
     if b <= 0:
@@ -210,28 +192,20 @@ def rs_corrections(b, order: int = 2) -> RSCorrections:
         # integrate_to_T divides entry (m, n) by its energy denominator m + n b
         tables.append(-integrate_to_T(acted, b))
     energies = GradedPoly({(k, 1 - 3 * k, 0, 0): e for k, e in enumerate(shifts, start=1)})
-    chi = _chi_from_tables(tables, b, order)
-    return RSCorrections(
-        b=b,
-        order=order,
-        tables=tuple(tables),
-        energies=energies,
-        chi=chi,
-    )
-
-
-def rs_series(b, order: int = 2) -> SeriesSolution:
-    """Package the perturbative oracle like a method run for comparison."""
-    rs = rs_corrections(b, order)
     return SeriesSolution(
         kind="poly",
         flavor="eps",
-        b=rs.b,
+        b=b,
         order=order,
-        terms=(rs.chi,),
-        energies=rs.energies + zero_point_energy(rs.b),
-        base=(gaussian_exponent(rs.b), GradedPoly.zero()),
+        terms=(_chi_from_tables(tables, b, order),),
+        energies=energies + zero_point_energy(b),
+        base=(gaussian_exponent(b), GradedPoly.zero()),
     )
+
+
+# The benchmark tracer wraps `rs_corrections` by name, and the benchmark's
+# checker and the CLI call it as `rs_series`.
+rs_series = rs_corrections
 
 
 @dataclass(frozen=True)
@@ -519,17 +493,6 @@ def extrapolated_ground_energy(
         ]
         weight *= 4
     return energies[0]
-
-
-def energy_gap(series: float, grid: float) -> dict[str, float]:
-    """A series energy against a grid energy: both, and their gaps."""
-    gap = abs(series - grid)
-    return {
-        "series_energy": series,
-        "grid_energy": grid,
-        "abs_gap": gap,
-        "rel_gap": gap / abs(grid),
-    }
 
 
 def compare_methods(

@@ -4,8 +4,9 @@ In the paper the ground-state exponent is built from the trajectory that
 leaves the origin at t = -infinity with zero energy and reaches a given
 endpoint at time T.  The program solves the same equations in the plane
 (`hierarchy`); the trajectory route is kept here as the reference
-construction those solves are checked against.  In scaled coordinates the
-flow is
+construction those solves are checked against.  No workload runs it, so it
+is kept plain: each substitution builds the powers it needs, and nothing is
+cached on the trajectory.  In scaled coordinates the flow is
 
     x'' = x + mu * dU/dx,    y'' = b^2 y + mu * dU/dy
 
@@ -23,7 +24,7 @@ exactly.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -105,12 +106,6 @@ class Trajectory:
     `GradedPoly`; the harmonic flow is x = X, y = Y.  ``cx`` and ``cy``, when
     present, express the amplitudes at t = T as polynomial series in the
     endpoint coordinates; they are what `evaluate_at_endpoint` substitutes.
-
-    The powers of (x, y) and of (cx, cy) that substitution needs are built
-    once per trajectory and kept with it (``_powers``, keyed "flow" and
-    "endpoint", filled by `algebra._substitute`); they take no part in
-    comparison and are not copied by `dataclasses.replace`, so a trajectory
-    replaced at another order starts with empty tables.
     """
 
     spec: PotentialSpec
@@ -119,7 +114,6 @@ class Trajectory:
     y: GradedPoly
     cx: GradedPoly | None = None
     cy: GradedPoly | None = None
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def b(self) -> Fraction:

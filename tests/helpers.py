@@ -20,6 +20,7 @@ from quadosc.algebra import (
     divergence,
     dot,
     evaluate_at_endpoint,
+    gradient,
     integrate_to_T,
     restrict_to_trajectory,
 )
@@ -45,6 +46,22 @@ def poly(entries) -> GradedPoly:
     for coef, i, j, gp, ep in entries:
         out = out + GradedPoly.mono(Fraction(coef), i=i, j=j, gp=gp, ep=ep)
     return out
+
+
+def slot(p: GradedPoly, i: int, j: int, gp: int | None = None, ep: int | None = None) -> GradedPoly:
+    """The terms of ``p`` at the monomial x^i y^j, optionally pinned to one
+    g power or parameter power, as a flat polynomial."""
+    return GradedPoly({
+        (e, g, 0, 0): c
+        for (e, g, ii, jj), c in p.terms.items()
+        if (ii, jj) == (i, j) and gp in (None, g) and ep in (None, e)
+    })
+
+
+def laplacian(p: GradedPoly) -> GradedPoly:
+    """Sum of the second x and y derivatives: the reference for
+    `greens.diffusion_step`."""
+    return divergence(gradient(p))
 
 
 # -------------------------------------------------- exponent building blocks

@@ -17,17 +17,20 @@ from quadosc import (
     compare_methods,
     extrapolated_ground_energy,
     fd_ground_state,
-    gamma_coefficient,
     normal_form_diff,
+    resolvent_sum,
     rs_corrections,
-    rs_series,
     solve_exponential,
     solve_green,
     solve_polynomial,
     standard_spec,
 )
 from quadosc.cli import loglog_slope, main as cli_main
-from quadosc.trajectory import energy_conservation_residual, solve_classical_trajectory
+from quadosc.trajectory import (
+    energy_conservation_residual,
+    solve_classical_trajectory,
+    zero_point_energy,
+)
 
 from helpers import (
     B_VALUES,
@@ -116,24 +119,28 @@ def test_criterion_3_operator_inversion_closed_forms():
 
 
 def test_criterion_4_chain_coefficient_closed_forms():
+    def full_chain(l, m, b):
+        # the flat remnant of the whole diffusion chain on x^(2l) y^(2m)
+        return resolvent_sum(GradedPoly.mono(1, i=2 * l, j=2 * m), b).constant_part()
+
     for b in B_VALUES:
         for l in range(1, 5):
-            assert gamma_coefficient("x_full", l, b) == GradedPoly.mono(
+            assert full_chain(l, 0, b) == GradedPoly.mono(
                 Fraction(odd_double_factorial(l), 2**l), gp=-l
             )
-            assert gamma_coefficient("y_full", l, b) == GradedPoly.mono(
+            assert full_chain(0, l, b) == GradedPoly.mono(
                 odd_double_factorial(l) / (2 * b) ** l, gp=-l
             )
-        assert gamma_coefficient("xy_full", (1, 1), b) == GradedPoly.mono(
+        assert full_chain(1, 1, b) == GradedPoly.mono(
             1 / (4 * b), gp=-2
         )
-        assert gamma_coefficient("xy_full", (2, 1), b) == GradedPoly.mono(
+        assert full_chain(2, 1, b) == GradedPoly.mono(
             (6 / b + 3) / (8 * (2 + b)), gp=-3
         )
-        assert gamma_coefficient("xy_full", (1, 2), b) == GradedPoly.mono(
+        assert full_chain(1, 2, b) == GradedPoly.mono(
             (3 / b**2 + 6 / b) / (8 * (1 + 2 * b)), gp=-3
         )
-        assert gamma_coefficient("xy_full", (2, 2), b) == GradedPoly.mono(
+        assert full_chain(2, 2, b) == GradedPoly.mono(
             (6 / (1 + 2 * b) * (3 / b**2 + 6 / b) + 6 / (2 + b) * (6 / b + 3))
             / (32 * (1 + b)),
             gp=-4,
@@ -147,11 +154,11 @@ def test_criterion_4_chain_coefficient_closed_forms():
 def test_criterion_5_textbook_series_agreement():
     for b in B_VALUES:
         rs = rs_corrections(b, order=2)
-        assert rs.energies == energy_poly({
+        assert rs.energies - zero_point_energy(b) == energy_poly({
             (-2, 1): 1 / (4 * b),
             (-5, 2): -(b**2 + 4 * b + 1) / (16 * b**3 * (b + 1)),
         }), f"shifts at b={b}"
-        window = canonical_window(rs_series(b))
+        window = canonical_window(rs)
         reference = canonical_window(solve_polynomial(standard_spec(b, "eps"), 2))
         assert normal_form_diff(reference, window) == [], f"prefactor at b={b}"
         assert window == reference

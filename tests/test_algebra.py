@@ -8,18 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadosc import GradedPoly, SingularInverse
-from quadosc.algebra import (
-    dot,
-    extend_powers,
-    flow_derivative,
-    gradient,
-    integrate_to_T,
-    laplacian,
-)
+from quadosc.algebra import dot, flow_derivative, gradient, integrate_to_T
 from quadosc.hierarchy import slice_level
 from quadosc.perturbation import _exp_series, _series_inverse, _truncate_g_depth
 
-from helpers import series_log
+from helpers import laplacian, series_log, slot
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -144,7 +137,7 @@ def test_regrade_rejects_unknown_flavor():
 
 @given(polys, st.integers(0, 3), st.integers(0, 3))
 def test_coefficient_extraction(p, i, j):
-    c = p.coefficient(i, j)
+    c = slot(p, i, j)
     for (ep, gp, ci, cj), v in c.terms.items():
         assert (ci, cj) == (0, 0)
         assert p.terms[(ep, gp, i, j)] == v
@@ -322,7 +315,7 @@ def operation_results(p, q, r, cap, b) -> list[GradedPoly]:
         p.truncate_ep(cap),
         p.constant_part(),
         p.drop_constant(),
-        p.coefficient(1, 0),
+        slot(p, 1, 0),
         slice_level(p, 0),
         _truncate_g_depth(p, 0),
         GradedPoly.zero(),
@@ -372,15 +365,10 @@ stacked_polys = st.dictionaries(
 
 
 @settings(deadline=None)
-@given(stacked_polys, small_polys, small_polys, small_polys, st.integers(0, 3))
-def test_substitution_matches_repeated_multiplication(p, p2, px, py, cap):
+@given(stacked_polys, small_polys, small_polys, st.integers(0, 3))
+def test_substitution_matches_repeated_multiplication(p, px, py, cap):
     want = naive_subs(p, px, py, cap)
     assert p.subs(px, py, cap) == want
-    # power lists shared between calls, as a trajectory keeps them
-    powers = ([], [])
-    assert p2.subs(px, py, cap, _powers=powers) == p2.subs(px, py, cap)
-    assert p.subs(px, py, cap, _powers=powers) == want
-    assert powers[0] == extend_powers([], px, len(powers[0]) - 1, cap)
 
 
 # ------------------------------------------------------------ term order
@@ -493,7 +481,6 @@ def test_mul_keeps_reference_term_order(p, q, cap):
     cap=3,
 )
 def test_subs_keeps_reference_term_order(p, p2, px, py, cap):
-    powers = ([], [])
     for a in operands(p, p2):
         for sx, sy in ((px, py), (px - px, py), (px, px.mul(py) - py.mul(px))):
             want = list(reference_subs(a, sx, sy, cap).items())
@@ -501,9 +488,6 @@ def test_subs_keeps_reference_term_order(p, p2, px, py, cap):
             assert list(a.subs(sx, sy).terms.items()) == list(
                 reference_subs(a, sx, sy).items()
             )
-            if sx is px and sy is py:
-                # power lists shared between calls, as a trajectory keeps them
-                assert list(a.subs(px, py, cap, _powers=powers).terms.items()) == want
 
 
 @settings(deadline=None)

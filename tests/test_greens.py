@@ -14,15 +14,12 @@ from quadosc import (
     OddParity,
     SingularInverse,
     apply_flow_inverse,
-    collapse_constant,
     diffusion_step,
-    gamma_coefficient,
     resolvent_sum,
     solve_green,
     solve_polynomial,
     standard_spec,
 )
-from quadosc.algebra import laplacian
 from quadosc.hierarchy import fold_levels
 from quadosc.trajectory import zero_point_energy
 
@@ -30,11 +27,13 @@ from helpers import (
     B_VALUES,
     F,
     green_orders,
+    laplacian,
     odd_double_factorial,
     operator_first_order,
     operator_second_order,
     shift_first_order,
     shift_second_order,
+    slot,
 )
 
 
@@ -50,6 +49,19 @@ def b(request):
 
 def mono(c, i=0, j=0, gp=0, ep=0):
     return GradedPoly.mono(Fraction(c), i=i, j=j, gp=gp, ep=ep)
+
+
+def full_chain(l, m, b):
+    """Flat remnant of the whole diffusion chain on x^(2l) y^(2m)."""
+    return resolvent_sum(mono(1, i=2 * l, j=2 * m), b).constant_part()
+
+
+def partial_chain(i, j, n, b):
+    """n diffusion steps, then the inverse scaling, on x^i y^j."""
+    p = mono(1, i=i, j=j)
+    for _ in range(n):
+        p = diffusion_step(p, b)
+    return apply_flow_inverse(p, b)
 
 
 # ----- single operator steps -------------------------------------------------
@@ -154,23 +166,19 @@ def test_resolvent_sum_terminates_on_constants():
 
 def test_pure_chain_closed_forms(b):
     for l in range(1, 5):
-        expected_x = mono(Fraction(odd_double_factorial(l), 2**l), gp=-l)
-        assert gamma_coefficient("x_full", l, b) == expected_x
-        assert collapse_constant(l, 0, b) == expected_x
-        expected_y = mono(odd_double_factorial(l) / (2 * b) ** l, gp=-l)
-        assert gamma_coefficient("y_full", l, b) == expected_y
-        assert collapse_constant(0, l, b) == expected_y
+        assert full_chain(l, 0, b) == mono(Fraction(odd_double_factorial(l), 2**l), gp=-l)
+        assert full_chain(0, l, b) == mono(odd_double_factorial(l) / (2 * b) ** l, gp=-l)
 
 
 def test_mixed_chain_printed_values(b):
-    assert gamma_coefficient("xy_full", (1, 1), b) == mono(1 / (4 * b), gp=-2)
-    assert gamma_coefficient("xy_full", (2, 1), b) == mono(
+    assert full_chain(1, 1, b) == mono(1 / (4 * b), gp=-2)
+    assert full_chain(2, 1, b) == mono(
         (6 / b + 3) / (8 * (2 + b)), gp=-3
     )
-    assert gamma_coefficient("xy_full", (1, 2), b) == mono(
+    assert full_chain(1, 2, b) == mono(
         (3 / b**2 + 6 / b) / (8 * (1 + 2 * b)), gp=-3
     )
-    assert gamma_coefficient("xy_full", (2, 2), b) == mono(
+    assert full_chain(2, 2, b) == mono(
         (
             6 / (1 + 2 * b) * (3 / b**2 + 6 / b)
             + 6 / (2 + b) * (6 / b + 3)
@@ -188,8 +196,7 @@ def test_mixed_chain_agrees_with_collapse(b):
             for _ in range(l + m):
                 assert not p.constant_part()
                 p = diffusion_step(p, b)
-            assert p == p.constant_part() == collapse_constant(l, m, b)
-            assert gamma_coefficient("xy_full", (l, m), b) == p
+            assert p == p.constant_part() == full_chain(l, m, b)
 
 
 def test_partial_chain_closed_form(b):
@@ -198,25 +205,13 @@ def test_partial_chain_closed_form(b):
     for l in range(1, 5):
         for n in range(l):
             ratio = Fraction(odd_double_factorial(l), odd_double_factorial(l - n))
+            keep = 2 * (l - n)
             expected = mono(ratio / 2**n / (2 * (l - n)), gp=-(n + 1))
-            assert gamma_coefficient("x_partial", (l, n), b) == expected
+            assert slot(partial_chain(2 * l, 0, n, b), keep, 0) == expected
             expected = mono(
                 ratio / (2 * b) ** n / (2 * b * (l - n)), gp=-(n + 1)
             )
-            assert gamma_coefficient("y_partial", (l, n), b) == expected
-
-
-def test_chain_coefficient_guards():
-    with pytest.raises(IndexError):
-        gamma_coefficient("x_full", 0)
-    with pytest.raises(IndexError):
-        gamma_coefficient("x_partial", (2, 2))
-    with pytest.raises(IndexError):
-        gamma_coefficient("xy_full", (0, 1))
-    with pytest.raises(ValueError):
-        gamma_coefficient("z_full", 1)
-    with pytest.raises(ValueError):
-        collapse_constant(-1, 0, Fraction(1))
+            assert slot(partial_chain(0, 2 * l, n, b), 0, keep) == expected
 
 
 # ----- full inversion runs ---------------------------------------------------
@@ -260,12 +255,12 @@ def test_second_order_prefactor_and_shift(b):
 
 def test_coefficient_accessor(b):
     folded = fold_levels(green_run(b).terms, 0)
-    assert folded.coefficient(2, 2, ep=1) == GradedPoly(
+    assert slot(folded, 2, 2, ep=1) == GradedPoly(
         {(1, -1, 0, 0): -1 / (2 * (1 + b))}
     )
     gp, c = operator_second_order(b)[(4, 4)]
-    assert folded.coefficient(4, 4, ep=2) == GradedPoly({(2, gp, 0, 0): c})
-    assert folded.coefficient(1, 1, ep=1) == GradedPoly.zero()
+    assert slot(folded, 4, 4, ep=2) == GradedPoly({(2, gp, 0, 0): c})
+    assert slot(folded, 1, 1, ep=1) == GradedPoly.zero()
 
 
 def test_series_rebooking_matches_prefactor_recursion(b):
@@ -286,6 +281,4 @@ def test_run_guards():
     st.fractions(min_value=Fraction(1, 6), max_value=Fraction(6), max_denominator=6)
 )
 def test_two_step_collapse_random_ratio(ratio):
-    assert gamma_coefficient("xy_full", (1, 1), ratio) == mono(
-        1 / (4 * ratio), gp=-2
-    )
+    assert full_chain(1, 1, ratio) == mono(1 / (4 * ratio), gp=-2)

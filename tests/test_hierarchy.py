@@ -18,12 +18,13 @@ from quadosc import (
     standard_spec,
 )
 
-from quadosc.algebra import dot, gradient, laplacian
+from quadosc.algebra import dot, gradient
 from quadosc.cli import PIPELINES, build_solution
 from quadosc.hierarchy import fold_levels
 
 from helpers import (
     B_VALUES,
+    laplacian,
     mu_energy_slots,
     mu_levels,
     pairwise_transport_source,

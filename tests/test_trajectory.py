@@ -1,6 +1,5 @@
 """Classical escape trajectory: flow solution, endpoint inversion, action."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadosc import GradedPoly, PotentialSpec, standard_spec
-from quadosc.algebra import evaluate_at_endpoint, restrict_to_trajectory
+from quadosc.algebra import evaluate_at_endpoint
 from quadosc.errors import ResonantDenominator
 from quadosc.trajectory import (
     action_integral,
@@ -18,7 +17,7 @@ from quadosc.trajectory import (
     solve_classical_trajectory,
 )
 
-from helpers import B_VALUES, F, classical_exponent
+from helpers import B_VALUES, F, classical_exponent, slot
 
 ratios = st.fractions(
     min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=6
@@ -42,7 +41,7 @@ def test_spec_validation():
 def test_standard_spec_shape():
     spec = standard_spec(Fraction(3, 2))
     assert spec.coupling == GradedPoly.mono(1, i=2, j=2)
-    assert spec.potential().coefficient(0, 2, gp=0, ep=0).terms == {
+    assert slot(spec.potential(), 0, 2, gp=0, ep=0).terms == {
         (0, 0, 0, 0): Fraction(9, 8)
     }
     # deferred flavors keep the classical well harmonic
@@ -117,21 +116,6 @@ def test_endpoint_inversion_roundtrip_high_order(order):
 @given(st.integers(1, 9), st.integers(1, 9))
 def test_endpoint_inversion_roundtrip_random_ratio(p, q):
     _check_endpoint_roundtrip(Fraction(p, q), 4)
-
-
-def test_power_tables_follow_the_truncation_order():
-    """A trajectory keeps one power table per pair, cut at its own order;
-    the same trajectory at another order starts with fresh tables."""
-    spec = standard_spec(Fraction(5, 3))
-    traj = invert_endpoint_constants(solve_classical_trajectory(spec, 4))
-    p = spec.potential()
-    for k in (4, 2, 5, 3):
-        cut = dataclasses.replace(traj, order=k)
-        assert cut._powers == {}
-        for q in (p, p.mul(p), p):  # grows the tables, then reuses them
-            assert restrict_to_trajectory(q, cut) == q.subs(traj.x, traj.y, max_ep=k)
-            assert evaluate_at_endpoint(q, cut) == q.subs(traj.cx, traj.cy, max_ep=k)
-        assert set(cut._powers) == {"flow", "endpoint"}
 
 
 @pytest.mark.parametrize("b", B_VALUES)
