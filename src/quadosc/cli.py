@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -454,8 +455,9 @@ def _series_energy(sol: SeriesSolution, g: float, mu: float) -> float:
 
 
 # The most points per axis on the finest grid of a Richardson ladder.  The
-# quarter-box band factor holds about n^3/8 floats: 270 MB at 647 points,
-# criterion 9's finest grid (161 refined twice), and 1.1 GB at this bound.
+# quarter-box factor, with the black points eliminated, holds about n^3/16
+# floats: 135 MB at 647 points, criterion 9's finest grid (161 refined
+# twice), and about 0.55 GB at this bound.
 MAX_GRID_POINTS = 1023
 
 
@@ -699,8 +701,24 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+# BLAS and OpenMP start one thread per core unless told otherwise, and the
+# grid solves' banded Cholesky loses by it: a default `verify` took 0.76-0.83 s
+# against 0.48-0.63 s on one thread, and 11-15 s against 1.7-1.9 s beside
+# two other grid solves on two cores.  numpy loads on the first grid solve,
+# after `main` has set these; a value already in the environment wins.
+BLAS_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command, return its exit code; ``--help`` exits 0 as argparse does."""
+    for var in BLAS_THREAD_VARS:
+        os.environ.setdefault(var, "1")
     try:
         args = _PARSER.parse_args(argv)
         return args.func(args)

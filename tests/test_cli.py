@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from quadosc import ConvergenceFailure, GradedPoly, GridSpec
 from quadosc.cli import (
+    BLAS_THREAD_VARS,
     EXIT_DISAGREE,
     EXIT_INTERNAL,
     EXIT_NUMERIC,
@@ -967,24 +968,28 @@ def test_report_with_numeric_block(monkeypatch, capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs one statement in a fresh interpreter, with stdout captured, then
-# reports `exit_code` and the numpy and SciPy modules then loaded.
+# reports `exit_code`, the numpy and SciPy modules then loaded, and the
+# BLAS thread variables then set.
 COLD_START = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 exit_code = None
 with contextlib.redirect_stdout(io.StringIO()):
     {statement}
 loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
-print(json.dumps({{"exit": exit_code, "loaded": loaded}}))
+threads = {{var: os.environ.get(var) for var in {threads!r}}}
+print(json.dumps({{"exit": exit_code, "loaded": loaded, "threads": threads}}))
 """
 
 
-def cold_start(statement: str) -> dict:
+def cold_start(statement: str, **env: str) -> dict:
     # Not in-process: this interpreter already holds numpy from the helpers.
+    # The BLAS thread variables the tests pin are dropped unless given.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    environ = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START.format(statement=statement)],
+        [sys.executable, "-c", COLD_START.format(statement=statement, threads=BLAS_THREAD_VARS)],
         capture_output=True, text=True, check=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(environ, PYTHONPATH=path, **env),
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -1008,8 +1013,16 @@ def test_exact_series_load_neither_numpy_nor_scipy(statement):
 
 
 def test_grid_solve_loads_numpy_and_scipy():
-    # the grid operator is three band arrays, so its solve needs no scipy.sparse
+    # the grid operator is three band arrays, so its solve needs no scipy.sparse;
+    # `main` pins BLAS to one thread before numpy loads
     result = cold_start(main_statement("verify --grid-n 21"))
     assert result["exit"] == EXIT_OK
     assert {"numpy", "scipy.linalg"} <= set(result["loaded"])
     assert "scipy.sparse" not in result["loaded"]
+    assert result["threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+
+
+def test_preset_blas_threads_win():
+    result = cold_start(main_statement("verify --grid-n 21"), OPENBLAS_NUM_THREADS="2")
+    assert result["exit"] == EXIT_OK
+    assert result["threads"] == {**dict.fromkeys(BLAS_THREAD_VARS, "1"), "OPENBLAS_NUM_THREADS": "2"}

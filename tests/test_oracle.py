@@ -449,32 +449,104 @@ def test_band_operator_equals_kron_assembly(monkeypatch, n_x, n_y):
         assert np.array_equal(matvec(*bands, vec), reference @ vec)
 
 
-@pytest.mark.parametrize("n_x, n_y", BAND_SHAPES)
+def _red_schur(shifted, n_x, n_y):
+    """S = D_r - B D_b^-1 B^T of the quarter-box matrix on its red points (i + j even)."""
+    mx, my = (n_x + 1) // 2, (n_y + 1) // 2
+    red = (np.add.outer(np.arange(mx), np.arange(my)) % 2 == 0).ravel()
+    rows = shifted.tocsr()
+    coupling = rows[red][:, ~red]
+    return rows[red][:, red] - coupling @ diags(1 / shifted.diagonal()[~red]) @ coupling.T
+
+
+def _assert_lower_band(ab, matrix, atol):
+    # row k of LAPACK lower band storage holds the k-th subdiagonal, and the
+    # band holds every entry of the symmetric matrix
+    size = matrix.shape[0]
+    assert ab.shape[1] == size
+    for k in range(len(ab)):
+        cut = max(size - k, 0)
+        np.testing.assert_allclose(ab[k, :cut], matrix.diagonal(-k), rtol=0, atol=atol)
+        assert not ab[k, cut:].any()
+    in_band = sum(np.count_nonzero(matrix.diagonal(k)) for k in range(1 - len(ab), len(ab)))
+    assert matrix.count_nonzero() == in_band
+
+
+# a y half axis of an even and an odd length on each side of the crossover,
+# and a one-point x axis above it
+CROSSOVER_SHAPES = [
+    (41, 2 * oracle.RED_BLACK_MIN_MY - 5),
+    (40, 2 * oracle.RED_BLACK_MIN_MY - 3),
+    (41, 2 * oracle.RED_BLACK_MIN_MY - 1),
+    (30, 2 * oracle.RED_BLACK_MIN_MY + 1),
+    (1, 2 * oracle.RED_BLACK_MIN_MY + 1),
+]
+
+
+@pytest.mark.parametrize("n_x, n_y", BAND_SHAPES + CROSSOVER_SHAPES)
 def test_band_storage_is_shifted_operator(monkeypatch, n_x, n_y):
-    # The factor gets H - sigma*I in LAPACK lower band storage: row k holds
-    # the k-th subdiagonal, the x bonds in row 1 on a one-point y axis.
+    # `splu` gets H - sigma*I as its diagonal, y bonds and x bonds, exactly.
+    # The band factor gets that matrix in LAPACK lower band storage, the x
+    # bonds in row 1 on a one-point y axis; from `RED_BLACK_MIN_MY` on it
+    # gets the Schur complement of the black points on the red ones, to
+    # rounding, in the same storage and of the same half-width.
     g, b, mu = 10.0, 5 / 3, 0.05
-    stored = []
-    factor = oracle.splu
-
-    def recording_factor(ab, **kw):
-        stored.append(ab.copy())  # the factor overwrites its argument
-        return factor(ab, **kw)
-
-    monkeypatch.setattr(oracle, "splu", recording_factor)
+    received, stored = [], []
+    factor, band = oracle.splu, oracle._BandCholesky
+    monkeypatch.setattr(oracle, "splu", lambda bands: received.append(bands) or factor(bands))
+    # the band factor overwrites its argument
+    monkeypatch.setattr(oracle, "_BandCholesky", lambda ab: stored.append(ab.copy()) or band(ab))
     grid = GridSpec(n_x, n_y)
     fd_ground_state(g, b, mu, grid)
     reference, sigma = _kron_operator(g, b, mu, grid)
     shifted = reference - sigma * identity(reference.shape[0])
+    [(diag, ybond, xbond)] = received
+    my = (n_y + 1) // 2
+    row_end = np.arange(1, len(diag)) % my == 0
+    assert np.array_equal(diag, shifted.diagonal())
+    assert np.array_equal(ybond, np.where(row_end, 0.0, shifted.diagonal(-1)))
+    assert np.array_equal(xbond, shifted.diagonal(-my))
+    bonds = np.count_nonzero(ybond) + np.count_nonzero(xbond)
+    assert shifted.count_nonzero() == np.count_nonzero(diag) + 2 * bonds
     [ab] = stored
-    size = reference.shape[0]
-    assert ab.shape == ((n_y + 1) // 2 + 1, size)
-    for k in range(len(ab)):
-        assert np.array_equal(ab[k, : size - k], shifted.diagonal(-k))
-        assert not ab[k, size - k :].any()
-    # the band holds every entry of the symmetric operator
-    in_band = sum(np.count_nonzero(shifted.diagonal(k)) for k in range(1 - len(ab), len(ab)))
-    assert shifted.nnz == in_band
+    assert len(ab) == my + 1
+    if my < oracle.RED_BLACK_MIN_MY:
+        _assert_lower_band(ab, shifted, atol=0)
+    else:
+        schur = _red_schur(shifted, n_x, n_y)
+        _assert_lower_band(ab, schur, atol=8 * np.finfo(float).eps * abs(schur).max())
+
+
+@pytest.mark.parametrize("n", [2 * oracle.RED_BLACK_MIN_MY - 1, 2 * oracle.RED_BLACK_MIN_MY])
+@pytest.mark.parametrize("g, b, mu", [(10.0, 1.0, 0.05), (20.0, 5 / 3, 1.0)])
+def test_both_factors_agree_at_the_crossover(monkeypatch, n, g, b, mu):
+    # The grid with a y half axis of RED_BLACK_MIN_MY points, solved with
+    # the red points' Schur complement and with the whole band.
+    runs = []
+    factor = oracle.splu
+
+    class CountingFactor:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def solve(self, rhs):
+            runs[-1]["solves"] += 1
+            return self.inner.solve(rhs)
+
+    def counting_splu(bands):
+        solver = factor(bands)
+        runs[-1]["reduced"] = isinstance(solver, oracle._RedBlackCholesky)
+        return CountingFactor(solver)
+
+    monkeypatch.setattr(oracle, "splu", counting_splu)
+    for crossover in (oracle.RED_BLACK_MIN_MY, oracle.RED_BLACK_MIN_MY + 1):
+        monkeypatch.setattr(oracle, "RED_BLACK_MIN_MY", crossover)
+        runs.append({"solves": 0})
+        runs[-1]["estimate"] = fd_ground_state(g, b, mu, GridSpec(n, n))
+    reduced, whole = runs
+    assert reduced["reduced"] and not whole["reduced"]
+    assert reduced["solves"] == whole["solves"]
+    assert reduced["estimate"].energy == pytest.approx(whole["estimate"].energy, rel=1e-14, abs=0)
+    assert float(np.abs(reduced["estimate"].psi - whole["estimate"].psi).max()) <= 1e-12
 
 
 def test_extrapolation_sharpens_harmonic_energy():

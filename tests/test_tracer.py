@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import quadosc.oracle as oracle
 from quadosc.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,15 +64,21 @@ def test_tracer_records_compare_entry_points(monkeypatch, capsys):
 
 
 def test_tracer_wraps_the_grid_factor(monkeypatch, capsys):
-    # `verify` solves on the requested grid and on its halved spacing.
+    # `verify` solves on the requested grid and on its halved spacing, here
+    # 61 and 123 points: one factors the whole band and one the red points'
+    # Schur complement, and the seam counts both.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
+    reduced = []
+    red_black = oracle._RedBlackCholesky
+    monkeypatch.setattr(oracle, "_RedBlackCholesky", lambda *bands: reduced.append(1) or red_black(*bands))
     tracer = Tracer()
     tracer.install()
     try:
-        main(["verify", "--grid-n", "41"])
+        assert main(["verify", "--grid-n", "61"]) == 0
     finally:
         tracer.uninstall()
+    assert len(reduced) == 1
     assert tracer.counts["oracle.fd.factor.calls"] == 2
     assert tracer.counts["oracle.fd.iterations"] > 0
