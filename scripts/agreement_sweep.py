@@ -19,8 +19,8 @@ from quadosc.cli import (
     build_solution,
     comma_list,
     parse_methods,
-    positive_int,
     positive_rational,
+    truncation_order,
 )
 
 
@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
         default=",".join(METHODS),
         help="comma-separated method names (first one is the reference)",
     )
-    parser.add_argument("--order", type=positive_int, default=2, help="coupling order")
+    parser.add_argument("--order", type=truncation_order, default=2, help="coupling order")
     parser.add_argument(
         "--json", action="store_true", help="emit a JSON report instead of a table"
     )

@@ -27,6 +27,7 @@ from quadosc.cli import (
     positive_float,
     positive_int,
     positive_rational,
+    truncation_order,
 )
 
 
@@ -37,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--b", type=positive_rational, default="1", help="frequency ratio")
     parser.add_argument("--g", type=positive_float, default=10.0, help="overall coupling")
-    parser.add_argument("--order", type=positive_int, default=2, help="coupling order")
+    parser.add_argument("--order", type=truncation_order, default=2, help="coupling order")
     parser.add_argument(
         "--mus",
         type=comma_list(positive_float),

@@ -31,11 +31,12 @@ reduced Fraction per key, built on first read and kept.
 The public constructor checks and converts Fraction-like coefficients.  The
 operations below work on the integers alone: they scale operands to a common
 denominator, add and multiply Python integers, and divide out the common
-factor of the result once.  They visit the terms in the same order as a plain
-Fraction loop would, removing a key whose sum cancels at once, so a result
-has the same keys in the same insertion order with the same values.  That
-order matters: `evaluate` sums floats in insertion order, so another order
-could move the last bit of an energy.
+factor of the result once.  What they promise is the value; the order of a
+result's keys is not part of it, except for ``+``, which keeps the left
+operand's keys in their order and appends the right one's new keys.  One
+key order reaches a printed float: `evaluate` sums in key order, and the
+program evaluates only energy series, which the solvers book one parameter
+order at a time (see `SeriesSolution.physical_energy`).
 """
 
 from __future__ import annotations
@@ -337,9 +338,8 @@ def dot(u, v, max_ep: int | None = None) -> GradedPoly:
 def _accumulate(out: dict, items) -> None:
     """Add (key, nonzero number) pairs with distinct keys into ``out``.
 
-    A key whose sum cancels is removed at once, so a later term that brings
-    it back appends it, just as summing one polynomial at a time would; the
-    key order, and with it every float sum over the terms, stays the same.
+    A key whose sum cancels is removed, and a new key is appended after the
+    keys of ``out``: the order ``+`` promises.
     """
     get = out.get
     for key, coef in items:
@@ -355,8 +355,8 @@ def _accumulate(out: dict, items) -> None:
 
 
 def _int_product(a: dict, b: dict, max_ep: int | None) -> dict:
-    """Product of two numerator dicts, truncated above ``max_ep``: keys in
-    first-touch order, cancelled sums dropped."""
+    """Product of two numerator dicts, truncated above ``max_ep``, cancelled
+    sums dropped."""
     out: dict[tuple[int, int, int, int], int] = {}
     get = out.get
     rows: dict[int, list] = {}  # b cut to what each parameter power of a allows
@@ -373,9 +373,8 @@ def _int_product(a: dict, b: dict, max_ep: int | None) -> dict:
 
 
 def _scale_terms(p: GradedPoly, factors: dict) -> GradedPoly:
-    """The terms of ``p`` at the keys of ``factors``, in that order, each
-    multiplied by its factor, given as an integer pair (top, bottom) with
-    ``bottom`` nonzero."""
+    """The terms of ``p`` at the keys of ``factors``, each multiplied by its
+    factor, given as an integer pair (top, bottom) with ``bottom`` nonzero."""
     den = lcm(*(bottom for _, bottom in factors.values()))
     num = p.num
     return GradedPoly._reduced(

@@ -84,6 +84,12 @@ def _rule(cast, ok, need: str):
 # nine-character input such as 1e3000000 stalls even an order-1 run.
 RATIO_BITS = 64
 
+# The highest truncation order a command builds.  The exact work grows
+# steeply with the order: a `hierarchy` build at b = 1/2 took 0.93 s at
+# order 24, 3.7 s at 32 and 81 s at 48, so an order of 10**20 would run
+# until killed.  No table or test goes above 24.
+MAX_ORDER = 32
+
 
 def _rational(text) -> Fraction:
     """`parse_rational`, refusing a decimal exponent before 10**e is formed.
@@ -110,6 +116,14 @@ positive_float = _rule(float, lambda v: math.isfinite(v) and v > 0, "finite and 
 natural_int = _rule(int, lambda v: v >= 0, "an integer >= 0")
 positive_int = _rule(int, lambda v: v >= 1, "an integer >= 1")
 grid_points = _rule(int, lambda v: v >= 3, "an integer >= 3")
+
+
+def truncation_order(text) -> int:
+    """`positive_int`, refusing an order above `MAX_ORDER`."""
+    order = positive_int(text)
+    if order > MAX_ORDER:
+        raise InputError(f"must be at most {MAX_ORDER}, got {text!r}")
+    return order
 
 
 def one_of(choices: tuple[str, ...]):
@@ -242,12 +256,17 @@ def _energy_slots(energies: GradedPoly) -> list[tuple[int, int, Fraction]]:
     return sorted((gp, ep, c) for (ep, gp, _, _), c in energies.terms.items())
 
 
-def _poly_from_doc(rows, monomial: bool = True) -> GradedPoly:
-    """Rows {ep, gp, i, j, c}; energy rows carry no monomial (i, j)."""
+def _poly_from_doc(rows, field: str) -> GradedPoly:
+    """Rows {ep, gp, i, j, c} of a document's ``field``; "energies" rows
+    carry no monomial (i, j).  Two rows with one key contradict each other,
+    so they are refused."""
+    monomial = field != "energies"
     terms = {}
     for row in _LIST(rows):
         ij = [_get(row, k, _INT, natural_int) for k in "ij"] if monomial else [0, 0]
         key = (_get(row, "ep", _INT, natural_int), _get(row, "gp", _INT), *ij)
+        if key in terms:
+            raise InputError(f"{field}: two rows have the key (ep, gp, i, j) = {key}")
         terms[key] = _get(row, "c", _STRING, _rational)
     return GradedPoly(terms)
 
@@ -259,9 +278,9 @@ def solution_from_doc(doc) -> SeriesSolution:
         flavor=_get(doc, "flavor", _STRING, one_of(tuple(_EXP_FLAVORS.values()))),
         b=_get(doc, "b", _STRING, positive_rational),
         order=_get(doc, "order", _INT, positive_int),
-        terms=tuple(_poly_from_doc(rows) for rows in _get(doc, "levels", _LIST)),
-        energies=_poly_from_doc(_get(doc, "energies", _LIST), monomial=False),
-        base=tuple(_poly_from_doc(rows) for rows in _get(doc, "base", _LIST)),
+        terms=tuple(_poly_from_doc(rows, "levels") for rows in _get(doc, "levels", _LIST)),
+        energies=_poly_from_doc(_get(doc, "energies", _LIST), "energies"),
+        base=tuple(_poly_from_doc(rows, "base") for rows in _get(doc, "base", _LIST)),
     )
     depth = _get(doc, "depth", _INT)
     if depth != sol.depth:
@@ -331,7 +350,7 @@ def _emit(text: str, out: str | None) -> None:
 _CONFIG_KEYS = {
     "method": ("hierarchy", _STRING, one_of(METHODS)),
     "b": (Fraction(1), _typed((str, int, float), "a string or a number"), positive_rational),
-    "order": (2, _INT, positive_int),
+    "order": (2, _INT, truncation_order),
     "g": (10.0, _NUMBER, positive_float),
     "mu": (0.05, _NUMBER, finite_float),
     "grid_n": (None, _INT, grid_points),
@@ -639,7 +658,7 @@ def _add_choice(p: argparse.ArgumentParser, flag: str, choices, help: str) -> No
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     p.add_argument("--config", help="JSON file with defaults for these flags")
     p.add_argument("--b", type=positive_rational, help="frequency ratio, 'p/q'")
-    p.add_argument("--order", type=positive_int, help="perturbation order")
+    p.add_argument("--order", type=truncation_order, help="perturbation order")
     _add_choice(p, "--format", formats, "output format")
     p.add_argument("--out", help="write output to this file")
     p.set_defaults(formats=formats)

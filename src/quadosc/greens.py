@@ -47,11 +47,10 @@ def apply_flow_inverse(p: GradedPoly, b: Fraction) -> GradedPoly:
 def diffusion_step(p: GradedPoly, b: Fraction) -> GradedPoly:
     """Half laplacian after inverse scaling; drops total degree by two.
 
-    Built in one pass, equal to ``laplacian(apply_flow_inverse(p, b)) / 2``
-    term for term and in key order.  For b = top/q the term c x^i y^j g^gp
-    goes to c q (i (i-1) x^(i-2) y^j + j (j-1) x^i y^(j-2)) g^(gp-1) over
-    2 (i q + j top): the x terms are written first, in the order of ``p``,
-    then the y terms are added to them.
+    Built in one pass, equal to ``laplacian(apply_flow_inverse(p, b)) / 2``.
+    For b = top/q the term c x^i y^j g^gp goes to
+    c q (i (i-1) x^(i-2) y^j + j (j-1) x^i y^(j-2)) g^(gp-1) over
+    2 (i q + j top).
     """
     _check_even(p)
     b = Fraction(b)

@@ -62,7 +62,14 @@ class SeriesSolution:
         return len(self.terms) - (2 if self.kind == "exp" else 1)
 
     def physical_energy(self, g: float, mu: float) -> float:
-        """Energy series at overall coupling g and quartic coupling mu."""
+        """Energy series at overall coupling g and quartic coupling mu.
+
+        The float sum runs over the keys of ``energies`` in the order the
+        solver booked them, one key per parameter order: ep = 0, 1, ...,
+        ``order``, except that `rs` books ep = 1, ..., ``order`` and then its
+        zero-point slot (ep 0, g^1) last.  No kernel's own key order reaches
+        this sum.
+        """
         return self.energies.evaluate(g, mu * g ** _G_SHIFT[self.flavor])
 
 

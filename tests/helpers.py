@@ -540,6 +540,11 @@ def swapped(modules, **swaps):
             setattr(mod, name, original)
 
 
+def unreachable(*args, **kwargs):
+    """Stands in for a solver that a refused input must not reach."""
+    raise AssertionError("a rejected input reached the solver")
+
+
 def trajectory_route():
     """Run the solvers through the trajectory route while the block lasts."""
     return swapped(
@@ -551,7 +556,8 @@ def trajectory_route():
 
 # ------------------------------------------------ the loops the solvers replaced
 # Each builds the same exact value as the program's faster form, the way the
-# equations are written; the tests check values and term order against them.
+# equations are written; the tests check values, and the energies' key order,
+# against them.
 
 
 def pairwise_transport_source(spec, grads, n: int, max_ep: int) -> GradedPoly:

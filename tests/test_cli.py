@@ -37,7 +37,7 @@ from quadosc.cli import (
     solution_from_doc,
 )
 
-from helpers import solution_to_doc
+from helpers import solution_to_doc, unreachable
 
 
 def run_json(capsys, argv):
@@ -74,10 +74,16 @@ def test_unknown_method_is_usage_error(capsys):
         "compare --b 1 --order 1",
         "compare --b 1 --order 2 --window 3,5",
         "report --methods hierarchy,green,rs --b 1 --order 1",
+        # an order past MAX_ORDER would build for hours
+        "run --order 100000000000000000000",
+        "run --order 33",
+        "compare --order 1000000000",
+        "verify --order 40",
     ],
 )
-def test_parser_rejection_is_one_error_line(capsys, argv):
+def test_parser_rejection_is_one_error_line(capsys, monkeypatch, argv):
     # argparse's own error() prints the usage before the message
+    monkeypatch.setattr("quadosc.cli.build_solution", unreachable)
     assert main(argv.split()) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -198,10 +204,13 @@ def test_non_object_config_is_usage_error(tmp_path, capsys):
         {"method": "bogus"},
         {"format": "csv"},
         {"out": 3},
+        {"order": 33},
+        {"order": 100000000000},
     ],
     ids=str,
 )
-def test_bad_config_value_is_usage_error(tmp_path, capsys, doc):
+def test_bad_config_value_is_usage_error(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.setattr("quadosc.cli.build_solution", unreachable)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg)]) == EXIT_USAGE
@@ -397,11 +406,25 @@ def test_text_and_csv_output_match_pinned_digests(capsys, name, count):
     assert changed == []
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_energies_are_booked_in_solver_order(method):
+    """The one float contract.  `physical_energy` sums the energy series in
+    key order, and every method books one key per parameter order as its
+    solver reaches it: ep = 0, 1, ..., order, except that `rs` books
+    1, ..., order and then its zero-point slot."""
+    for b in ("1/2", "1", "5/3", "3", "2/7"):
+        for order in range(1, 9):
+            keys = list(build_solution(method, Fraction(b), order).energies.num)
+            eps = [*range(1, order + 1), 0] if method == "rs" else [*range(order + 1)]
+            assert [k[0] for k in keys] == eps, (b, order)
+            assert (0, 1, 0, 0) in keys and all(k[2:] == (0, 0) for k in keys)
+
+
 def test_energy_floats_match_pinned_hex():
     """``verify`` prints the series energy with repr, and the energy sum runs
-    in term order, so the kernels must keep that order bit for bit.  Keys are
-    "method b order g mu"; written before the exact kernels were reworked
-    and never regenerated."""
+    in the key order `test_energies_are_booked_in_solver_order` fixes, so
+    these floats hold bit for bit.  Keys are "method b order g mu"; written
+    before the exact kernels were reworked and never regenerated."""
     pinned = json.loads((Path(__file__).parent / "data" / "energy_float_hex.json").read_text())
     assert len(pinned) == 84
     changed = []
@@ -639,6 +662,24 @@ def test_golden_with_wrong_depth_is_usage_error(tmp_path, capsys):
     argv = ["compare", "--methods", "hierarchy", "--golden", str(golden)]
     assert main(argv) == EXIT_USAGE
     assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field", ["levels", "base", "energies"])
+def test_golden_with_a_repeated_key_is_usage_error(tmp_path, capsys, field):
+    # the last row of a key used to win, so a file contradicting itself could agree
+    golden = tmp_path / "golden.json"
+    assert main(["run", "--method", "rs", "--b", "1", "--order", "1", "--out", str(golden)]) == EXIT_OK
+    doc = json.loads(golden.read_text())
+    rows = doc[field] if field == "energies" else doc[field][0]
+    rows.insert(0, {**rows[0], "c": "5"})
+    golden.write_text(json.dumps(doc))
+    argv = ["compare", "--golden", str(golden), "--b", "1", "--order", "1", "--methods", "green"]
+    assert main([*argv, "--window", "1,3", "--format", "text"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err)
+    key = (rows[0]["ep"], rows[0]["gp"], rows[0].get("i", 0), rows[0].get("j", 0))
+    assert f"{field}: two rows have the key (ep, gp, i, j) = {key}" in captured.err
 
 
 def test_golden_for_another_ratio_is_usage_error(tmp_path, capsys):

@@ -131,7 +131,6 @@ def test_diffusion_step_is_half_laplacian_of_inverse(p, top, q):
     step = diffusion_step(p, b)
     reference = laplacian(apply_flow_inverse(p, b)) * Fraction(1, 2)
     assert step == reference
-    assert list(step.terms.items()) == list(reference.terms.items())
 
 
 def test_diffusion_step_rejects_odd_and_flat_terms():
@@ -263,8 +262,23 @@ def test_coefficient_accessor(b):
     assert slot(folded, 1, 1, ep=1) == GradedPoly.zero()
 
 
+def _check_rebooking(b: Fraction, order: int) -> None:
+    spec = standard_spec(b, "eps")
+    green, poly = solve_green(spec, order), solve_polynomial(spec, order)
+    assert green == poly
+    # the energy sum runs in key order, so the two also print one float
+    assert list(green.energies.num) == list(poly.energies.num)
+
+
 def test_series_rebooking_matches_prefactor_recursion(b):
-    assert green_run(b) == solve_polynomial(standard_spec(b, "eps"), order=2)
+    for order in range(1, 9):
+        _check_rebooking(b, order)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 8))
+def test_series_rebooking_matches_prefactor_recursion_random_ratio(p, q, order):
+    _check_rebooking(Fraction(p, q), order)
 
 
 def test_run_guards():

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import unreachable
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -130,10 +132,12 @@ def test_bench_snapshot_records_checkout_state(tmp_path):
         ("agreement_sweep", ["--ratios", "1/2,x"]),
         ("agreement_sweep", ["--order", "0"]),
         ("agreement_sweep", ["--order", "1"]),
+        ("agreement_sweep", ["--order", "100000000000000000000"]),
         ("agreement_sweep", ["--methods", "hierarchy,bogus"]),
         ("agreement_sweep", ["--methods", ""]),
         ("grid_convergence", ["--b", "-1"]),
         ("grid_convergence", ["--order", "0"]),
+        ("grid_convergence", ["--order", "33"]),
         ("grid_convergence", ["--g", "nan"]),
         ("grid_convergence", ["--levels", "0"]),
         ("grid_convergence", ["--method", "bogus"]),
@@ -147,9 +151,12 @@ def test_bench_snapshot_records_checkout_state(tmp_path):
     ],
     ids=str,
 )
-def test_bad_input_exits_2(capsys, name, argv):
+def test_bad_input_exits_2(capsys, monkeypatch, name, argv):
+    script = load_script(name)
+    # a refused input must not reach a solver: an order of 10**20 would hang it
+    monkeypatch.setattr(script, "build_solution", unreachable)
     with pytest.raises(SystemExit) as exc:
-        load_script(name).main(argv)
+        script.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
