@@ -16,6 +16,8 @@ import time
 from quadosc import DEFAULT_WINDOW, compare_methods
 from quadosc.cli import (
     METHODS,
+    InputError,
+    _window_within,
     build_solution,
     comma_list,
     parse_methods,
@@ -47,9 +49,10 @@ def main(argv: list[str] | None = None) -> int:
     ratios, methods = args.ratios, args.methods
     if not methods:
         parser.error("--methods names no method")
-    if args.order < DEFAULT_WINDOW[0]:
-        # the runs have no terms at the window's top order: a false disagreement
-        parser.error(f"--order must be at least the window order {DEFAULT_WINDOW[0]}")
+    try:
+        _window_within(DEFAULT_WINDOW, args.order, "the runs")
+    except InputError as exc:
+        parser.error(str(exc))
 
     rows = []
     all_agree = True

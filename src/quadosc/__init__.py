@@ -25,7 +25,6 @@ from .greens import (
 from .hierarchy import (
     SeriesSolution,
     default_depth,
-    pde_residual,
     solve_levels,
 )
 from .oracle import (
@@ -72,7 +71,6 @@ __all__ = [
     "fd_ground_state",
     "normal_form_diff",
     "oscillator_matrix_element",
-    "pde_residual",
     "resolvent_sum",
     "rs_corrections",
     "rs_series",

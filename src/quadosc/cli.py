@@ -25,7 +25,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import GradedPoly
+from .algebra import _G_SHIFT, GradedPoly
 from .errors import ConvergenceFailure
 from .greens import solve_green
 from .hierarchy import SeriesSolution, fold_levels
@@ -33,6 +33,7 @@ from .oracle import (
     GridSpec,
     compare_methods,
     extrapolated_ground_energy,
+    refined_points,
     rs_series,
 )
 from .perturbation import DEFAULT_WINDOW, solve_exponential, solve_polynomial
@@ -57,13 +58,6 @@ SUMMARY_FORMATS = ("json", "text")  # compare, verify and report write no csv
 
 class InputError(ValueError, argparse.ArgumentTypeError):
     """A rejected input; argparse reports its message as it stands."""
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
 
 
 def _rule(cast, ok, need: str):
@@ -91,8 +85,9 @@ RATIO_BITS = 64
 MAX_ORDER = 32
 
 
-def _rational(text) -> Fraction:
-    """`parse_rational`, refusing a decimal exponent before 10**e is formed.
+def parse_rational(text) -> Fraction:
+    """'p/q', an integer or a decimal, refusing a decimal exponent before
+    10**e is formed.
 
     A decimal of L characters with exponent e has a reduced numerator or
     denominator of at least 10**(|e| - L), so |e| > RATIO_BITS + L is
@@ -103,11 +98,14 @@ def _rational(text) -> Fraction:
     exp = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
     if exp and abs(int(exp.group(1))) > RATIO_BITS + len(text):
         raise InputError(f"decimal exponent too large: {text[:40]!r}")
-    return parse_rational(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a rational number: {text!r}") from exc
 
 
 positive_rational = _rule(
-    _rational,
+    parse_rational,
     lambda v: v > 0 and max(v.numerator.bit_length(), v.denominator.bit_length()) <= RATIO_BITS,
     f"positive and rational, numerator and denominator of at most {RATIO_BITS} bits",
 )
@@ -256,6 +254,11 @@ def _energy_slots(energies: GradedPoly) -> list[tuple[int, int, Fraction]]:
     return sorted((gp, ep, c) for (ep, gp, _, _), c in energies.terms.items())
 
 
+def _energy_lines(sol: SeriesSolution) -> list[str]:
+    """The energy series as text, one indented line per slot."""
+    return [f"  g^{gp} {sol.flavor}^{ep}: {c}" for gp, ep, c in _energy_slots(sol.energies)]
+
+
 def _poly_from_doc(rows, field: str) -> GradedPoly:
     """Rows {ep, gp, i, j, c} of a document's ``field``; "energies" rows
     carry no monomial (i, j).  Two rows with one key contradict each other,
@@ -267,7 +270,7 @@ def _poly_from_doc(rows, field: str) -> GradedPoly:
         key = (_get(row, "ep", _INT, natural_int), _get(row, "gp", _INT), *ij)
         if key in terms:
             raise InputError(f"{field}: two rows have the key (ep, gp, i, j) = {key}")
-        terms[key] = _get(row, "c", _STRING, _rational)
+        terms[key] = _get(row, "c", _STRING, parse_rational)
     return GradedPoly(terms)
 
 
@@ -275,7 +278,7 @@ def solution_from_doc(doc) -> SeriesSolution:
     """Read back a `solution_to_json` document; a malformed field raises `InputError`."""
     sol = SeriesSolution(
         kind=_get(doc, "kind", _STRING, one_of(("exp", "poly"))),
-        flavor=_get(doc, "flavor", _STRING, one_of(tuple(_EXP_FLAVORS.values()))),
+        flavor=_get(doc, "flavor", _STRING, one_of(tuple(_G_SHIFT))),
         b=_get(doc, "b", _STRING, positive_rational),
         order=_get(doc, "order", _INT, positive_int),
         terms=tuple(_poly_from_doc(rows, "levels") for rows in _get(doc, "levels", _LIST)),
@@ -314,8 +317,7 @@ def solution_to_text(sol: SeriesSolution, method: str) -> str:
         f"  b {sol.b}  order {sol.order}  depth {sol.depth}"
     ]
     lines.append("energy series:")
-    for gp, ep, c in _energy_slots(sol.energies):
-        lines.append(f"  g^{gp} {sol.flavor}^{ep}: {c}")
+    lines.extend(_energy_lines(sol))
     for n, level in enumerate(sol.terms):
         lines.append(f"level {n}:")
         lines.append(f"  {level.show(sol.flavor)}")
@@ -407,6 +409,13 @@ def _window_within(window: tuple[int, int], order: int, run: str) -> None:
         raise InputError(f"window order {window[0]} is above the order {order} of {run}")
 
 
+def _summarize(cfg: argparse.Namespace, doc: dict, lines: list[str], ok: bool) -> int:
+    """Write a summary command's result, ``doc`` as JSON or ``lines`` as
+    text, and return its exit code: 0 when ``ok``, else 1."""
+    _emit(doc_to_json(doc) if cfg.format == "json" else "\n".join(lines) + "\n", cfg.out)
+    return EXIT_OK if ok else EXIT_DISAGREE
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     window = args.window
@@ -435,22 +444,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "agree": not diffs,
         "diffs": diffs,
     }
-    if cfg.format == "json":
-        _emit(doc_to_json(doc), cfg.out)
-    else:
-        lines = [
-            f"compare b={cfg.b} order={cfg.order}"
-            f" window=({window[0]},{window[1]}) reference={labels[0]}"
-        ]
-        for name in labels[1:]:
-            if name in diffs:
-                lines.append(f"{name}: DIFFERS")
-                lines.extend(f"  {d}" for d in diffs[name])
-            else:
-                lines.append(f"{name}: agrees")
-        lines.append("DISAGREE" if diffs else "AGREE")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return EXIT_DISAGREE if diffs else EXIT_OK
+    lines = [
+        f"compare b={cfg.b} order={cfg.order}"
+        f" window=({window[0]},{window[1]}) reference={labels[0]}"
+    ]
+    for name in labels[1:]:
+        if name in diffs:
+            lines.append(f"{name}: DIFFERS")
+            lines.extend(f"  {d}" for d in diffs[name])
+        else:
+            lines.append(f"{name}: agrees")
+    lines.append("DISAGREE" if diffs else "AGREE")
+    return _summarize(cfg, doc, lines, not diffs)
 
 
 def loglog_slope(xs: list[float], ys: list[float]) -> float:
@@ -486,16 +491,15 @@ def grid_spec(n: int | None, g: float, b, levels: int) -> GridSpec:
 
     A base spacing wider than the narrowest harmonic gaussian cannot
     resolve the state, and its energy would read as a disagreement.  Each
-    of the ``levels`` halvings of the spacing turns n points into 2n + 1,
-    so the finest grid has 2**levels * (n + 1) - 1 points per axis, which
-    may not exceed `MAX_GRID_POINTS`; too many levels fail before
-    2**levels is formed.
+    of the ``levels`` halvings of the spacing adds points
+    (`refined_points`), and the finest grid may not exceed
+    `MAX_GRID_POINTS` per axis; too many levels fail before 2**levels is
+    formed.
     """
     grid = GridSpec() if n is None else GridSpec(n, n)
-    n = grid.n_x
     b = float(b)
-    _, _, lx, ly = grid.resolved(g, b)
-    spacing = 2 * max(lx, ly) / (n + 1)
+    n, _, half_width, _ = grid.resolved(g, b)
+    spacing = 2 * half_width / (n + 1)
     width = 1 / math.sqrt(g * max(1.0, b))
     # Equal spacing and width are admitted; the factor absorbs rounding.
     if spacing > width * (1 + 1e-9):
@@ -503,7 +507,7 @@ def grid_spec(n: int | None, g: float, b, levels: int) -> GridSpec:
             f"grid_n {n} is too coarse: spacing {spacing:.3g}"
             f" exceeds the gaussian width {width:.3g}"
         )
-    if levels > MAX_GRID_POINTS.bit_length() or ((n + 1) << levels) - 1 > MAX_GRID_POINTS:
+    if levels > MAX_GRID_POINTS.bit_length() or refined_points(n, levels) > MAX_GRID_POINTS:
         raise ValueError(
             f"grid_n {n} with {levels} refinement levels: the finest grid"
             f" exceeds {MAX_GRID_POINTS} points per axis"
@@ -512,7 +516,8 @@ def grid_spec(n: int | None, g: float, b, levels: int) -> GridSpec:
 
 
 def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dict:
-    """Series energy against the extrapolated grid energy at (g, mu)."""
+    """The numeric block: the series energy against the extrapolated grid
+    energy at (g, mu), and whether they agree to the relative tolerance."""
     series = _series_energy(sol, cfg.g, cfg.mu)
     reference = extrapolated_ground_energy(
         cfg.g, float(cfg.b), cfg.mu, grid=grid, levels=args.levels
@@ -520,6 +525,9 @@ def _grid_check(sol: SeriesSolution, cfg: argparse.Namespace, grid, args) -> dic
     gap = abs(series - reference)
     rel_gap = gap / abs(reference)
     return {
+        "g": cfg.g,
+        "mu": cfg.mu,
+        "tol": args.tol,
         "series_energy": series,
         "grid_energy": reference,
         "abs_gap": gap,
@@ -532,24 +540,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     mus = args.mu_sweep
     grid = grid_spec(cfg.grid_n, cfg.g, cfg.b, max(args.levels, 2) if mus else args.levels)
-    method = cfg.method
-    sol = build_solution(method, cfg.b, cfg.order)
-    b = float(cfg.b)
-    doc: dict = {
-        "method": method,
-        "b": str(cfg.b),
-        "g": cfg.g,
-        "mu": cfg.mu,
-        "tol": args.tol,
-    }
-    doc.update(_grid_check(sol, cfg, grid, args))
+    sol = build_solution(cfg.method, cfg.b, cfg.order)
+    doc = {"method": cfg.method, "b": str(cfg.b), **_grid_check(sol, cfg, grid, args)}
+    lines = [
+        f"verify method={cfg.method} b={cfg.b} g={cfg.g} mu={cfg.mu}",
+        f"series energy = {doc['series_energy']!r}",
+        f"grid energy   = {doc['grid_energy']!r}",
+        f"abs gap = {doc['abs_gap']:.3e}  rel gap = {doc['rel_gap']:.3e}"
+        f"  tol = {doc['tol']:.1e}",
+    ]
     ok = doc["pass"]
-
     if mus:
         residuals = []
         for mu in mus:
             ref = extrapolated_ground_energy(
-                cfg.g, b, mu, grid=grid, levels=max(args.levels, 2)
+                cfg.g, float(cfg.b), mu, grid=grid, levels=max(args.levels, 2)
             )
             residuals.append(abs(_series_energy(sol, cfg.g, mu) - ref))
         order_fit = loglog_slope(mus, residuals)
@@ -561,31 +566,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "min_order": args.min_order,
             "pass": sweep_ok,
         }
+        pairs = "  ".join(f"mu={m:g}:{r:.3e}" for m, r in zip(mus, residuals))
+        lines.append(f"sweep residuals: {pairs}")
+        lines.append(f"fitted truncation order = {order_fit:.3f} (need >= {args.min_order:g})")
         ok = ok and sweep_ok
-
-    if cfg.format == "json":
-        _emit(doc_to_json(doc), cfg.out)
-    else:
-        lines = [
-            f"verify method={method} b={cfg.b} g={cfg.g} mu={cfg.mu}",
-            f"series energy = {doc['series_energy']!r}",
-            f"grid energy   = {doc['grid_energy']!r}",
-            f"abs gap = {doc['abs_gap']:.3e}  rel gap = {doc['rel_gap']:.3e}"
-            f"  tol = {args.tol:.1e}",
-        ]
-        if "sweep" in doc:
-            sw = doc["sweep"]
-            pairs = "  ".join(
-                f"mu={m:g}:{r:.3e}" for m, r in zip(sw["mu"], sw["residuals"])
-            )
-            lines.append(f"sweep residuals: {pairs}")
-            lines.append(
-                f"fitted truncation order = {sw['fitted_order']:.3f}"
-                f" (need >= {sw['min_order']:g})"
-            )
-        lines.append("PASS" if ok else "FAIL")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return EXIT_OK if ok else EXIT_DISAGREE
+    lines.append("PASS" if ok else "FAIL")
+    return _summarize(cfg, doc, lines, ok)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -609,35 +595,25 @@ def cmd_report(args: argparse.Namespace) -> int:
             {"gp": gp, "ep": ep, "c": str(c)} for gp, ep, c in _energy_slots(ref.energies)
         ],
     }
+    lines = [
+        f"report b={cfg.b} order={cfg.order} reference={names[0]}",
+        "agreement: " + ("NO" if diffs else "yes"),
+    ]
+    for name, d in sorted(diffs.items()):
+        lines.append(f"{name}: DIFFERS")
+        lines.extend(f"  {s}" for s in d)
+    lines.append("energy series (reference):")
+    lines.extend(_energy_lines(ref))
     ok = not diffs
     if args.numeric:
-        doc["numeric"] = {
-            "g": cfg.g,
-            "mu": cfg.mu,
-            "tol": args.tol,
-            **_grid_check(ref, cfg, grid, args),
-        }
-        ok = ok and doc["numeric"]["pass"]
-    if cfg.format == "json":
-        _emit(doc_to_json(doc), cfg.out)
-    else:
-        lines = [f"report b={cfg.b} order={cfg.order} reference={names[0]}"]
-        lines.append("agreement: " + ("NO" if diffs else "yes"))
-        for name, d in sorted(diffs.items()):
-            lines.append(f"{name}: DIFFERS")
-            lines.extend(f"  {s}" for s in d)
-        lines.append("energy series (reference):")
-        for gp, ep, c in _energy_slots(ref.energies):
-            lines.append(f"  g^{gp} {ref.flavor}^{ep}: {c}")
-        if "numeric" in doc:
-            num = doc["numeric"]
-            lines.append(
-                f"numeric: series={num['series_energy']!r}"
-                f" grid={num['grid_energy']!r} rel_gap={num['rel_gap']:.3e}"
-            )
-        lines.append("PASS" if ok else "FAIL")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return EXIT_OK if ok else EXIT_DISAGREE
+        num = doc["numeric"] = _grid_check(ref, cfg, grid, args)
+        lines.append(
+            f"numeric: series={num['series_energy']!r}"
+            f" grid={num['grid_energy']!r} rel_gap={num['rel_gap']:.3e}"
+        )
+        ok = ok and num["pass"]
+    lines.append("PASS" if ok else "FAIL")
+    return _summarize(cfg, doc, lines, ok)
 
 
 # ------------------------------------------------------------------- parser

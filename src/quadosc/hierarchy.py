@@ -208,23 +208,6 @@ def classical_run(spec: PotentialSpec, order: int) -> tuple[_Flow, GradedPoly]:
     return _Flow(spec, order, tuple(slices)), s0
 
 
-def pde_residual(sol: SeriesSolution, spec: PotentialSpec, n: int) -> GradedPoly:
-    """Polynomial residual of the level-n transport equation.
-
-    Rebuilt directly from the stored levels, independent of the quadrature
-    that produced them; zero (within the truncation order) certifies the
-    level.  Only valid for "exp" solutions.
-    """
-    if sol.kind != "exp":
-        raise ValueError("pde_residual applies to exponent solutions")
-    if not 0 <= n < len(sol.terms) - 1:
-        raise ValueError("level outside the solved range")
-    grads = [gradient(level) for level in sol.terms[: n + 2]]
-    rhs = _transport_source(spec, grads, n, sol.order)
-    lhs = dot(grads[0], grads[n + 1])
-    return (lhs - rhs + slice_level(sol.energies, 1 - n)).truncate_ep(sol.order)
-
-
 def default_depth(flavor: str, order: int) -> int:
     """Smallest depth whose energy ladder covers the requested order.
 

@@ -232,26 +232,29 @@ rs_series = rs_corrections
 class GridSpec:
     """Dirichlet box for the finite-difference solve.
 
-    Half-widths default to six standard deviations of the widest harmonic
+    Both half-widths are six standard deviations of the widest harmonic
     ground-state gaussian, so the boundary error is negligible next to the
     stencil error.
     """
 
     n_x: int = 161
     n_y: int = 161
-    l_x: float | None = None
-    l_y: float | None = None
 
     def resolved(self, g: float, b: float) -> tuple[int, int, float, float]:
-        fallback = 6.0 / math.sqrt(g * min(1.0, b))
-        lx = fallback if self.l_x is None else float(self.l_x)
-        ly = fallback if self.l_y is None else float(self.l_y)
-        return self.n_x, self.n_y, lx, ly
+        half_width = 6.0 / math.sqrt(g * min(1.0, b))
+        return self.n_x, self.n_y, half_width, half_width
+
+
+def refined_points(n: int, levels: int) -> int:
+    """Points per axis after ``levels`` halvings of an n-point axis's
+    spacing in a fixed box: each turns n points into 2n + 1."""
+    return ((n + 1) << levels) - 1
 
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Converged grid eigenpair on the resolved (n_x, n_y, l_x, l_y) grid."""
+    """Converged grid eigenpair on the grid `GridSpec.resolved` gives:
+    (n_x, n_y) points in the box of half-widths (l_x, l_y)."""
 
     energy: float
     grid: tuple[int, int, float, float]
@@ -453,13 +456,14 @@ def _unfold(n: int):
     return np.abs(2 * np.arange(n) - (n - 1)) // 2
 
 
+# The inverse iteration's residual bound on a 161-point grid (loosened with
+# the grid, see `fd_ground_state`) and its most steps.
+FD_TOL = 1e-10
+FD_MAX_ITER = 200
+
+
 def fd_ground_state(
-    g: float,
-    b: float,
-    mu: float,
-    grid: GridSpec | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    g: float, b: float, mu: float, grid: GridSpec | None = None
 ) -> SpectralEstimate:
     """Smallest eigenpair of the boxed Hamiltonian by inverse iteration.
 
@@ -483,8 +487,9 @@ def fd_ground_state(
     red points' Schur complement, itself positive definite and of the same
     half-width m_y on half the unknowns.  The
     energy is the Rayleigh quotient and the residual ||H v - E v|| of the
-    unshifted H.  The residual bound is loosened with grid size so it stays
-    above the roundoff floor of the stencil.  ``psi`` is unfolded back onto the full (n_x, n_y) grid.
+    unshifted H.  The residual bound `FD_TOL` is loosened with grid size so
+    it stays above the roundoff floor of the stencil.  ``psi`` is unfolded
+    back onto the full (n_x, n_y) grid.
     The residual bounds the state's error only through the even gap, the
     distance from E_0 to the next even level: the unit grid vector is good
     to about residual / (even gap) in the 2-norm, and ``psi`` is that vector
@@ -528,10 +533,10 @@ def fd_ground_state(
     vec /= np.linalg.norm(vec)
     sigma = _shift(diag, ybond, xbond, vec, levels)
     solver = splu((diag - sigma, ybond, xbond))
-    tol_eff = tol * max(1.0, (max(nx, ny) / 161.0) ** 2)
+    tol_eff = FD_TOL * max(1.0, (max(nx, ny) / 161.0) ** 2)
     energy = float("nan")
     residual = float("inf")
-    for _ in range(max_iter):
+    for _ in range(FD_MAX_ITER):
         vec = solver.solve(vec)
         vec /= np.linalg.norm(vec)
         hv = _band_matvec(diag, ybond, xbond, vec)
@@ -547,7 +552,7 @@ def fd_ground_state(
             )
     else:
         raise ConvergenceFailure(
-            f"residual {residual:.3e} above {tol_eff:.3e} after {max_iter} iterations"
+            f"residual {residual:.3e} above {tol_eff:.3e} after {FD_MAX_ITER} iterations"
         )
     quarter = vec.reshape(len(x), len(y)) / root_weight
     psi = quarter[np.ix_(_unfold(nx), _unfold(ny))] / math.sqrt(hx * hy)
@@ -567,24 +572,21 @@ def extrapolated_ground_energy(
     mu: float,
     grid: GridSpec | None = None,
     levels: int = 2,
-    tol: float = 1e-10,
 ) -> float:
     """Richardson-extrapolate the grid energy over nested spacings.
 
-    The box is held fixed and the spacing halved exactly (n -> 2n+1
-    interior points); each level removes the next even power of h from the
-    stencil error.
+    The box, set by g and b alone, is held fixed and the spacing halved
+    exactly (`refined_points`); each level removes the next even power of h
+    from the stencil error.
     """
     if levels < 1:
         raise ValueError("need at least one refinement level")
     if grid is None:
         grid = GridSpec()
-    nx, ny, lx, ly = grid.resolved(float(g), float(b))
     energies = []
     for lv in range(levels + 1):
-        f = 2**lv
-        step = GridSpec(n_x=f * (nx + 1) - 1, n_y=f * (ny + 1) - 1, l_x=lx, l_y=ly)
-        energies.append(fd_ground_state(g, b, mu, step, tol).energy)
+        step = GridSpec(refined_points(grid.n_x, lv), refined_points(grid.n_y, lv))
+        energies.append(fd_ground_state(g, b, mu, step).energy)
     weight = 4
     while len(energies) > 1:
         energies = [

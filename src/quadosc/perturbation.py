@@ -139,14 +139,12 @@ class NormalForm:
     """Window-truncated canonical prefactor plus energy slots.
 
     ``chi`` is the full state divided by the bare harmonic gaussian,
-    expanded to parameter order ``ep_max`` and g depth ``g_depth`` in the
-    eps grading.  Two methods agree on the window exactly when their normal
+    expanded through the window's parameter order and g depth in the eps
+    grading.  Two methods agree on the window exactly when their normal
     forms compare equal.
     """
 
     b: Fraction
-    ep_max: int
-    g_depth: int
     chi: GradedPoly
     energies: GradedPoly
 
@@ -179,13 +177,7 @@ def canonical_window(
     chi = _truncate_g_depth(chi, g_depth).truncate_ep(ep_max)
 
     energies = sol.energies.regrade(sol.flavor, target).truncate_ep(ep_max)
-    return NormalForm(
-        b=sol.b,
-        ep_max=ep_max,
-        g_depth=g_depth,
-        chi=chi,
-        energies=_truncate_g_depth(energies, g_depth),
-    )
+    return NormalForm(b=sol.b, chi=chi, energies=_truncate_g_depth(energies, g_depth))
 
 
 def normal_form_diff(left: NormalForm, right: NormalForm) -> list[str]:

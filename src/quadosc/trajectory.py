@@ -203,26 +203,3 @@ def _kinetic(traj: Trajectory) -> GradedPoly:
     vy = flow_derivative(traj.y, traj.b)
     return (vx.mul(vx, traj.order) + vy.mul(vy, traj.order)) * Fraction(1, 2)
 
-
-def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) -> GradedPoly:
-    """Kinetic minus potential energy along the flow.
-
-    Exactly zero through the solved order; the first truncated order shows
-    up when ``max_ep`` exceeds ``traj.order``.
-    """
-    if max_ep is not None:
-        traj = dataclasses.replace(traj, order=max_ep)
-    return _kinetic(traj) - restrict_to_trajectory(traj.spec.potential(), traj)
-
-
-def flow_equation_residual(traj: Trajectory, max_ep: int | None = None) -> tuple[GradedPoly, GradedPoly]:
-    """Second-derivative residuals of both flow equations, truncated."""
-    if max_ep is not None:
-        traj = dataclasses.replace(traj, order=max_ep)
-    fx = traj.spec.potential().diff("x")
-    fy = traj.spec.potential().diff("y")
-    ax = flow_derivative(flow_derivative(traj.x, traj.b), traj.b)
-    ay = flow_derivative(flow_derivative(traj.y, traj.b), traj.b)
-    res_x = ax - restrict_to_trajectory(fx, traj)
-    res_y = ay - restrict_to_trajectory(fy, traj)
-    return res_x.truncate_ep(traj.order), res_y.truncate_ep(traj.order)

@@ -5,6 +5,7 @@ so tests compare solver output against independently coded formulas rather
 than per-b literals.
 """
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from fractions import Fraction
@@ -20,14 +21,16 @@ from quadosc.algebra import (
     divergence,
     dot,
     evaluate_at_endpoint,
+    flow_derivative,
     gradient,
     integrate_to_T,
     restrict_to_trajectory,
 )
-from quadosc.hierarchy import fold_levels, insertion_level_for, slice_level
+from quadosc.hierarchy import _transport_source, fold_levels, insertion_level_for, slice_level
 from quadosc.perturbation import _exp_series, _power_series, _series_inverse, _truncate_g_depth
 from quadosc.trajectory import (
     Trajectory,
+    _kinetic,
     action_integral,
     invert_endpoint_constants,
     solve_classical_trajectory,
@@ -524,6 +527,47 @@ def trajectory_level(rhs: GradedPoly, traj: Trajectory) -> tuple[GradedPoly, Gra
     restricted = restrict_to_trajectory(rhs, traj)
     remainder = integrate_to_T(restricted.drop_constant(), traj.b)
     return restricted.constant_part(), evaluate_at_endpoint(remainder, traj)
+
+
+def energy_conservation_residual(traj: Trajectory, max_ep: int | None = None) -> GradedPoly:
+    """Kinetic minus potential energy along the flow.
+
+    Exactly zero through the solved order; the first truncated order shows
+    up when ``max_ep`` exceeds ``traj.order``.
+    """
+    if max_ep is not None:
+        traj = dataclasses.replace(traj, order=max_ep)
+    return _kinetic(traj) - restrict_to_trajectory(traj.spec.potential(), traj)
+
+
+def flow_equation_residual(traj: Trajectory, max_ep: int | None = None) -> tuple[GradedPoly, GradedPoly]:
+    """Second-derivative residuals of both flow equations, truncated."""
+    if max_ep is not None:
+        traj = dataclasses.replace(traj, order=max_ep)
+    fx = traj.spec.potential().diff("x")
+    fy = traj.spec.potential().diff("y")
+    ax = flow_derivative(flow_derivative(traj.x, traj.b), traj.b)
+    ay = flow_derivative(flow_derivative(traj.y, traj.b), traj.b)
+    res_x = ax - restrict_to_trajectory(fx, traj)
+    res_y = ay - restrict_to_trajectory(fy, traj)
+    return res_x.truncate_ep(traj.order), res_y.truncate_ep(traj.order)
+
+
+def pde_residual(sol: SeriesSolution, spec, n: int) -> GradedPoly:
+    """Polynomial residual of the level-n transport equation.
+
+    Rebuilt directly from the stored levels, independent of the quadrature
+    that produced them; zero (within the truncation order) certifies the
+    level.  Only valid for "exp" solutions.
+    """
+    if sol.kind != "exp":
+        raise ValueError("pde_residual applies to exponent solutions")
+    if not 0 <= n < len(sol.terms) - 1:
+        raise ValueError("level outside the solved range")
+    grads = [gradient(level) for level in sol.terms[: n + 2]]
+    rhs = _transport_source(spec, grads, n, sol.order)
+    lhs = dot(grads[0], grads[n + 1])
+    return (lhs - rhs + slice_level(sol.energies, 1 - n)).truncate_ep(sol.order)
 
 
 @contextmanager

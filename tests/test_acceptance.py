@@ -26,14 +26,11 @@ from quadosc import (
     standard_spec,
 )
 from quadosc.cli import loglog_slope, main as cli_main
-from quadosc.trajectory import (
-    energy_conservation_residual,
-    solve_classical_trajectory,
-    zero_point_energy,
-)
+from quadosc.trajectory import solve_classical_trajectory, zero_point_energy
 
 from helpers import (
     B_VALUES,
+    energy_conservation_residual,
     energy_poly,
     eps_energy_slots,
     eps_exponent_levels,

@@ -905,7 +905,7 @@ def test_grid_as_fine_as_the_gaussian_is_admitted(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(2))
     grids = []
 
-    def series_energy(g, b, mu, grid=None, levels=1, tol=1e-10):
+    def series_energy(g, b, mu, grid=None, levels=1):
         grids.append(grid)
         return sol.physical_energy(g, mu)
 
@@ -918,7 +918,7 @@ def test_grid_as_fine_as_the_gaussian_is_admitted(monkeypatch, capsys):
 def test_verify_sweep_fits_cubic_truncation(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
 
-    def exact_plus_cubic(g, b, mu, grid=None, levels=1, tol=1e-10):
+    def exact_plus_cubic(g, b, mu, grid=None, levels=1):
         return sol.physical_energy(g, mu) + 2e-3 * mu**3
 
     monkeypatch.setattr(
@@ -936,7 +936,7 @@ def test_verify_sweep_fits_cubic_truncation(monkeypatch, capsys):
 def test_verify_sweep_rejects_low_order(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
 
-    def exact_plus_linear(g, b, mu, grid=None, levels=1, tol=1e-10):
+    def exact_plus_linear(g, b, mu, grid=None, levels=1):
         return sol.physical_energy(g, mu) + 1e-6 * mu
 
     monkeypatch.setattr(
@@ -963,7 +963,7 @@ def test_verify_text_format(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
     monkeypatch.setattr(
         "quadosc.cli.extrapolated_ground_energy",
-        lambda g, b, mu, grid=None, levels=1, tol=1e-10: sol.physical_energy(g, mu),
+        lambda g, b, mu, grid=None, levels=1: sol.physical_energy(g, mu),
     )
     code = main(["verify", "--method", "hierarchy", "--format", "text"])
     out = capsys.readouterr().out
@@ -993,7 +993,7 @@ def test_report_with_numeric_block(monkeypatch, capsys):
     sol = build_solution("hierarchy", Fraction(1))
     monkeypatch.setattr(
         "quadosc.cli.extrapolated_ground_energy",
-        lambda g, b, mu, grid=None, levels=1, tol=1e-10: sol.physical_energy(g, mu),
+        lambda g, b, mu, grid=None, levels=1: sol.physical_energy(g, mu),
     )
     code, doc = run_json(
         capsys,

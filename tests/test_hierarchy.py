@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from quadosc import (
     GradedPoly,
     hierarchy,
-    pde_residual,
     perturbation,
     solve_exponential,
     standard_spec,
@@ -28,6 +27,7 @@ from helpers import (
     mu_energy_slots,
     mu_levels,
     pairwise_transport_source,
+    pde_residual,
     swapped,
     trajectory_route,
 )

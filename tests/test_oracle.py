@@ -200,7 +200,6 @@ def test_perturbative_shifts_random_ratio(ratio):
 def test_grid_resolution_defaults():
     assert GridSpec().resolved(4.0, 1.0) == (161, 161, 3.0, 3.0)
     assert GridSpec().resolved(1.0, 0.25) == (161, 161, 12.0, 12.0)
-    assert GridSpec(41, 31, l_x=2.0, l_y=5.0).resolved(9.0, 1.0) == (41, 31, 2.0, 5.0)
 
 
 def test_grid_recovers_harmonic_levels():
@@ -229,9 +228,11 @@ def test_grid_guards():
         fd_ground_state(1.0, 1.0, -0.1)
 
 
-def test_grid_convergence_failure():
+def test_grid_convergence_failure(monkeypatch):
+    monkeypatch.setattr(oracle, "FD_MAX_ITER", 1)
+    monkeypatch.setattr(oracle, "FD_TOL", 1e-14)
     with pytest.raises(ConvergenceFailure):
-        fd_ground_state(1.0, 1.0, 0.05, max_iter=1, tol=1e-14)
+        fd_ground_state(1.0, 1.0, 0.05)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.05])
@@ -624,7 +625,8 @@ def test_compare_numeric_block():
     cfg = argparse.Namespace(g=10.0, mu=0.05, b=Fraction(1))
     args = argparse.Namespace(levels=1, tol=1e-3)
     doc = _grid_check(sol, cfg, GridSpec(81, 81), args)
-    assert set(doc) == {"series_energy", "grid_energy", "abs_gap", "rel_gap", "pass"}
+    assert set(doc) == {"g", "mu", "tol", "series_energy", "grid_energy", "abs_gap", "rel_gap", "pass"}
+    assert (doc["g"], doc["mu"], doc["tol"]) == (10.0, 0.05, 1e-3)
     assert doc["series_energy"] == sol.physical_energy(10.0, 0.05)
     assert doc["grid_energy"] == extrapolated_ground_energy(10.0, 1.0, 0.05, GridSpec(81, 81), 1)
     assert doc["abs_gap"] == abs(doc["series_energy"] - doc["grid_energy"])

@@ -15,7 +15,6 @@ SRC = ROOT / "src" / "quadosc"
 # The paper's construction: the plane solve is checked against it, and the
 # benchmark tracer wraps these by name (a string, which the rule cannot see).
 _ROUTE = "the trajectory route: the tests' reference, wrapped by the benchmark tracer"
-_RESIDUAL = "certifies the classical flow of the trajectory route, the tests' reference"
 
 # Public names and module-level functions and classes of the package with no
 # reader in the program or the benchmark, each kept for what it pins or what
@@ -24,11 +23,22 @@ KEPT = {
     "solve_classical_trajectory": _ROUTE,
     "invert_endpoint_constants": _ROUTE,
     "action_integral": _ROUTE,
-    "energy_conservation_residual": _RESIDUAL,
-    "flow_equation_residual": _RESIDUAL,
     "oscillator_matrix_element": "the planned spectral oracle assembles its basis matrix from it",
-    "pde_residual": "the planned per-run certificate against the transport equations",
 }
+
+# Dataclass fields of the package that the program and the benchmark never
+# read, each kept for what it pins.
+KEPT_FIELDS = {
+    "SpectralEstimate.psi": "the quarter-box checks compare the grid state with the full box's",
+    "SpectralEstimate.residual": "the quarter-box checks hold each solve to its residual bound",
+}
+
+
+def _program_trees() -> list[ast.AST]:
+    """The package's modules but `__init__`, the scripts and the benchmark."""
+    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return [ast.parse(path.read_text(), str(path)) for path in paths]
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:
@@ -54,11 +64,9 @@ def _loaded_names(tree: ast.AST) -> set[str]:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    paths = [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
-    paths += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     loaded: set[str] = set()
-    for path in paths:
-        loaded |= _loaded_names(ast.parse(path.read_text(), str(path)))
+    for tree in _program_trees():
+        loaded |= _loaded_names(tree)
     names = set(quadosc.__all__)
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -67,6 +75,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     uncalled = {name for name in names if name not in loaded}
     # a kept name that gains a caller, or leaves the package, leaves KEPT
     assert uncalled == set(KEPT)
+
+
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    read = {
+        node.attr
+        for tree in _program_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                unread |= {
+                    f"{node.name}.{field.target.id}"
+                    for field in node.body
+                    if isinstance(field, ast.AnnAssign) and field.target.id not in read
+                }
+    # a kept field that gains a reader, or leaves its class, leaves KEPT_FIELDS
+    assert unread == set(KEPT_FIELDS)
 
 
 def test_readme_library_block_states_its_values():

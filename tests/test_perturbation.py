@@ -221,8 +221,6 @@ def test_canonical_window_agrees_across_methods(b):
 
 def test_canonical_window_bounds(b):
     form = canonical_window(mu_run(b))
-    assert form.ep_max == 2
-    assert form.g_depth == 5
     for (ep, gp, _, _) in form.chi.terms:
         assert 0 <= ep <= 2
         assert -5 <= gp <= 0

@@ -11,13 +11,18 @@ from quadosc.algebra import evaluate_at_endpoint
 from quadosc.errors import ResonantDenominator
 from quadosc.trajectory import (
     action_integral,
-    energy_conservation_residual,
-    flow_equation_residual,
     invert_endpoint_constants,
     solve_classical_trajectory,
 )
 
-from helpers import B_VALUES, F, classical_exponent, slot
+from helpers import (
+    B_VALUES,
+    F,
+    classical_exponent,
+    energy_conservation_residual,
+    flow_equation_residual,
+    slot,
+)
 
 ratios = st.fractions(
     min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=6
