@@ -31,12 +31,16 @@ reduced Fraction per key, built on first read and kept.
 The public constructor checks and converts Fraction-like coefficients.  The
 operations below work on the integers alone: they scale operands to a common
 denominator, add and multiply Python integers, and divide out the common
-factor of the result once.  What they promise is the value; the order of a
-result's keys is not part of it, except for ``+``, which keeps the left
-operand's keys in their order and appends the right one's new keys.  One
-key order reaches a printed float: `evaluate` sums in key order, and the
-program evaluates only energy series, which the solvers book one parameter
-order at a time (see `SeriesSolution.physical_energy`).
+factor of the result once.  The solvers build each right-hand side and each
+series sum with `sum_of_products`, which puts every term c*a*b of the sum
+over one common denominator, accumulates all the integer products into one
+dict and reduces once, so a right side costs one polynomial, not one per
+``+``, product and scaling.  What an operation promises is the value; the
+order of a result's keys is not part of it, except for ``+``, which keeps
+the left operand's keys in their order and appends the right one's new
+keys.  One key order reaches a printed float: `evaluate` sums in key order,
+and the program evaluates only energy series, which the solvers book one
+parameter order at a time with ``+`` (see `SeriesSolution.physical_energy`).
 """
 
 from __future__ import annotations
@@ -160,6 +164,8 @@ class GradedPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "GradedPoly":
+        if not self.num:
+            return self
         return GradedPoly._raw({k: -n for k, n in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "GradedPoly":
@@ -170,6 +176,8 @@ class GradedPoly:
 
     def mul(self, other: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
         """Product, optionally truncated above ``max_ep`` in the parameter."""
+        if not self.num or not other.num:
+            return GradedPoly.zero()
         return GradedPoly._reduced(
             _int_product(self.num, other.num, max_ep), self.den * other.den
         )
@@ -177,6 +185,8 @@ class GradedPoly:
     def __mul__(self, other) -> "GradedPoly":
         if isinstance(other, GradedPoly):
             return self.mul(other)
+        if not self.num:
+            return self
         coef = Fraction(other)
         if not coef:
             return GradedPoly.zero()
@@ -209,12 +219,14 @@ class GradedPoly:
     # ------------------------------------------------------------- calculus
 
     def diff(self, var: str) -> "GradedPoly":
+        if var not in ("x", "y"):
+            raise ValueError(f"unknown variable {var!r}")
+        if not self.num:
+            return self
         if var == "x":
             out = {(ep, gp, i - 1, j): n * i for (ep, gp, i, j), n in self.num.items() if i}
-        elif var == "y":
-            out = {(ep, gp, i, j - 1): n * j for (ep, gp, i, j), n in self.num.items() if j}
         else:
-            raise ValueError(f"unknown variable {var!r}")
+            out = {(ep, gp, i, j - 1): n * j for (ep, gp, i, j), n in self.num.items() if j}
         return GradedPoly._reduced(out, self.den)
 
     # ----------------------------------------------------------- structure
@@ -325,14 +337,40 @@ def gradient(p: GradedPoly) -> tuple[GradedPoly, GradedPoly]:
     return p.diff("x"), p.diff("y")
 
 
-def divergence(grad: tuple[GradedPoly, GradedPoly]) -> GradedPoly:
-    """Sum of the x derivative of the first and the y derivative of the second."""
-    return grad[0].diff("x") + grad[1].diff("y")
+def sum_of_products(terms, max_ep: int | None = None) -> GradedPoly:
+    """Sum of c*a*b over the triples (c, a, b) of ``terms``, each product and
+    each lone term cut above ``max_ep`` in the parameter.
 
-
-def dot(u, v, max_ep: int | None = None) -> GradedPoly:
-    """Dot product of two gradients, optionally truncated above ``max_ep``."""
-    return u[0].mul(v[0], max_ep) + u[1].mul(v[1], max_ep)
+    ``c`` is an int or a Fraction, ``a`` a GradedPoly and ``b`` a GradedPoly,
+    or None for the term c*a.  A term with a zero factor is skipped.  The
+    rest go over one common denominator, the lcm of their c.den*a.den*b.den.
+    Each product is formed in integers and then scaled to that denominator
+    key by key, not pair by pair, since the scale factor can be wide at high
+    order; all terms are accumulated into one dict of integer numerators,
+    cancelled keys are dropped and the sum is reduced once.
+    """
+    live = []
+    for c, a, b in terms:
+        if not c or not a.num or (b is not None and not b.num):
+            continue
+        den = c.denominator * a.den
+        if b is not None:
+            den *= b.den
+        live.append((c.numerator, den, a.num, b))
+    if not live:
+        return GradedPoly.zero()
+    common = lcm(*(den for _, den, _, _ in live))
+    out: dict[tuple[int, int, int, int], int] = {}
+    get = out.get
+    for top, den, a, b in live:
+        if b is not None:
+            items = _raw_product(a, b.num, max_ep).items()
+        else:
+            items = a.items() if max_ep is None else _cut(a, max_ep)
+        scale = top * (common // den)
+        for key, n in items:
+            out[key] = get(key, 0) + n * scale
+    return GradedPoly._reduced({k: n for k, n in out.items() if n}, common)
 
 
 def _accumulate(out: dict, items) -> None:
@@ -354,22 +392,31 @@ def _accumulate(out: dict, items) -> None:
                 del out[key]
 
 
-def _int_product(a: dict, b: dict, max_ep: int | None) -> dict:
-    """Product of two numerator dicts, truncated above ``max_ep``, cancelled
-    sums dropped."""
+def _cut(num: dict, max_ep: int) -> list:
+    """The (key, numerator) pairs of ``num`` at parameter order ``max_ep`` or below."""
+    return [t for t in num.items() if t[0][0] <= max_ep]
+
+
+def _raw_product(a: dict, b: dict, max_ep: int | None) -> dict:
+    """Product of two numerator dicts, truncated above ``max_ep``; a sum
+    that cancels stays in as a zero."""
     out: dict[tuple[int, int, int, int], int] = {}
     get = out.get
     rows: dict[int, list] = {}  # b cut to what each parameter power of a allows
     for (ea, ga, ia, ja), na in a.items():
         row = rows.get(ea)
         if row is None:
-            row = rows[ea] = (
-                b.items() if max_ep is None else [t for t in b.items() if t[0][0] + ea <= max_ep]
-            )
+            row = rows[ea] = b.items() if max_ep is None else _cut(b, max_ep - ea)
         for (eb, gb, ib, jb), nb in row:
             key = (ea + eb, ga + gb, ia + ib, ja + jb)
             out[key] = get(key, 0) + na * nb
-    return {k: n for k, n in out.items() if n}
+    return out
+
+
+def _int_product(a: dict, b: dict, max_ep: int | None) -> dict:
+    """Product of two numerator dicts, truncated above ``max_ep``, cancelled
+    sums dropped."""
+    return {k: n for k, n in _raw_product(a, b, max_ep).items() if n}
 
 
 def _scale_terms(p: GradedPoly, factors: dict) -> GradedPoly:

@@ -79,9 +79,9 @@ def _rule(cast, ok, need: str):
 RATIO_BITS = 64
 
 # The highest truncation order a command builds.  The exact work grows
-# steeply with the order: a `hierarchy` build at b = 1/2 took 0.93 s at
-# order 24, 3.7 s at 32 and 81 s at 48, so an order of 10**20 would run
-# until killed.  No table or test goes above 24.
+# steeply with the order: a `hierarchy` build at b = 1/2 took 0.57 s at
+# order 24, 4.0 s at 32 (medians of three) and 72 s at 48 on 2 vCPUs, so an
+# order of 10**20 would run until killed.  No table or test goes above 24.
 MAX_ORDER = 32
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import GradedPoly, _accumulate, integrate_to_T
+from .algebra import GradedPoly, _accumulate, integrate_to_T, sum_of_products
 from .errors import OddParity, SingularInverse
 from .hierarchy import SeriesSolution, slice_level
 from .trajectory import PotentialSpec, gaussian_exponent, zero_point_energy
@@ -80,12 +80,12 @@ def resolvent_sum(p: GradedPoly, b: Fraction) -> GradedPoly:
     Flat terms terminate their chain (they stay in the sum but are not
     stepped again), and each step lowers degree, so the sum is finite.
     """
-    acc = GradedPoly.zero()
+    iterates = []
     cur = p
     while cur:
-        acc = acc + cur
+        iterates.append((1, cur, None))
         cur = diffusion_step(cur.drop_constant(), b)
-    return acc
+    return sum_of_products(iterates)
 
 
 def solve_green(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
@@ -107,18 +107,17 @@ def solve_green(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     coupling = spec.coupling_term()
     chi = [GradedPoly.const(1)]
     delta: list[GradedPoly] = [GradedPoly.zero()]
-    total = chi[0]
     energies = zero_point_energy(b)
     for k in range(1, order + 1):
-        source = -coupling.mul(chi[k - 1])
+        terms = [(-1, coupling, chi[k - 1])]
         for j in range(1, k):
-            source = source + delta[j].mul(chi[k - j])
-        resolved = resolvent_sum(source, b)
+            terms.append((1, delta[j], chi[k - j]))
+        resolved = resolvent_sum(sum_of_products(terms), b)
         shift = -resolved.constant_part()
         delta.append(shift)
         chi.append(apply_flow_inverse(resolved.drop_constant(), b))
-        total = total + chi[k]
         energies = energies + shift
+    total = sum_of_products((1, c, None) for c in chi)
     depth = -min(gp for (_, gp, _, _) in total.num)
     return SeriesSolution(
         kind="poly",

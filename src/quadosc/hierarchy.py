@@ -20,8 +20,10 @@ part of what is left joins E_n, and the rest is divided.  On the harmonic
 flow of the eps and lambda flavors S_0 is the bare gaussian, and one
 division solves a level.
 
-The pair sum on the right is symmetric in i and j, so it is built as twice
-the sum over i < j plus the square grad(S_m) . grad(S_m) when n + 1 = 2m.
+The pair sum on the right is symmetric in i and j, so each pair i < j is
+formed once at weight -1, and the square grad(S_m) . grad(S_m) at -1/2 when
+n + 1 = 2m.  Each right side is one `sum_of_products`: every term goes over
+one common denominator and the whole is reduced once.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _G_SHIFT, GradedPoly, divergence, dot, gradient, integrate_to_T
+from .algebra import _G_SHIFT, GradedPoly, gradient, integrate_to_T, sum_of_products
 from .trajectory import PotentialSpec, gaussian_exponent
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -75,10 +79,7 @@ class SeriesSolution:
 
 def fold_levels(levels, top_gp: int) -> GradedPoly:
     """Attach each level's implicit g power: level n sits at g^(top_gp - n)."""
-    acc = GradedPoly.zero()
-    for n, lev in enumerate(levels):
-        acc = acc + lev.shift(gp=top_gp - n)
-    return acc
+    return sum_of_products((1, lev.shift(gp=top_gp - n), None) for n, lev in enumerate(levels))
 
 
 def slice_level(p: GradedPoly, gp: int) -> GradedPoly:
@@ -108,6 +109,16 @@ def _ep_slice(p: GradedPoly, k: int) -> GradedPoly:
     return GradedPoly._reduced({key: n for key, n in p.num.items() if key[0] == k}, p.den)
 
 
+def _dot_terms(weight, u, v) -> list:
+    """The two terms of weight * (u . v) for `sum_of_products`."""
+    return [(weight, u[0], v[0]), (weight, u[1], v[1])]
+
+
+def _half_laplacian_terms(grad) -> list:
+    """The two terms of (1/2) lap(p) for `sum_of_products`, from grad(p)."""
+    return [(_HALF, grad[0].diff("x"), None), (_HALF, grad[1].diff("y"), None)]
+
+
 def quadrature_level(rhs: GradedPoly, flow: _Flow) -> tuple[GradedPoly, GradedPoly]:
     """Solve grad(S_0) . grad(S_next) = rhs - E in the plane.
 
@@ -121,17 +132,18 @@ def quadrature_level(rhs: GradedPoly, flow: _Flow) -> tuple[GradedPoly, GradedPo
     source = rhs.drop_constant()
     if not flow.slices:
         return energy, integrate_to_T(source, flow.b)
-    level = GradedPoly.zero()
+    levels = []
     grads = []
     for k in range(flow.order + 1):
-        part = _ep_slice(source, k)
+        terms = [(1, _ep_slice(source, k), None)]
         for j in range(1, k + 1):
-            part = part - dot(flow.slices[j - 1], grads[k - j])
+            terms += _dot_terms(-1, flow.slices[j - 1], grads[k - j])
+        part = sum_of_products(terms)
         energy = energy + part.constant_part()
         s_k = integrate_to_T(part.drop_constant(), flow.b)
-        level = level + s_k
+        levels.append(s_k)
         grads.append(gradient(s_k))
-    return energy, level
+    return energy, sum_of_products((1, s_k, None) for s_k in levels)
 
 
 def solve_levels(s0: GradedPoly, flow: _Flow) -> SeriesSolution:
@@ -166,22 +178,22 @@ def _transport_source(spec: PotentialSpec, grads, n: int, max_ep: int) -> Graded
     """Level-n right side built from the gradients of the known levels,
     before E_n, truncated above parameter order ``max_ep``.
 
-    The pair sum over i + j = n + 1 is symmetric, so each unordered pair
-    i < j is formed once and doubled, the square i = j added once when
-    n + 1 is even, and the 1/2 applied once to the whole.  The coupling
-    insertion of a deferred flavor is added at its level.
+    One `sum_of_products` builds it: (1/2) lap(S_n); the symmetric pair sum
+    over i + j = n + 1, each pair i < j once at weight -1 and the square
+    i = j at -1/2 when n + 1 is even; and the coupling insertion of a
+    deferred flavor at its level, all cut above ``max_ep`` and reduced once.
     """
     total = n + 1
-    acc = divergence(grads[n]) if n < len(grads) else GradedPoly.zero()
+    terms = []
+    if n < len(grads):
+        terms += _half_laplacian_terms(grads[n])
     for i in range(1, total // 2 + 1):
         j = total - i
         if j < len(grads):
-            pair = dot(grads[i], grads[j], max_ep)
-            acc = acc - (pair if i == j else pair * 2)
-    rhs = acc * Fraction(1, 2)
+            terms += _dot_terms(-_HALF if i == j else -1, grads[i], grads[j])
     if n == insertion_level_for(spec.flavor):
-        rhs = rhs + spec.coupling_term()
-    return rhs.truncate_ep(max_ep)
+        terms.append((1, spec.coupling_term(), None))
+    return sum_of_products(terms, max_ep)
 
 
 def classical_run(spec: PotentialSpec, order: int) -> tuple[_Flow, GradedPoly]:
@@ -197,15 +209,16 @@ def classical_run(spec: PotentialSpec, order: int) -> tuple[_Flow, GradedPoly]:
     if spec.flavor != "mu":
         return _Flow(spec, order), s0
     potential = spec.potential()
+    parts = [s0]
     slices = []
     for k in range(1, order + 1):
-        source = _ep_slice(potential, k)
-        for i in range(1, k):
-            source = source - dot(slices[i - 1], slices[k - i - 1]) * Fraction(1, 2)
-        s_k = integrate_to_T(source, spec.b)
-        s0 = s0 + s_k
+        terms = [(1, _ep_slice(potential, k), None)]
+        for i in range(1, k // 2 + 1):
+            terms += _dot_terms(-1 if i < k - i else -_HALF, slices[i - 1], slices[k - i - 1])
+        s_k = integrate_to_T(sum_of_products(terms), spec.b)
+        parts.append(s_k)
         slices.append(gradient(s_k))
-    return _Flow(spec, order, tuple(slices)), s0
+    return _Flow(spec, order, tuple(slices)), sum_of_products((1, p, None) for p in parts)
 
 
 def default_depth(flavor: str, order: int) -> int:

@@ -80,7 +80,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .algebra import GradedPoly, _accumulate, integrate_to_T
+from .algebra import GradedPoly, _accumulate, integrate_to_T, sum_of_products
 from .errors import ConvergenceFailure
 from .hierarchy import SeriesSolution
 from .perturbation import (
@@ -151,7 +151,9 @@ def _hermite_table(max_m: int, axis: str, b: Fraction) -> dict[int, GradedPoly]:
     if max_m >= 2:
         tab[2] = u4 - GradedPoly.const(2)
     for m in range(2, max_m, 2):
-        tab[m + 2] = (u4 - GradedPoly.const(4 * m + 2)).mul(tab[m]) - tab[m - 2] * Fraction(4 * m * (m - 1))
+        tab[m + 2] = sum_of_products(
+            [(1, u4, tab[m]), (-(4 * m + 2), tab[m], None), (-4 * m * (m - 1), tab[m - 2], None)]
+        )
     return tab
 
 
@@ -160,24 +162,27 @@ def _chi_from_tables(tables: list[GradedPoly], b: Fraction, order: int) -> Grade
 
     Table entry (m, n) stands for H_m(x) H_n(y).  The entries of one m are
     summed into the row sum_n v H_n(y) first, over one denominator of the
-    H_n(y), so each table takes one product per m.
+    H_n(y), with table k's grade param^k g^(-3k) attached, so each table
+    takes one product per m, and one `sum_of_products` adds them all.
     """
     max_m = max((k[2] for t in tables for k in t.num), default=0)
     max_n = max((k[3] for t in tables for k in t.num), default=0)
     hx = _hermite_table(max_m, "x", b)
     hy = _hermite_table(max_n, "y", b)
     common = math.lcm(*(h.den for h in hy.values()))
-    chi = GradedPoly.zero()
+    terms = []
     for k, table in enumerate(tables):
         rows: dict[int, dict] = {}
         for (_, _, m, n), v in table.num.items():
             h = hy[n]
             v *= common // h.den
-            _accumulate(rows.setdefault(m, {}), ((key, v * c) for key, c in h.num.items()))
-        state = GradedPoly.zero()
+            _accumulate(
+                rows.setdefault(m, {}),
+                (((k, gp - 3 * k, i, j), v * c) for (_, gp, i, j), c in h.num.items()),
+            )
         for m, row in rows.items():
-            state = state + hx[m].mul(GradedPoly._reduced(row, common))
-        chi = chi + (state / table.den).shift(ep=k, gp=-3 * k)
+            terms.append((1, hx[m], GradedPoly._reduced(row, common * table.den)))
+    chi = sum_of_products(terms)
     head = chi.constant_part()
     return chi.mul(_series_inverse(head, order), order)
 
@@ -206,11 +211,11 @@ def rs_corrections(b, order: int = 2) -> SeriesSolution:
     for k in range(1, order + 1):
         acted = _square_action(tables[k - 1], b)
         shifts.append(Fraction(acted.num.get((0, 0, 0, 0), 0), acted.den))
-        acted = acted.drop_constant()
+        terms = [(1, acted.drop_constant(), None)]
         for r in range(1, k):
-            acted = acted - tables[k - r] * shifts[r - 1]
+            terms.append((-shifts[r - 1], tables[k - r], None))
         # integrate_to_T divides entry (m, n) by its energy denominator m + n b
-        tables.append(-integrate_to_T(acted, b))
+        tables.append(-integrate_to_T(sum_of_products(terms), b))
     energies = GradedPoly({(k, 1 - 3 * k, 0, 0): e for k, e in enumerate(shifts, start=1)})
     return SeriesSolution(
         kind="poly",
@@ -290,13 +295,22 @@ def _half_axis(n: int, length: float):
 
 
 def _lowest_levels(main, off, potential) -> np.ndarray:
-    """The lowest one or two eigenvalues of the axis operator -D/2 + potential."""
-    from scipy.linalg import eigh_tridiagonal
+    """The lowest one or two eigenvalues of the axis operator -D/2 + potential.
 
-    top = min(1, len(main) - 1)
-    return eigh_tridiagonal(
-        -0.5 * main + potential, -0.5 * off, eigvals_only=True, select="i", select_range=(0, top)
-    )
+    LAPACK's bisection ``stebz`` is called as scipy's ``eigh_tridiagonal``
+    calls it for the lowest levels by index, without the wrapper's argument
+    checks; the caller has already refused a non-finite potential.
+    """
+    from scipy.linalg.lapack import dstebz
+
+    diag = -0.5 * main + potential
+    if len(diag) == 1:
+        return diag
+    top = min(1, len(diag) - 1)
+    count, levels, _, _, info = dstebz(diag, -0.5 * off, 2, 0.0, 1.0, 1, top + 1, 0.0, "E")
+    if info != 0 or count != top + 1:
+        raise ConvergenceFailure(f"tridiagonal eigensolver failed (info {info}, {count} levels)")
+    return levels[:count]
 
 
 class _BandCholesky:

@@ -20,9 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import GradedPoly, divergence, dot, gradient
+from .algebra import GradedPoly, gradient, sum_of_products
 from .hierarchy import (
+    _HALF,
     SeriesSolution,
+    _dot_terms,
+    _half_laplacian_terms,
     _transport_source,
     classical_run,
     default_depth,
@@ -65,23 +68,24 @@ def solve_polynomial(spec: PotentialSpec, order: int = 2) -> SeriesSolution:
     energies = e0.shift(gp=1)
 
     grad_s1 = gradient(s1)
-    p_op = (divergence(grad_s1) - dot(grad_s1, grad_s1)) * Fraction(1, 2)
+    p_terms = [*_half_laplacian_terms(grad_s1), *_dot_terms(-_HALF, grad_s1, grad_s1)]
     if spec.flavor == "eps":
-        p_op = p_op + spec.coupling_term()
-    p_op = p_op.truncate_ep(order)
+        p_terms.append((1, spec.coupling_term(), None))
+    p_op = sum_of_products(p_terms, order)
 
     chis = [GradedPoly.const(1)]
     level_energies: list[GradedPoly] = []
     for n in range(1, depth + 2):
         prev = chis[n - 1]
         grad_prev = gradient(prev)
-        rhs = divergence(grad_prev) * Fraction(1, 2)
-        rhs = rhs - dot(grad_s1, grad_prev, order)
-        rhs = rhs - p_op.mul(prev, order)
+        terms = [
+            *_half_laplacian_terms(grad_prev),
+            *_dot_terms(-1, grad_s1, grad_prev),
+            (-1, p_op, prev),
+        ]
         for j in range(1, n):
-            rhs = rhs + level_energies[j - 1].mul(chis[n - j], order)
-        rhs = rhs.truncate_ep(order)
-        flat, chi_n = quadrature_level(rhs, flow)
+            terms.append((1, level_energies[j - 1], chis[n - j]))
+        flat, chi_n = quadrature_level(sum_of_products(terms, order), flow)
         e_n = -flat
         level_energies.append(e_n)
         energies = energies + e_n.shift(gp=1 - n)
@@ -112,16 +116,14 @@ def _power_series(q: GradedPoly, coef, order: int, g_depth: int | None = None) -
     """
     if any(ep == 0 and (g_depth is None or gp >= 0) for (ep, gp, _, _) in q.num):
         raise ValueError("series argument must carry the parameter or lower the g grade")
-    acc = GradedPoly.zero()
+    terms = []
     pw = GradedPoly.const(1)
-    k = 0
     while pw:
-        acc = acc + pw * coef(k)
-        k += 1
+        terms.append((coef(len(terms)), pw, None))
         pw = pw.mul(q, order)
         if g_depth is not None:
             pw = _truncate_g_depth(pw, g_depth)
-    return acc
+    return sum_of_products(terms)
 
 
 def _exp_series(gen: GradedPoly, order: int, g_depth: int | None = None) -> GradedPoly:

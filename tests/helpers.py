@@ -18,8 +18,6 @@ from scipy.sparse.linalg import splu
 from quadosc import GradedPoly, SeriesSolution, hierarchy, oracle, perturbation
 from quadosc.algebra import (
     _G_SHIFT,
-    divergence,
-    dot,
     evaluate_at_endpoint,
     flow_derivative,
     gradient,
@@ -59,6 +57,16 @@ def slot(p: GradedPoly, i: int, j: int, gp: int | None = None, ep: int | None = 
         for (e, g, ii, jj), c in p.terms.items()
         if (ii, jj) == (i, j) and gp in (None, g) and ep in (None, e)
     })
+
+
+def divergence(grad: tuple[GradedPoly, GradedPoly]) -> GradedPoly:
+    """Sum of the x derivative of the first and the y derivative of the second."""
+    return grad[0].diff("x") + grad[1].diff("y")
+
+
+def dot(u, v, max_ep: int | None = None) -> GradedPoly:
+    """Dot product of two gradients, optionally truncated above ``max_ep``."""
+    return u[0].mul(v[0], max_ep) + u[1].mul(v[1], max_ep)
 
 
 def laplacian(p: GradedPoly) -> GradedPoly:

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadosc import GradedPoly, SingularInverse
-from quadosc.algebra import dot, flow_derivative, gradient, integrate_to_T
+from quadosc.algebra import flow_derivative, gradient, integrate_to_T, sum_of_products
 from quadosc.hierarchy import slice_level
 from quadosc.perturbation import _exp_series, _series_inverse, _truncate_g_depth
 
-from helpers import laplacian, series_log, slot
+from helpers import dot, laplacian, series_log, slot
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -86,6 +86,58 @@ def test_unknown_variable_is_rejected():
             GradedPoly.variable(name)
     with pytest.raises(ValueError, match="unknown variable"):
         GradedPoly.zero().diff("z")
+
+
+weights = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+product_terms = st.lists(st.tuples(weights, polys, st.one_of(st.none(), polys)), max_size=4)
+
+
+def _is_canonical(p: GradedPoly) -> bool:
+    return p.den > 0 and all(p.num.values()) and gcd(p.den, *p.num.values()) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_terms, st.one_of(st.none(), st.integers(0, 3)))
+def test_sum_of_products_matches_the_chain(terms, max_ep):
+    # the +, mul and truncate_ep chain the solvers built each right side with
+    want = GradedPoly.zero()
+    for c, a, b in terms:
+        want = want + (a if b is None else a.mul(b)) * c
+    if max_ep is not None:
+        want = want.truncate_ep(max_ep)
+    got = sum_of_products(terms, max_ep)
+    assert got == want
+    assert _is_canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys, polys)
+def test_sum_of_products_cancels_to_canonical_zero(p, q):
+    for terms in (
+        [(1, p, q), (-1, q, p)],
+        [(Fraction(2, 3), p, None), (Fraction(-2, 3), p, None)],
+        [(3, p, q), (-2, p, q), (Fraction(-1), q, p)],
+    ):
+        zero = sum_of_products(terms)
+        assert (zero.den, zero.num) == (1, {})
+
+
+def test_empty_operands_give_canonical_zero():
+    p = GradedPoly.mono(Fraction(3, 4), i=2, j=1)
+    zero = GradedPoly.zero()
+    for out in (
+        p.mul(zero),
+        zero.mul(p, max_ep=1),
+        p.mul(GradedPoly({})),
+        -zero,
+        zero * Fraction(5, 7),
+        zero.diff("x"),
+        zero.diff("y"),
+        sum_of_products([(0, p, None), (2, zero, p), (1, p, zero)]),
+    ):
+        assert (out.den, out.num) == (1, {})
+    with pytest.raises(ValueError, match="unknown variable"):
+        GradedPoly({}).diff("t")
 
 
 @given(polys)

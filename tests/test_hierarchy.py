@@ -17,12 +17,13 @@ from quadosc import (
     standard_spec,
 )
 
-from quadosc.algebra import dot, gradient
+from quadosc.algebra import gradient
 from quadosc.cli import PIPELINES, build_solution
 from quadosc.hierarchy import fold_levels
 
 from helpers import (
     B_VALUES,
+    dot,
     laplacian,
     mu_energy_slots,
     mu_levels,
