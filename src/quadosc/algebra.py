@@ -430,14 +430,21 @@ def _scale_terms(p: GradedPoly, factors: dict) -> GradedPoly:
     )
 
 
+def _ratio_parts(b) -> tuple[int, int]:
+    """Numerator and denominator of the ratio ``b``, a Fraction or anything
+    ``Fraction()`` accepts; a Fraction is read as it is, not rebuilt."""
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
+    return b.numerator, b.denominator
+
+
 def flow_derivative(p: GradedPoly, b) -> GradedPoly:
     """Apply the flow operator x d/dx + b y d/dy.
 
     Each monomial x^i y^j is an eigenvector with eigenvalue i + j*b.  Read in
     the trajectory amplitudes X = cx e^t, Y = cy e^(bt), this is d/dt.
     """
-    b = Fraction(b)
-    top, q = b.numerator, b.denominator
+    top, q = _ratio_parts(b)
     factors = {}
     for k in p.num:
         rate = k[2] * q + k[3] * top  # q times the eigenvalue i + j*b
@@ -454,8 +461,7 @@ def integrate_to_T(p: GradedPoly, b) -> GradedPoly:
     positive.  A flat term has eigenvalue zero and no decaying primitive; it
     signals a missing energy subtraction upstream and raises SingularInverse.
     """
-    b = Fraction(b)
-    top, q = b.numerator, b.denominator
+    top, q = _ratio_parts(b)
     factors = {}
     for k in p.num:
         if k[2] == 0 and k[3] == 0:

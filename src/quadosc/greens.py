@@ -5,10 +5,16 @@ Dividing the state by the bare gaussian turns the stationary equation into
     (A - (1/2) lap + coupling) chi = shift * chi,
 
 where A scales each even monomial x^(2l) y^(2m) by 2g(l + m b).  Inverting
-A maps the equation onto a geometric series: every application of
-(1/2) lap o A^(-1) lowers the total degree by two, so the series terminates,
-and the requirement that no flat term is ever handed to A^(-1) fixes the
-energy shift order by order in the coupling.
+A maps the equation onto the resolvent of the diffusion step
+D = (1/2) lap o A^(-1), which lowers the total degree by two, so the series
+p + D(p) + D^2(p) + ... terminates; the requirement that no flat term is
+ever handed to A^(-1) fixes the energy shift order by order in the
+coupling.
+
+The resolvent is not summed iterate by iterate: p spans every even degree,
+so the iterates would step each monomial again on every round.  Split by
+degree, the sum R obeys R_d = p_d + D(R_(d+2)), a triangular system solved
+from the top degree down, so each monomial goes through D once.
 
 Everything is exact: coefficients are rationals graded by explicit g powers
 (one inverse scaling costs one g).  One diffusion step is built in one pass
@@ -21,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import GradedPoly, _accumulate, integrate_to_T, sum_of_products
+from .algebra import GradedPoly, _accumulate, _ratio_parts, integrate_to_T, sum_of_products
 from .errors import OddParity, SingularInverse
 from .hierarchy import SeriesSolution, slice_level
 from .trajectory import PotentialSpec, gaussian_exponent, zero_point_energy
@@ -53,8 +59,7 @@ def diffusion_step(p: GradedPoly, b: Fraction) -> GradedPoly:
     2 (i q + j top).
     """
     _check_even(p)
-    b = Fraction(b)
-    top, q = b.numerator, b.denominator
+    top, q = _ratio_parts(b)
     rates = []
     for (_, _, i, j) in p.num:
         rate = i * q + j * top  # q times the flow eigenvalue i + j*b
@@ -75,17 +80,27 @@ def diffusion_step(p: GradedPoly, b: Fraction) -> GradedPoly:
 
 
 def resolvent_sum(p: GradedPoly, b: Fraction) -> GradedPoly:
-    """Sum of all diffusion-step iterates of ``p``.
+    """The sum R of ``p`` and all its diffusion-step iterates.
 
-    Flat terms terminate their chain (they stay in the sum but are not
-    stepped again), and each step lowers degree, so the sum is finite.
+    Flat terms end their chain: R = p + D(R - flat(R)), with D the diffusion
+    step.  D lowers the total degree by two, so by degree this is the
+    triangular system R_d = p_d + D(R_(d+2)), where R_(d+2) has degree at
+    least two and no flat part to drop.  It is solved from the top degree
+    down, so every monomial goes through D once, and the levels are summed
+    once at the end.
     """
-    iterates = []
-    cur = p
-    while cur:
-        iterates.append((1, cur, None))
-        cur = diffusion_step(cur.drop_constant(), b)
-    return sum_of_products(iterates)
+    _check_even(p)
+    by_degree: dict[int, dict] = {}
+    for key, n in p.num.items():
+        by_degree.setdefault(key[2] + key[3], {})[key] = n
+    top = max(by_degree, default=0)
+    level = GradedPoly.zero()
+    levels = []
+    for d in range(top, -1, -2):
+        source = GradedPoly._reduced(by_degree.get(d, {}), p.den)
+        level = sum_of_products(((1, source, None), (1, diffusion_step(level, b), None)))
+        levels.append((1, level, None))
+    return sum_of_products(levels)
 
 
 def solve_green(spec: PotentialSpec, order: int = 2) -> SeriesSolution:

@@ -85,9 +85,10 @@ from .errors import ConvergenceFailure
 from .hierarchy import SeriesSolution
 from .perturbation import (
     DEFAULT_WINDOW,
+    _generator_window,
+    _series_inverse,
     canonical_window,
     normal_form_diff,
-    _series_inverse,
 )
 from .trajectory import gaussian_exponent, zero_point_energy
 
@@ -620,6 +621,14 @@ def compare_methods(
 
     The first run is the reference.  Returns every differing slot keyed by
     run name; an empty dict means the runs agree.
+
+    When the reference and a run are both exp runs, their b, window
+    generators and window energies are compared first, and equal ones agree
+    without an exp series: each window slot of exp(gen) is that slot of gen
+    plus terms of lower weight (parameter power minus g power), so equal
+    generator windows give equal prefactor windows.  Otherwise both normal
+    forms are built and diffed; the reference's is built once, when first
+    needed.
     """
     sols = list(solutions)
     if not sols:
@@ -629,10 +638,16 @@ def compare_methods(
     names = [str(n) for n in names]
     if len(names) != len(sols):
         raise ValueError("one name per solution")
-    forms = [canonical_window(s, window) for s in sols]
+    ref = sols[0]
+    ref_key = _generator_window(ref, window) if ref.kind == "exp" else None
+    ref_form = None
     diffs: dict[str, list[str]] = {}
-    for name, form in zip(names[1:], forms[1:]):
-        d = normal_form_diff(forms[0], form)
+    for name, sol in zip(names[1:], sols[1:]):
+        if ref_key is not None and sol.kind == "exp" and _generator_window(sol, window) == ref_key:
+            continue
+        if ref_form is None:
+            ref_form = canonical_window(ref, window)
+        d = normal_form_diff(ref_form, canonical_window(sol, window))
         if d:
             diffs[name] = d
     return diffs

@@ -151,6 +151,22 @@ class NormalForm:
     energies: GradedPoly
 
 
+def _generator_window(sol: SeriesSolution, window: tuple[int, int]) -> tuple:
+    """(b, window generator, window energies) of a run, in the eps grading.
+
+    The generator is -(fold(S) - gaussian), S the exponent levels of an exp
+    run or the base of a poly run, regraded and cut to the window.  With the
+    run's prefactor these fix its `NormalForm`, whose chi is exp of the
+    generator times the prefactor.
+    """
+    ep_max, g_depth = window
+    s_levels = sol.terms if sol.kind == "exp" else sol.base
+    gen = fold_levels(s_levels, 1) - gaussian_exponent(sol.b).shift(gp=1)
+    gen = -gen.regrade(sol.flavor, "eps").truncate_ep(ep_max)
+    energies = sol.energies.regrade(sol.flavor, "eps").truncate_ep(ep_max)
+    return sol.b, _truncate_g_depth(gen, g_depth), _truncate_g_depth(energies, g_depth)
+
+
 def canonical_window(
     sol: SeriesSolution,
     window: tuple[int, int] = DEFAULT_WINDOW,
@@ -161,25 +177,13 @@ def canonical_window(
     that sinks every correction below the gaussian, which is what keeps the
     g-depth window finite.
     """
-    target = "eps"
     ep_max, g_depth = window
-    if sol.kind == "exp":
-        s_levels = sol.terms
-        prefactor = GradedPoly.const(1)
-    else:
-        s_levels = sol.base
-        prefactor = fold_levels(sol.terms, 0)
-
-    gen = fold_levels(s_levels, 1) - gaussian_exponent(sol.b).shift(gp=1)
-
-    gen = -gen.regrade(sol.flavor, target).truncate_ep(ep_max)
-    gen = _truncate_g_depth(gen, g_depth)
+    b, gen, energies = _generator_window(sol, window)
+    prefactor = GradedPoly.const(1) if sol.kind == "exp" else fold_levels(sol.terms, 0)
     chi = _exp_series(gen, ep_max, g_depth)
-    chi = chi.mul(prefactor.regrade(sol.flavor, target), ep_max)
+    chi = chi.mul(prefactor.regrade(sol.flavor, "eps"), ep_max)
     chi = _truncate_g_depth(chi, g_depth).truncate_ep(ep_max)
-
-    energies = sol.energies.regrade(sol.flavor, target).truncate_ep(ep_max)
-    return NormalForm(b=sol.b, chi=chi, energies=_truncate_g_depth(energies, g_depth))
+    return NormalForm(b=b, chi=chi, energies=energies)
 
 
 def normal_form_diff(left: NormalForm, right: NormalForm) -> list[str]:

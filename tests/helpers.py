@@ -24,6 +24,7 @@ from quadosc.algebra import (
     integrate_to_T,
     restrict_to_trajectory,
 )
+from quadosc.greens import diffusion_step
 from quadosc.hierarchy import _transport_source, fold_levels, insertion_level_for, slice_level
 from quadosc.perturbation import _exp_series, _power_series, _series_inverse, _truncate_g_depth
 from quadosc.trajectory import (
@@ -623,6 +624,18 @@ def pairwise_transport_source(spec, grads, n: int, max_ep: int) -> GradedPoly:
     if n == insertion_level_for(spec.flavor):
         rhs = rhs + spec.coupling_term()
     return rhs.truncate_ep(max_ep)
+
+
+def chain_resolvent_sum(p: GradedPoly, b: Fraction) -> GradedPoly:
+    """`greens.resolvent_sum` by the iterate chain p + D(p) + D^2(p) + ...,
+    D the diffusion step: each iterate is stepped whole, its flat terms
+    dropped first, until an iterate is zero."""
+    total = GradedPoly.zero()
+    cur = p
+    while cur:
+        total = total + cur
+        cur = diffusion_step(cur.drop_constant(), b)
+    return total
 
 
 def entrywise_chi_from_tables(tables, b, order: int) -> GradedPoly:

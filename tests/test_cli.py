@@ -596,6 +596,56 @@ def test_golden_energy_diffs_list_in_g_power_order(tmp_path, capsys):
     ]
 
 
+def _tamper_hierarchy_golden(path, rows, energies):
+    """Write the b = 1 order-2 `hierarchy` run to ``path`` with the level
+    rows at (level, ep, gp, i, j) and the energy slots at (ep, gp) reset."""
+    doc = solution_to_doc(build_solution("hierarchy", Fraction(1)), "hierarchy")
+    for (level, *key), c in rows.items():
+        (row,) = [r for r in doc["levels"][level] if [r["ep"], r["gp"], r["i"], r["j"]] == key]
+        row["c"] = c
+    for key, c in energies.items():
+        (slot,) = [s for s in doc["energies"] if (s["ep"], s["gp"]) == key]
+        slot["c"] = c
+    path.write_text(json.dumps(doc))
+
+
+TAMPERED_EXP_GOLDENS = {
+    "s2": (
+        {(2, 2, 0, 0, 2): "1/32"},
+        {},
+        ["prefactor term x^0 y^2 g^-5 order 2: -1/32 != 3/32"],
+    ),
+    "s1-and-energy": (
+        {(1, 1, 0, 0, 2): "1/4"},
+        {(0, 1): "5"},
+        [
+            "energy slot g^1 order 0: 5 != 1",
+            "prefactor term x^0 y^2 g^-2 order 1: -1/4 != -1/8",
+            "prefactor term x^0 y^4 g^-4 order 2: 7/192 != 5/384",
+            "prefactor term x^2 y^2 g^-4 order 2: 5/32 != 9/64",
+            "prefactor term x^2 y^4 g^-3 order 2: 1/12 != 5/96",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERED_EXP_GOLDENS))
+def test_tampered_exp_golden_diff_lines(tmp_path, capsys, tamper):
+    rows, energies, lines = TAMPERED_EXP_GOLDENS[tamper]
+    golden = tmp_path / "golden.json"
+    _tamper_hierarchy_golden(golden, rows, energies)
+    methods = ["exp-eps", "poly-eps", "exp-lambda"]
+    argv = ["compare", "--methods", ",".join(methods), "--golden", str(golden), "--b", "1"]
+    assert main([*argv, "--format", "text"]) == EXIT_DISAGREE
+    expected = ["compare b=1 order=2 window=(2,5) reference=golden:hierarchy"]
+    for name in methods:
+        expected += [f"{name}: DIFFERS", *(f"  {line}" for line in lines)]
+    assert capsys.readouterr().out.splitlines() == [*expected, "DISAGREE"]
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_DISAGREE
+    assert doc["diffs"] == {name: lines for name in methods}
+
+
 def _set_row(level, key, value):
     def mutate(doc):
         doc["levels"][level][0][key] = value

@@ -26,6 +26,7 @@ from quadosc.trajectory import zero_point_energy
 from helpers import (
     B_VALUES,
     F,
+    chain_resolvent_sum,
     green_orders,
     laplacian,
     odd_double_factorial,
@@ -158,6 +159,34 @@ def test_resolvent_sum_terminates_on_constants():
     c = mono(7, gp=-3)
     assert resolvent_sum(c, Fraction(2)) == c
     assert resolvent_sum(GradedPoly.zero(), Fraction(2)) == GradedPoly.zero()
+
+
+graded_even_keys = st.tuples(
+    st.integers(0, 3), st.integers(-3, 1), st.sampled_from((0, 2, 4, 6, 8)), st.sampled_from((0, 2, 4, 6, 8))
+)
+sources = st.dictionaries(
+    graded_even_keys, st.fractions(min_value=-6, max_value=6, max_denominator=8).filter(bool), max_size=12
+).map(GradedPoly)
+
+
+@settings(deadline=None, max_examples=80)
+@given(sources, st.integers(1, 9), st.integers(1, 9))
+@example(GradedPoly.zero(), 1, 1)
+@example(mono(3, gp=-1) + mono(2, ep=2), 2, 3)  # flat terms only
+@example(mono(1, i=8, j=2) + mono(-1, i=2, ep=1) + mono(5, gp=-2), 1, 2)  # degrees 10, 2, 0
+def test_resolvent_sum_matches_the_iterate_chain(p, top, q):
+    b = Fraction(top, q)
+    assert resolvent_sum(p, b) == chain_resolvent_sum(p, b)
+
+
+def test_resolvent_sum_rejects_odd_monomials():
+    # x y^2 has odd total degree, which a sweep over even degrees would skip
+    with pytest.raises(OddParity):
+        resolvent_sum(mono(1, i=1, j=2), Fraction(1))
+    with pytest.raises(OddParity):
+        resolvent_sum(mono(1, i=4) + mono(1, i=1, j=2), Fraction(1))
+    with pytest.raises(OddParity):
+        resolvent_sum(mono(1, i=3, j=1), Fraction(1))
 
 
 # ----- chain coefficients ----------------------------------------------------

@@ -610,6 +610,39 @@ def test_compare_reports_disagreements():
     assert any("energy slot" in line for line in diffs["run1"])
 
 
+def _counted_windows(monkeypatch) -> list:
+    """Record each run that `compare_methods` builds a normal form of."""
+    built = []
+    real = oracle.canonical_window
+
+    def counting(sol, window):
+        built.append(sol)
+        return real(sol, window)
+
+    monkeypatch.setattr(oracle, "canonical_window", counting)
+    return built
+
+
+def test_matching_exp_runs_build_no_normal_form(monkeypatch):
+    built = _counted_windows(monkeypatch)
+    b, order = Fraction(1, 2), 6
+    runs = [build_solution(m, b, order) for m in ("hierarchy", "exp-eps", "exp-lambda")]
+    assert compare_methods(runs, window=(order, 3 * order + 2)) == {}
+    assert built == []
+
+
+def test_reference_normal_form_is_built_once(monkeypatch):
+    built = _counted_windows(monkeypatch)
+    b = Fraction(5, 3)
+    ref, exp_run, *polys = (build_solution(m, b, 3) for m in ("exp-eps", "hierarchy", "green", "rs"))
+    assert compare_methods([ref, exp_run, *polys], window=(3, 11)) == {}
+    assert built == [ref, *polys]
+    # a poly reference has no generator shortcut
+    built.clear()
+    assert compare_methods([polys[0], ref, exp_run], window=(3, 11)) == {}
+    assert built == [polys[0], ref, exp_run]
+
+
 def test_compare_guards():
     with pytest.raises(ValueError):
         compare_methods([])
