@@ -13,12 +13,13 @@ oracle's time outside it, most of it the inverse-iteration solves
 (``oracle.fd.iterations``).  Each time is the median over repeats, scaled
 like perfbench's end-to-end times by its calibration probe to one reference
 speed of the host.  It times the checkout's ``hierarchy`` build at b = 1/2
-for orders 8 to 24 in a fresh interpreter, one build per order scaled by
-the probes either side of it, with the levels' term count and the largest
-numerator or denominator bit length of the levels and of the energies.
-Likewise it times each of the seven methods at b = 1/2 and orders 8 and 12:
-the build and the JSON rendering of its ``run`` output, both scaled by the
-probes either side of the pair.
+for orders 8 to 24 in a fresh interpreter, each the median over repeated
+builds, each build scaled by the probes either side of it, with the levels'
+term count and the largest numerator or denominator bit length of the
+levels and of the energies.  Likewise it times each of the seven methods at
+b = 1/2 and orders 8 and 12: the build and the JSON rendering of its
+``run`` output, each the median over repeated pairs, each pair scaled by
+the probes either side of it.
 Last, it times a fresh interpreter importing the checkout's ``quadosc.cli``
 and running three commands through the console script's ``main``, each the
 median over repeats, scaled the same way by the probes either side of it.
@@ -58,6 +59,7 @@ COLD_REPEATS = 5
 SERIES_B = "1/2"
 HIERARCHY_ORDERS = (8, 12, 16, 20, 24)
 METHOD_ORDERS = (8, 12)
+BUILD_REPEATS = 5  # builds per row of the hierarchy and method tables
 
 
 def checkout_state(checkout: Path) -> dict:
@@ -129,18 +131,25 @@ def fd_table(checkout: Path) -> dict:
 
 
 def _probed(probe, ref_s: float, probes: list, *steps) -> tuple[list, list]:
-    """Run ``steps`` in turn between two calls of ``probe``, each step given
-    the result of the one before; their results, and their wall times scaled
-    by the probes' mean to the probe time ``ref_s``."""
-    probes.append(probe())
-    results, times = [], []
-    for step in steps:
-        start = time.perf_counter()
-        results.append(step(*results[-1:]))
-        times.append(time.perf_counter() - start)
-    probes.append(probe())
-    scale = 2 * ref_s / (probes[-2] + probes[-1])
-    return results, [t * scale for t in times]
+    """Run ``steps`` in turn, each step given the result of the one before,
+    in ``BUILD_REPEATS`` passes with a call of ``probe`` before and after
+    each pass (one probe closes a pass and opens the next, and the last of
+    ``probes`` opens the first); the last pass's results, and each step's
+    median wall time over the passes, each scaled by the mean of the probes
+    either side of its pass to the probe time ``ref_s``."""
+    if not probes:
+        probes.append(probe())
+    passes = []
+    for _ in range(BUILD_REPEATS):
+        results, times = [], []
+        for step in steps:
+            start = time.perf_counter()
+            results.append(step(*results[-1:]))
+            times.append(time.perf_counter() - start)
+        probes.append(probe())
+        scale = 2 * ref_s / (probes[-2] + probes[-1])
+        passes.append([t * scale for t in times])
+    return results, [statistics.median(col) for col in zip(*passes)]
 
 
 def hierarchy_table(checkout: Path) -> dict:
@@ -166,7 +175,7 @@ def hierarchy_table(checkout: Path) -> dict:
             "level_max_bits": bits,
             "energy_max_bits": poly_size((sol.energies,))[1],
         })
-    return {"b": SERIES_B, "probe_s.median": statistics.median(probes), "rows": rows}
+    return {"b": SERIES_B, "repeats": BUILD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
 def methods_table(checkout: Path) -> dict:
@@ -186,7 +195,7 @@ def methods_table(checkout: Path) -> dict:
                 lambda sol: render_solution(sol, method, "json"),
             )
             rows.append({"method": method, "order": order, "build_s": build_s, "render_s": render_s})
-    return {"b": SERIES_B, "probe_s.median": statistics.median(probes), "rows": rows}
+    return {"b": SERIES_B, "repeats": BUILD_REPEATS, "probe_s.median": statistics.median(probes), "rows": rows}
 
 
 def cold_start_table(checkout: Path) -> dict:

@@ -33,7 +33,6 @@ from .oracle import (
     compare_methods,
     extrapolated_ground_energy,
     fd_ground_state,
-    oscillator_matrix_element,
     rs_corrections,
     rs_series,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "extrapolated_ground_energy",
     "fd_ground_state",
     "normal_form_diff",
-    "oscillator_matrix_element",
     "resolvent_sum",
     "rs_corrections",
     "rs_series",

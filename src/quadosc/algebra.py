@@ -31,16 +31,19 @@ reduced Fraction per key, built on first read and kept.
 The public constructor checks and converts Fraction-like coefficients.  The
 operations below work on the integers alone: they scale operands to a common
 denominator, add and multiply Python integers, and divide out the common
-factor of the result once.  The solvers build each right-hand side and each
-series sum with `sum_of_products`, which puts every term c*a*b of the sum
-over one common denominator, accumulates all the integer products into one
-dict and reduces once, so a right side costs one polynomial, not one per
-``+``, product and scaling.  What an operation promises is the value; the
-order of a result's keys is not part of it, except for ``+``, which keeps
-the left operand's keys in their order and appends the right one's new
-keys.  One key order reaches a printed float: `evaluate` sums in key order,
-and the program evaluates only energy series, which the solvers book one
-parameter order at a time with ``+`` (see `SeriesSolution.physical_energy`).
+factor of the result once.  `sum_of_products` is the one kernel for a sum
+of products c*a*b: it puts every term over one common denominator,
+accumulates the integer products into one dict and reduces once.  The
+solvers build each right-hand side and each series sum with it, so a right
+side costs one polynomial, not one per ``+``, product and scaling; scaling
+by a number and `GradedPoly.subs` are one call of it each.  ``+`` and
+`GradedPoly.mul`, the program's two-operand hot paths, keep their own loops.
+What an operation promises is the value; the order of a result's keys is
+not part of it, except for ``+``, which keeps the left operand's keys in
+their order and appends the right one's new keys.  One key order reaches a
+printed float: `evaluate` sums in key order, and the program evaluates only
+energy series, which the solvers book one parameter order at a time with
+``+`` (see `SeriesSolution.physical_energy`).
 """
 
 from __future__ import annotations
@@ -128,8 +131,8 @@ class GradedPoly:
         return cls({(0, 0, 0, 0): Fraction(value)})
 
     @classmethod
-    def mono(cls, coef, i=0, j=0, gp=0, ep=0) -> "GradedPoly":
-        return cls({(ep, gp, i, j): Fraction(coef)})
+    def mono(cls, coef, i=0, j=0, gp=0) -> "GradedPoly":
+        return cls({(0, gp, i, j): Fraction(coef)})
 
     @classmethod
     def variable(cls, name: str) -> "GradedPoly":
@@ -161,8 +164,6 @@ class GradedPoly:
         )
         return GradedPoly._reduced(out, den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "GradedPoly":
         if not self.num:
             return self
@@ -171,42 +172,16 @@ class GradedPoly:
     def __sub__(self, other) -> "GradedPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "GradedPoly":
-        return self._coerce(other) - self
-
     def mul(self, other: "GradedPoly", max_ep: int | None = None) -> "GradedPoly":
         """Product, optionally truncated above ``max_ep`` in the parameter."""
         if not self.num or not other.num:
             return GradedPoly.zero()
-        return GradedPoly._reduced(
-            _int_product(self.num, other.num, max_ep), self.den * other.den
-        )
+        out = _raw_product(self.num, other.num, max_ep)
+        return GradedPoly._reduced({k: n for k, n in out.items() if n}, self.den * other.den)
 
-    def __mul__(self, other) -> "GradedPoly":
-        if isinstance(other, GradedPoly):
-            return self.mul(other)
-        if not self.num:
-            return self
-        coef = Fraction(other)
-        if not coef:
-            return GradedPoly.zero()
-        top = coef.numerator
-        return GradedPoly._reduced(
-            {k: n * top for k, n in self.num.items()}, self.den * coef.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GradedPoly":
-        return self * (Fraction(1) / Fraction(other))
-
-    def __pow__(self, n: int) -> "GradedPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = GradedPoly.const(1)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
+    def __mul__(self, coef) -> "GradedPoly":
+        """Scale by a number; a product of polynomials is `mul`."""
+        return sum_of_products(((Fraction(coef), self, None),))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
@@ -269,7 +244,8 @@ class GradedPoly:
         """Substitute polynomials for x and y, keeping the grading factors.
 
         The powers of ``px`` and ``py`` are built for this call, truncated
-        above ``max_ep``.  All terms are summed over one common denominator.
+        above ``max_ep``.  The terms n*px^i*py^j, with px^i shifted by the
+        term's grading and put over ``self.den``, are one `sum_of_products`.
         """
 
         def powers(p: "GradedPoly", n: int) -> list:
@@ -280,28 +256,24 @@ class GradedPoly:
 
         xs = powers(px, max((k[2] for k in self.num), default=0))
         ys = powers(py, max((k[3] for k in self.num), default=0))
-        live = self.num.items()
-        if max_ep is not None:
-            live = [(k, n) for k, n in live if k[0] <= max_ep]
-        lx = lcm(*{xs[k[2]].den for k, _ in live})
-        ly = lcm(*{ys[k[3]].den for k, _ in live})
-        out: dict[tuple[int, int, int, int], int] = {}
-        for (ep, gp, i, j), c in live:
-            x, y = xs[i], ys[j]
-            c *= (lx // x.den) * (ly // y.den)
-            prod = _int_product(x.num, y.num, None if max_ep is None else max_ep - ep)
-            _accumulate(
-                out,
-                (((e + ep, g + gp, u, v), n * c) for (e, g, u, v), n in prod.items()),
-            )
-        return GradedPoly._reduced(out, self.den * lx * ly)
+        den = self.den
+        return sum_of_products(
+            (
+                (n, GradedPoly._raw(xs[i].shift(ep, gp).num, xs[i].den * den), ys[j])
+                for (ep, gp, i, j), n in self.num.items()
+            ),
+            max_ep,
+        )
 
-    def evaluate(self, g: float, param_value: float, x: float = 0.0, y: float = 0.0) -> float:
+    def evaluate(self, g: float, param_value: float) -> float:
+        """The float value at the origin x = y = 0: the flat terms
+        c * g^gp * param^ep summed in key order."""
         # n / den is the correctly rounded float of the coefficient
         den = self.den
         total = 0.0
         for (ep, gp, i, j), n in self.num.items():
-            total += n / den * g**gp * param_value**ep * x**i * y**j
+            if not (i or j):
+                total += n / den * g**gp * param_value**ep
         return total
 
     def sorted_terms(self):
@@ -411,12 +383,6 @@ def _raw_product(a: dict, b: dict, max_ep: int | None) -> dict:
             key = (ea + eb, ga + gb, ia + ib, ja + jb)
             out[key] = get(key, 0) + na * nb
     return out
-
-
-def _int_product(a: dict, b: dict, max_ep: int | None) -> dict:
-    """Product of two numerator dicts, truncated above ``max_ep``, cancelled
-    sums dropped."""
-    return {k: n for k, n in _raw_product(a, b, max_ep).items() if n}
 
 
 def _scale_terms(p: GradedPoly, factors: dict) -> GradedPoly:

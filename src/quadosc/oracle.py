@@ -96,24 +96,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def oscillator_matrix_element(m: int, n: int, omega) -> float:
-    """<m| s^2 |n> in the normalized oscillator basis of frequency omega.
-
-    Nonzero only on the diagonal and two off the diagonal.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    omega = float(omega)
-    if omega <= 0:
-        raise ValueError("frequency must be positive")
-    if m == n:
-        return (2 * n + 1) / (2 * omega)
-    if abs(m - n) == 2:
-        lo = min(m, n)
-        return math.sqrt((lo + 1) * (lo + 2)) / (2 * omega)
-    return 0.0
-
-
 def _square_action(table: GradedPoly, b: Fraction) -> GradedPoly:
     """Act with x^2 y^2 on a raw-basis coefficient table.
 

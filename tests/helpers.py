@@ -46,8 +46,17 @@ def poly(entries) -> GradedPoly:
     """Build a polynomial from (coef, i, j, gp, ep) tuples."""
     out = GradedPoly.zero()
     for coef, i, j, gp, ep in entries:
-        out = out + GradedPoly.mono(Fraction(coef), i=i, j=j, gp=gp, ep=ep)
+        out = out + GradedPoly.mono(Fraction(coef), i=i, j=j, gp=gp).shift(ep=ep)
     return out
+
+
+def evaluate_at(p: GradedPoly, g: float, param: float, x: float, y: float) -> float:
+    """The float value of ``p`` at the point (x, y), term by term in key order."""
+    den = p.den
+    total = 0.0
+    for (ep, gp, i, j), n in p.num.items():
+        total += n / den * g**gp * param**ep * x**i * y**j
+    return total
 
 
 def slot(p: GradedPoly, i: int, j: int, gp: int | None = None, ep: int | None = None) -> GradedPoly:
@@ -649,7 +658,7 @@ def entrywise_chi_from_tables(tables, b, order: int) -> GradedPoly:
         state = GradedPoly.zero()
         for (_, _, m, n), v in table.num.items():
             state = state + hx[m].mul(hy[n]) * v
-        chi = chi + (state / table.den).shift(ep=k, gp=-3 * k)
+        chi = chi + (state * Fraction(1, table.den)).shift(ep=k, gp=-3 * k)
     head = chi.constant_part()
     return chi.mul(_series_inverse(head, order), order)
 

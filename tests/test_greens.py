@@ -49,7 +49,7 @@ def b(request):
 
 
 def mono(c, i=0, j=0, gp=0, ep=0):
-    return GradedPoly.mono(Fraction(c), i=i, j=j, gp=gp, ep=ep)
+    return GradedPoly.mono(Fraction(c), i=i, j=j, gp=gp).shift(ep=ep)
 
 
 def full_chain(l, m, b):
@@ -80,11 +80,9 @@ def test_inverse_scaling_divides_by_flow_eigenvalue(b):
 
 
 def test_inverse_scaling_preserves_grading_tags(b):
-    p = GradedPoly.mono(Fraction(3), i=2, j=4, gp=-1, ep=2)
+    p = mono(3, i=2, j=4, gp=-1, ep=2)
     out = apply_flow_inverse(p, b)
-    assert out == GradedPoly.mono(
-        Fraction(3) / (2 + 4 * b), i=2, j=4, gp=-2, ep=2
-    )
+    assert out == mono(Fraction(3) / (2 + 4 * b), i=2, j=4, gp=-2, ep=2)
 
 
 def test_inverse_scaling_guards():

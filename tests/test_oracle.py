@@ -22,7 +22,6 @@ from quadosc import (
     compare_methods,
     extrapolated_ground_energy,
     fd_ground_state,
-    oscillator_matrix_element,
     rs_corrections,
     rs_series,
     solve_exponential,
@@ -74,33 +73,6 @@ def rs_tables(b: Fraction) -> tuple:
 @pytest.fixture(params=B_VALUES, ids=str)
 def b(request):
     return request.param
-
-
-# ----- basis matrix elements ----------------------------------------------------
-
-
-def test_square_matrix_elements():
-    # <m| s^2 |n> at unit frequency: tridiagonal in steps of two.
-    assert oscillator_matrix_element(0, 0, 1.0) == pytest.approx(0.5)
-    assert oscillator_matrix_element(2, 2, 1.0) == pytest.approx(2.5)
-    assert oscillator_matrix_element(0, 2, 1.0) == pytest.approx(np.sqrt(2) / 2)
-    assert oscillator_matrix_element(2, 4, 1.0) == pytest.approx(np.sqrt(3))
-    assert oscillator_matrix_element(0, 4, 1.0) == 0.0
-    assert oscillator_matrix_element(5, 1, 1.0) == 0.0
-
-
-def test_square_matrix_element_symmetry_and_scaling():
-    for m, n in [(0, 2), (2, 4), (4, 4), (6, 4)]:
-        lhs = oscillator_matrix_element(m, n, 3.0)
-        assert lhs == pytest.approx(oscillator_matrix_element(n, m, 3.0))
-        assert lhs == pytest.approx(oscillator_matrix_element(m, n, 1.0) / 3.0)
-
-
-def test_square_matrix_element_guards():
-    with pytest.raises(ValueError):
-        oscillator_matrix_element(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        oscillator_matrix_element(0, 0, 0.0)
 
 
 # ----- textbook perturbation series -------------------------------------------
@@ -572,7 +544,7 @@ def test_compare_agreement_and_names():
     deferred = solve_exponential(standard_spec(b, "eps"), 2)
     assert compare_methods([direct, deferred], names=["direct", "deferred"]) == {}
     # a differing run is keyed by its name
-    shifted = deferred.energies + GradedPoly.mono(1, gp=-1, ep=2)
+    shifted = deferred.energies + GradedPoly.mono(1, gp=-1).shift(ep=2)
     off = dataclasses.replace(deferred, energies=shifted)
     assert set(compare_methods([direct, off], names=["direct", "deferred"])) == {"deferred"}
 
@@ -603,7 +575,7 @@ def test_all_methods_agree_past_second_order_random_ratio(p, q):
 def test_compare_reports_disagreements():
     b = Fraction(1)
     good = solve_exponential(standard_spec(b), 2)
-    bad_energies = good.energies + GradedPoly.mono(Fraction(1, 3), gp=-1, ep=2)
+    bad_energies = good.energies + GradedPoly.mono(Fraction(1, 3), gp=-1).shift(ep=2)
     bad = dataclasses.replace(good, energies=bad_energies)
     diffs = compare_methods([good, bad])
     assert set(diffs) == {"run1"}

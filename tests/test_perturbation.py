@@ -241,7 +241,7 @@ def test_normal_form_diff_reports_slots():
     messages = normal_form_diff(form, tweaked)
     assert any("energy slot" in m for m in messages)
 
-    bad_chi = form.chi + GradedPoly.mono(Fraction(1), i=2, j=2, gp=-1, ep=1)
+    bad_chi = form.chi + GradedPoly.mono(Fraction(1), i=2, j=2, gp=-1).shift(ep=1)
     tweaked = dataclasses.replace(form, chi=bad_chi)
     messages = normal_form_diff(form, tweaked)
     assert messages and any("x^2 y^2" in m or "term" in m for m in messages)

@@ -71,6 +71,7 @@ def test_bench_snapshot_hierarchy_table_runs(monkeypatch):
     [row] = table["rows"]
     assert row["build_s"] > 0
     assert (row["order"], row["level_terms"], row["level_max_bits"], row["energy_max_bits"]) == (8, 194, 107, 60)
+    assert table["repeats"] == 5
     assert table["probe_s.median"] > 0
 
 
@@ -86,6 +87,7 @@ def test_bench_snapshot_methods_table_runs(monkeypatch):
         ("poly-lambda", 2), ("green", 2), ("rs", 2),
     ]
     assert all(row["build_s"] > 0 and row["render_s"] > 0 for row in table["rows"])
+    assert table["repeats"] == 5
     assert table["probe_s.median"] > 0
 
 
